@@ -17,10 +17,9 @@
  * expansion is cheap (the paper's premise for scaling).
  *
  * Under --check-determinism the registered points (au/<hops>,
- * allpairs/<ranks>, panel/<width>) each run twice with tracing on;
- * tracing forces Mesh::Engine::Auto onto the serialized routing path,
- * so this binary doubles as the CI gate that the 32x32 configuration
- * is deterministic hop-for-hop.
+ * allpairs/<ranks>, panel/<width>) each run twice with tracing on, and
+ * --golden pins their hashes, so this binary doubles as the gate that
+ * the mesh, up to the 32x32 configuration, is unchanged hop for hop.
  */
 
 #include <cstdio>

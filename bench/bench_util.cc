@@ -8,7 +8,6 @@
 #include "base/span.hh"
 #include "base/timeseries.hh"
 #include "base/trace.hh"
-#include "net/mesh.hh"
 #include "sim/profile.hh"
 
 namespace shrimp::bench
@@ -51,20 +50,6 @@ parseBenchFlags(int &argc, char **argv)
         } else if (std::strncmp(argv[i], "--span-sample=", 14) == 0) {
             span::setSampleEvery(
                 std::strtoull(argv[i] + 14, nullptr, 10));
-        } else if (std::strncmp(argv[i], "--mesh-engine=", 14) == 0) {
-            const char *name = argv[i] + 14;
-            if (std::strcmp(name, "auto") == 0) {
-                net::Mesh::setDefaultEngine(net::Mesh::Engine::Auto);
-            } else if (std::strcmp(name, "serialized") == 0) {
-                net::Mesh::setDefaultEngine(
-                    net::Mesh::Engine::Serialized);
-            } else if (std::strcmp(name, "coalesced") == 0) {
-                net::Mesh::setDefaultEngine(
-                    net::Mesh::Engine::Coalesced);
-            } else {
-                fatal(std::string("--mesh-engine: unknown engine '") +
-                      name + "' (want auto, serialized or coalesced)");
-            }
         } else if (std::strcmp(argv[i], "--profile") == 0) {
             profile_requested = true;
         } else if (std::strncmp(argv[i], "--profile=", 10) == 0) {
@@ -231,17 +216,26 @@ runDeterminismCheck(const std::vector<Curve> &curves,
 
     std::printf("determinism check: running each point twice and "
                 "comparing trace-stream hashes\n");
+    // Each run starts from a clean trace and a restarted span sampler
+    // (origin counter, id allocator), so --span-sample picks the same
+    // messages and ids in both runs of a point.
+    const std::uint64_t sample_every = span::sampleEvery();
+    auto fresh_run = [&tracer, sample_every] {
+        tracer.clear();
+        span::reset();
+        span::setSampleEvery(sample_every);
+    };
     int points = 0, failures = 0;
     for (const Curve &c : curves) {
         for (std::size_t size : sizes) {
             if (!c.points.count(size))
                 continue;
             ++points;
-            tracer.clear();
+            fresh_run();
             double s1 = measure_seconds(c.name, size);
             std::uint64_t h1 = tracer.hash();
             std::size_t n1 = tracer.events().size();
-            tracer.clear();
+            fresh_run();
             double s2 = measure_seconds(c.name, size);
             std::uint64_t h2 = tracer.hash();
             std::size_t n2 = tracer.events().size();

@@ -78,11 +78,6 @@ void printTable(const std::string &header,
  *                         per bench to regenerate the golden set)
  *   --span-sample=N       sample every Nth message origin into a causal
  *                         flow span (base/span.hh); 0 = off (default)
- *   --mesh-engine=NAME    routing engine for every machine the bench
- *                         builds: auto (default; coalesced exactly when
- *                         tracing is off), serialized (per-packet
- *                         coroutine path) or coalesced (link-ledger
- *                         path); see net::Mesh::Engine
  *   --profile[=FILE]      accumulate per-subsystem host dispatch cost
  *                         (sim/profile.hh) and dump FILE (default
  *                         profile.json) at exit; ignored with a warning

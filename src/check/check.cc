@@ -458,7 +458,7 @@ SimChecker::onLinkTraverse(const void *router, NodeId router_id, int dir,
 {
     numChecks_ += 1;
     if (seq == 0)
-        return; // unsequenced packet (tests drive forward() directly)
+        return; // unsequenced: never went through Mesh::inject
     auto &last = routers_[router].lastLinkSeq;
     auto it = last.find({dir, src});
     if (it != last.end() && seq <= it->second) {

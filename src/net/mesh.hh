@@ -5,24 +5,11 @@
  * preserves the order of packets from each sender to each receiver.
  * Node i sits at (i % width, i / width).
  *
- * Two interchangeable routing engines drive packets (DESIGN.md §14):
- *
- *  - Serialized: one coroutine per packet co_awaits a full Bus
- *    acquire/transfer/release handshake at every hop. This is the
- *    original, obviously-correct path; it still carries every traced
- *    run, so the golden trace hashes pin its behavior.
- *  - Coalesced: a per-link occupancy ledger grants link windows with
- *    plain arithmetic and one pooled event per hop — no coroutine
- *    frames, no semaphore queues, no per-packet spawn bookkeeping. Its
- *    event schedule mirrors the serialized path event-for-event
- *    (identical ticks, identical same-tick ordering), so simulated
- *    results are bit-identical; tests/test_net.cc asserts equality on
- *    all-pairs and contention patterns.
- *
- * Engine::Auto (the default) picks Coalesced exactly when tracing is
- * off: traced runs keep the serialized path whose per-hop bus spans the
- * golden hashes cover. The engine is sticky while packets are in
- * flight so both never drive one link at once.
+ * Packets move through a per-link occupancy ledger (DESIGN.md §14): a
+ * pooled Flight record per packet, one event per hop, and per directed
+ * link a busy bit plus a FIFO of waiting flights. Each hop brackets its
+ * link Bus's occupancy with Bus::beginTransfer/endTransfer, so checker,
+ * trace and stats see every link as a bus carrying one transfer per hop.
  */
 
 #ifndef SHRIMP_NET_MESH_HH
@@ -50,14 +37,6 @@ class Mesh
         "synchronize at its link boundaries");
 
   public:
-    /** Routing-engine selection; see the file comment. */
-    enum class Engine
-    {
-        Auto,       //!< Coalesced when tracing is off, else Serialized
-        Serialized, //!< always the per-packet coroutine path
-        Coalesced,  //!< always the link-ledger path (tests, benches)
-    };
-
     Mesh(sim::Simulator &sim, const MachineConfig &cfg);
     ~Mesh();
 
@@ -86,17 +65,6 @@ class Mesh
      */
     void inject(Packet pkt);
 
-    /** Select the routing engine. Takes effect at the next inject with
-     *  no packets in flight (both engines never share a link). */
-    void setEngine(Engine e) { engine_ = e; }
-    Engine engine() const { return engine_; }
-
-    /** Process-wide engine default picked up by every subsequently
-     *  constructed Mesh (the bench harness's --mesh-engine flag sets
-     *  this before any Machine exists). Auto on process start. */
-    static void setDefaultEngine(Engine e);
-    static Engine defaultEngine();
-
     Router &router(NodeId n) { return *routers_.at(n); }
 
     std::uint64_t packetsDelivered() const { return delivered_; }
@@ -106,9 +74,9 @@ class Mesh
 
   private:
     /**
-     * Per-packet state of the coalesced engine, free-listed so steady
-     * traffic allocates nothing. Scheduled hop events capture one
-     * Flight pointer; the Flight owns the packet until ejection.
+     * Per-packet state, free-listed so steady traffic allocates nothing.
+     * Scheduled hop events capture one Flight pointer; the Flight owns
+     * the packet until ejection.
      */
     struct Flight
     {
@@ -121,8 +89,7 @@ class Mesh
 
     /**
      * One directed link's occupancy ledger: a busy bit plus a FIFO of
-     * waiting flights — the coalesced engine's stand-in for the Bus
-     * semaphore, granted in the same order at the same ticks.
+     * waiting flights, granted in arrival order.
      */
     struct LinkLedger
     {
@@ -131,10 +98,8 @@ class Mesh
         bool busy = false;
     };
 
-    sim::Task<> routeTask(Packet pkt);
-
-    // Coalesced engine (mesh.cc): start/finish one hop, hand the link
-    // to the next waiter, eject at the destination.
+    // Start/finish one hop, hand the link to the next waiter, eject at
+    // the destination.
     void startHop(Flight *f);
     void hopDone(Flight *f);
     void grantLink(Flight *f);
@@ -154,8 +119,6 @@ class Mesh
     std::uint64_t nextSeq_ = 0;
     std::uint64_t delivered_ = 0;
     std::uint64_t inflight_ = 0;
-    Engine engine_ = defaultEngine();
-    bool coalescedActive_ = false;
 
     // Precomputed XY route tables (built once in the ctor): next
     // direction and hop count per (at, dst) pair, neighbor per
@@ -164,7 +127,7 @@ class Mesh
     std::vector<std::uint16_t> hopsTbl_;
     std::vector<std::int32_t> neighborTbl_;
 
-    // Link ledgers and the flight pool (coalesced engine).
+    // Link ledgers and the flight pool.
     std::vector<LinkLedger> ledgers_;
     std::vector<std::unique_ptr<Flight>> flights_;
     Flight *freeFlights_ = nullptr;

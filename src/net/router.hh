@@ -2,10 +2,10 @@
  * @file
  * Router: one iMRC of the routing backplane. Each router has four
  * outgoing mesh links (modelled as bandwidth resources) and an ejection
- * port delivering packets to the attached network interface. Forwarding
- * a packet charges the per-hop routing latency plus link serialization;
- * link FIFOs preserve per-sender order, matching the iMRC's in-order
- * guarantee (paper section 3.1).
+ * port delivering packets to the attached network interface. The mesh's
+ * link ledger charges each hop the per-hop routing latency plus link
+ * serialization on these links; their FIFOs preserve per-sender order,
+ * matching the iMRC's in-order guarantee (paper section 3.1).
  */
 
 #ifndef SHRIMP_NET_ROUTER_HH
@@ -47,24 +47,12 @@ class Router
 
     /** Mark direction @p d as connected (edge routers have fewer links). */
     void connect(Dir d);
-    bool connected(Dir d) const;
 
-    /**
-     * Send @p pkt out of link @p d: per-hop latency plus serialization
-     * on that link; completes when the packet has left this router.
-     */
-    sim::Task<> forward(const Packet &pkt, Dir d);
-
-    /**
-     * The Bus modelling the outgoing link @p d, or nullptr when
-     * unconnected. The mesh's coalesced engine charges occupancy on it
-     * directly (Bus::recordExternalTransfer) instead of running
-     * forward(); stats and checker identity stay per-link either way.
-     */
+    /** The Bus modelling the outgoing link @p d, or nullptr when
+     *  unconnected. The mesh charges each hop's occupancy on it. */
     sim::Bus *linkBus(Dir d) { return links_[int(d)].get(); }
 
-    /** Count one forwarded packet (the coalesced engine's counterpart
-     *  of the increment inside forward()). */
+    /** Count one packet forwarded out of this router. */
     void noteForwarded() { ++forwarded_; }
 
     /** Deliver @p pkt to the node attached to this router. */
@@ -80,7 +68,6 @@ class Router
   private:
     sim::EventQueue &queue_;
     NodeId id_;
-    Tick hopLatency_;
     std::array<std::unique_ptr<sim::Bus>, numDirs> links_;
     double linkBw_;
     sim::Channel<Packet> ejectQueue_;

@@ -27,8 +27,19 @@ Bus::occupancy(std::size_t bytes, Tick setup) const
 }
 
 void
-Bus::recordExternalTransfer(std::size_t bytes, Tick occupied)
+Bus::beginTransfer([[maybe_unused]] std::size_t bytes)
 {
+    SHRIMP_CHECK_HOOK(
+        check::SimChecker::instance().onBusTransferStart(this, bytes));
+    if (trace::on())
+        trace::Tracer::instance().begin(track_, "xfer", queue_.now());
+}
+
+void
+Bus::endTransfer(std::size_t bytes, Tick occupied)
+{
+    SHRIMP_CHECK_HOOK(
+        check::SimChecker::instance().onBusTransferEnd(this, bytes));
     busyTime_ += occupied;
     bytes_ += bytes;
     ++transactions_;
@@ -36,6 +47,8 @@ Bus::recordExternalTransfer(std::size_t bytes, Tick occupied)
     statBytes_ += bytes;
     statOccupancyNs_ += occupied;
     statXferBytes_.sample(double(bytes));
+    if (trace::on())
+        trace::Tracer::instance().end(track_, "xfer", queue_.now());
 }
 
 Task<>
@@ -46,22 +59,12 @@ Bus::transfer(std::size_t bytes, Tick setup)
     profile::retag(profSubsys_);
     co_await lock_.acquire();
     profile::retag(profSubsys_);
-    SHRIMP_CHECK_HOOK(
-        check::SimChecker::instance().onBusTransferStart(this, bytes));
-    trace::ScopedSpan span(queue_, track_, "xfer");
+    beginTransfer(bytes);
     Tick t = occupancy(bytes, setup);
     // analyze: allow(suspend-under-exclusion) — this Delay IS the bus
     // occupancy being modeled; the lock is held exactly for its span.
     co_await Delay{queue_, t};
-    SHRIMP_CHECK_HOOK(
-        check::SimChecker::instance().onBusTransferEnd(this, bytes));
-    busyTime_ += t;
-    bytes_ += bytes;
-    ++transactions_;
-    statTransactions_ += 1;
-    statBytes_ += bytes;
-    statOccupancyNs_ += t;
-    statXferBytes_.sample(double(bytes));
+    endTransfer(bytes, t);
     lock_.release();
 }
 

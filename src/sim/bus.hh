@@ -42,13 +42,17 @@ class Bus
     Tick occupancy(std::size_t bytes, Tick setup = 0) const;
 
     /**
-     * Account one transaction of @p bytes that occupied the bus for
-     * @p occupied ticks but was serialized externally (the mesh's link
-     * ledger charges occupancy without running transfer()'s coroutine).
-     * Keeps busyTime()/bytesMoved()/transactions() and the stats group
-     * identical to the equivalent transfer() calls.
+     * Start one transaction of @p bytes: the checker's grant hook and an
+     * `xfer` span on this bus's track. transfer() brackets its occupancy
+     * with this pair; the mesh's link ledger, which serializes its links
+     * itself, calls the pair directly so both look alike to the checker,
+     * the trace and the stats.
      */
-    void recordExternalTransfer(std::size_t bytes, Tick occupied);
+    void beginTransfer(std::size_t bytes);
+
+    /** End the transaction beginTransfer() started, after it occupied
+     *  the bus for @p occupied ticks: checker hook, stats, span end. */
+    void endTransfer(std::size_t bytes, Tick occupied);
 
     double bandwidth() const { return bw_; }
     Tick busyTime() const { return busyTime_; }

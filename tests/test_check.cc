@@ -628,18 +628,15 @@ TEST_F(CheckTest, VmmcExchangeRunsCleanUnderAbortMode)
 // Seeded contention through the real mesh with every compiled hook live
 // and abort mode on: conservation, misroute, hop-count, per-pair FIFO,
 // per-link per-source order, and the per-link Bus grant pairing must all
-// hold on whichever engine routes the packets. Run once per engine so
-// the coalesced ledger path is covered even though checked builds trace
-// nothing (Engine::Auto would also pick it, but the intent is explicit).
-void
-runSeededMeshContention(net::Mesh::Engine engine)
+// hold on the link ledger.
+TEST_F(CheckTest, MeshSeededContentionRunsCleanUnderAbortMode)
 {
+    checker().setAbortOnViolation(true);
     sim::Simulator s;
     MachineConfig cfg;
     cfg.meshWidth = 4;
     cfg.meshHeight = 4;
     net::Mesh mesh(s, cfg);
-    mesh.setEngine(engine);
 
     std::vector<int> per(16, 0);
     std::uint32_t seed = 0xBADC0DE;
@@ -670,20 +667,6 @@ runSeededMeshContention(net::Mesh::Engine engine)
     }
     s.runAll();
     EXPECT_EQ(mesh.packetsInFlight(), 0u);
-}
-
-TEST_F(CheckTest, MeshSerializedSeededContentionRunsCleanUnderAbortMode)
-{
-    checker().setAbortOnViolation(true);
-    runSeededMeshContention(net::Mesh::Engine::Serialized);
-    EXPECT_TRUE(checker().violations().empty());
-    EXPECT_GT(checker().numChecks(), 0u);
-}
-
-TEST_F(CheckTest, MeshCoalescedSeededContentionRunsCleanUnderAbortMode)
-{
-    checker().setAbortOnViolation(true);
-    runSeededMeshContention(net::Mesh::Engine::Coalesced);
     EXPECT_TRUE(checker().violations().empty());
     EXPECT_GT(checker().numChecks(), 0u);
 }

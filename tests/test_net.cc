@@ -6,8 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <tuple>
+#include <vector>
 
 #include "base/logging.hh"
 #include "base/span.hh"
@@ -206,19 +205,6 @@ TEST(Mesh, OutOfRangeNodePanics)
     EXPECT_THROW(mesh.inject(makePacket(0, 9, 8, 0)), PanicError);
 }
 
-TEST(Router, ForwardOnUnconnectedLinkPanics)
-{
-    sim::Simulator s;
-    MachineConfig cfg = meshConfig(2, 2);
-    Router r(s.queue(), 0, cfg);
-    Packet p = makePacket(0, 1, 8, 0);
-    EXPECT_FALSE(r.connected(Dir::East));
-    s.spawn([](Router &r, Packet p) -> sim::Task<> {
-        co_await r.forward(p, Dir::East);
-    }(r, p));
-    EXPECT_THROW(s.runAll(), PanicError);
-}
-
 TEST(Router, CountsForwardedPackets)
 {
     sim::Simulator s;
@@ -339,75 +325,45 @@ TEST(MeshIncast, LinkContentionSlowsButNeverDrops)
     EXPECT_GE(s.now(), units::transferTime(100 * 528, 175.0));
 }
 
-// ---- engine equivalence ---------------------------------------------------
-// DESIGN.md §14: the coalesced link-ledger engine mirrors the serialized
-// coroutine path event-for-event. These tests run identical traffic under
-// both engines and assert that the complete delivery streams — every
-// ejection's (tick, node, src, destAddr), in global simulation order —
-// are equal. Global order matters: within-tick ejections feed receiver
-// wakeups, so an ordering difference would be observable downstream.
-
-struct Delivery
-{
-    Tick tick;
-    NodeId node;
-    NodeId src;
-    PAddr destAddr;
-
-    bool
-    operator==(const Delivery &o) const
-    {
-        return tick == o.tick && node == o.node && src == o.src &&
-               destAddr == o.destAddr;
-    }
-};
+// ---- pinned delivery streams -------------------------------------------
+// Each test digests the complete delivery stream — every ejection's
+// (tick, node, src, destAddr), in global simulation order — and pins it
+// to the value a router running one Bus::transfer per hop produced: the
+// link ledger must keep that schedule event for event (DESIGN.md §14).
+// Global order matters: within-tick ejections feed receiver wakeups, so
+// an ordering change would be observable downstream.
 
 /**
- * Run @p traffic on a fresh w x h mesh under @p engine, draining
- * @p perNode[n] packets from each node's eject queue, and return the
- * deliveries in the order the simulation produced them.
+ * Run @p traffic on a fresh w x h mesh, draining @p perNode[n] packets
+ * from each node's eject queue, and return the digest of the deliveries
+ * in the order the simulation produced them.
  */
 template <typename Traffic>
-std::vector<Delivery>
-runUnderEngine(Mesh::Engine engine, int w, int h, Traffic &&traffic,
+std::uint64_t
+deliveryDigest(int w, int h, Traffic &&traffic,
                const std::vector<int> &perNode)
 {
     sim::Simulator s;
     Mesh mesh(s, meshConfig(w, h));
-    mesh.setEngine(engine);
-    std::vector<Delivery> out;
+    test::Digest d;
     for (int n = 0; n < w * h; ++n) {
         if (perNode[n] == 0)
             continue;
         s.spawn([](sim::Simulator &s, Mesh &mesh, NodeId node, int count,
-                   std::vector<Delivery> &out) -> sim::Task<> {
+                   test::Digest &d) -> sim::Task<> {
             for (int k = 0; k < count; ++k) {
                 Packet p = co_await mesh.router(node).ejectQueue().recv();
-                out.push_back(Delivery{s.now(), node, p.src, p.destAddr});
+                d.add(s.now());
+                d.add(node);
+                d.add(p.src);
+                d.add(p.destAddr);
             }
-        }(s, mesh, NodeId(n), perNode[n], out));
+        }(s, mesh, NodeId(n), perNode[n], d));
     }
     traffic(s, mesh);
     s.runAll();
     EXPECT_EQ(mesh.packetsInFlight(), 0u);
-    return out;
-}
-
-void
-expectSameDeliveries(const std::vector<Delivery> &serialized,
-                     const std::vector<Delivery> &coalesced)
-{
-    ASSERT_EQ(serialized.size(), coalesced.size());
-    for (std::size_t i = 0; i < serialized.size(); ++i) {
-        EXPECT_TRUE(serialized[i] == coalesced[i])
-            << "delivery " << i << " diverged: serialized (tick "
-            << serialized[i].tick << ", node " << serialized[i].node
-            << ", src " << serialized[i].src << ", addr "
-            << serialized[i].destAddr << ") vs coalesced (tick "
-            << coalesced[i].tick << ", node " << coalesced[i].node
-            << ", src " << coalesced[i].src << ", addr "
-            << coalesced[i].destAddr << ")";
-    }
+    return d.value();
 }
 
 /** All-pairs burst: every node sends to every other node at tick 0, so
@@ -434,28 +390,22 @@ TEST(MeshEngines, AllPairs4x4DeliveryStreamsMatch)
 {
     std::vector<int> per(16, 15);
     auto traffic = [](sim::Simulator &, Mesh &m) { injectAllPairs(m); };
-    expectSameDeliveries(
-        runUnderEngine(Mesh::Engine::Serialized, 4, 4, traffic, per),
-        runUnderEngine(Mesh::Engine::Coalesced, 4, 4, traffic, per));
+    EXPECT_EQ(deliveryDigest(4, 4, traffic, per), 0x09d24e36542287a8ull);
 }
 
 TEST(MeshEngines, AllPairs8x8DeliveryStreamsMatch)
 {
     std::vector<int> per(64, 63);
     auto traffic = [](sim::Simulator &, Mesh &m) { injectAllPairs(m); };
-    expectSameDeliveries(
-        runUnderEngine(Mesh::Engine::Serialized, 8, 8, traffic, per),
-        runUnderEngine(Mesh::Engine::Coalesced, 8, 8, traffic, per));
+    EXPECT_EQ(deliveryDigest(8, 8, traffic, per), 0x693d27f6b3d2098cull);
 }
 
 TEST(MeshEngines, SpanSampledDeliveryAndFlowStreamsMatch)
 {
-    // --span-sample coverage on the coalesced engine: with sampling on
-    // and the tracer capturing, both engines must produce the same
-    // delivery stream AND the same flow-event stream (every sampled
-    // packet's hop/eject waypoints at the same ticks on the same ids).
+    // --span-sample coverage: with sampling on and the tracer capturing,
+    // both the delivery stream and the flow-event stream (every sampled
+    // packet's hop/eject waypoints: phase, tick, name, id) stay pinned.
     auto &tracer = trace::Tracer::instance();
-    using Phase = trace::Tracer::Phase;
     auto traffic = [](sim::Simulator &, Mesh &mesh) {
         trace::TrackId t = trace::track("mesh_test.origin");
         int n = mesh.numNodes();
@@ -473,39 +423,20 @@ TEST(MeshEngines, SpanSampledDeliveryAndFlowStreamsMatch)
             }
         }
     };
-    auto flows = [&tracer] {
-        std::vector<std::tuple<int, Tick, std::string, std::uint64_t>> out;
-        for (const auto &e : tracer.events()) {
-            if (e.phase >= Phase::FlowStart)
-                out.emplace_back(int(e.phase), e.tick,
-                                 std::string(e.name), e.id);
-        }
-        return out;
-    };
     std::vector<int> per(16, 15);
 
     tracer.setEnabled(true);
     tracer.clear();
     span::reset();
     span::setSampleEvery(2);
-    auto serialized = runUnderEngine(Mesh::Engine::Serialized, 4, 4,
-                                     traffic, per);
-    auto serializedFlows = flows();
-
-    tracer.clear();
-    span::reset();
-    span::setSampleEvery(2);
-    auto coalesced = runUnderEngine(Mesh::Engine::Coalesced, 4, 4,
-                                    traffic, per);
-    auto coalescedFlows = flows();
-
+    std::uint64_t deliveries = deliveryDigest(4, 4, traffic, per);
+    std::uint64_t flows = test::flowDigest();
     span::reset();
     tracer.setEnabled(false);
     tracer.clear();
 
-    expectSameDeliveries(serialized, coalesced);
-    EXPECT_FALSE(serializedFlows.empty());
-    EXPECT_EQ(coalescedFlows, serializedFlows);
+    EXPECT_EQ(deliveries, 0xafcbd24aabf3bb88ull);
+    EXPECT_EQ(flows, 0x9b4a9c95c061a456ull);
 }
 
 TEST(MeshEngines, IncastContentionDeliveryStreamsMatch)
@@ -527,9 +458,7 @@ TEST(MeshEngines, IncastContentionDeliveryStreamsMatch)
     };
     std::vector<int> per(16, 0);
     per[0] = 15 * per_src;
-    expectSameDeliveries(
-        runUnderEngine(Mesh::Engine::Serialized, 4, 4, traffic, per),
-        runUnderEngine(Mesh::Engine::Coalesced, 4, 4, traffic, per));
+    EXPECT_EQ(deliveryDigest(4, 4, traffic, per), 0x7528c03ed68464eeull);
 }
 
 TEST(MeshEngines, StaggeredSeededTrafficDeliveryStreamsMatch)
@@ -575,9 +504,7 @@ TEST(MeshEngines, StaggeredSeededTrafficDeliveryStreamsMatch)
             }(s, mesh, NodeId(src), plan[src]));
         }
     };
-    expectSameDeliveries(
-        runUnderEngine(Mesh::Engine::Serialized, 4, 4, traffic, per),
-        runUnderEngine(Mesh::Engine::Coalesced, 4, 4, traffic, per));
+    EXPECT_EQ(deliveryDigest(4, 4, traffic, per), 0x6d2d11f58fbb3b4aull);
 }
 
 } // namespace
