@@ -11,7 +11,7 @@
  *                   messages — flag-poll dominated (Memory watchpoints)
  *   poll_fanout     8 service tasks poll distinct flag words while a
  *                   4 KB AU stream lands on the same node — the
- *                   broadcast-vs-targeted wakeup-storm workload
+ *                   wakeup-storm workload targeted wakeups defuse
  *   au_stream       fig3-style AU-1copy ping-pong, 10 KB messages — the
  *                   wakeup-storm workload: each message arrives as ~20
  *                   packet writes while the receiver polls one word
@@ -22,9 +22,8 @@
  *   mesh_allpairs   ablate_mesh_scale's all-pairs 1 KB NX exchange on
  *                   16 ranks (4x4) — the scaling workload
  *
- * All workloads run with MachineConfig::targetedWakeups on: host_perf
- * measures the simulator's fast path. (The figure benches keep the
- * calibrated broadcast-wakeup model; see DESIGN.md §11.)
+ * All workloads run the figure benches' wakeup and mesh model (DESIGN.md
+ * §11, §14); only node memory is trimmed (fastCfg()).
  *
  * For each workload the whole simulation is repeated until a minimum
  * wall time has elapsed; the report gives host events/sec (best rep),
@@ -66,15 +65,14 @@ struct WorkResult
     Tick simulatedNs = 0;
 };
 
-/** Baseline 2x2 config with the wait-on-address fast path enabled.
- *  Node memory is trimmed to 2 MiB so each rep's fixed setup (zeroing
- *  memory, sizing the NIC page tables) doesn't drown the per-event cost
- *  being measured; the workloads touch well under 1 MiB per node. */
+/** Baseline 2x2 config with node memory trimmed to 2 MiB, so each
+ *  rep's fixed setup (zeroing memory, sizing the NIC page tables)
+ *  doesn't drown the per-event cost being measured; the workloads touch
+ *  well under 1 MiB per node. */
 MachineConfig
 fastCfg()
 {
     MachineConfig cfg;
-    cfg.targetedWakeups = true;
     cfg.nodeMemBytes = 2 * units::MiB;
     return cfg;
 }
@@ -121,8 +119,7 @@ vmmcPingpong(int iters)
 
 /** fig3 AU-1copy ping-pong, 10 KB messages: the sender's copy into the
  *  AU-bound buffer streams out as ~20 packets, each landing as a write
- *  to the receiver's memory while the receiver polls the tag word — the
- *  workload where targeted wakeups shed the broadcast storm. */
+ *  to the receiver's memory while the receiver polls the tag word. */
 WorkResult
 auStream(int iters)
 {
@@ -173,9 +170,8 @@ auStream(int iters)
  *  flag word while the peer streams 4 KB of AU data (~8 packet writes)
  *  into a bulk buffer on the same node every round, then taps each
  *  flag. Models a server polling many receive buffers (NX posted
- *  receives, multi-connection sockets). Under broadcast wakeups every
- *  bulk packet write re-runs all 8 pollers; under targeted wakeups the
- *  bulk stream wakes nobody. */
+ *  receives, multi-connection sockets). Each poller sleeps on its own
+ *  flag word, so the bulk stream wakes nobody. */
 WorkResult
 pollFanout(int iters)
 {
