@@ -1,5 +1,6 @@
 #include "mem/memory.hh"
 
+#include <bit>
 #include <cstring>
 
 #include "base/logging.hh"
@@ -16,6 +17,9 @@ Memory::Memory(sim::EventQueue &queue, std::size_t bytes,
 {
     if (page_bytes == 0 || bytes % page_bytes != 0)
         fatal("memory size must be a multiple of the page size");
+    if (!std::has_single_bit(page_bytes))
+        fatal("page size must be a power of two");
+    pageShift_ = unsigned(std::countr_zero(page_bytes));
     SHRIMP_CHECK_HOOK(check::RaceDetector::instance().onMemoryCreated(
         this, name_, pageBytes_));
 }
@@ -45,6 +49,8 @@ Memory::write(PAddr addr, const void *src, std::size_t n)
         std::memcpy(data_.data() + addr, src, n);
     data_.noteDirty(std::size_t(addr) + n);
     ++writeCount_;
+    if (n > 0)
+        stampPages(addr, n);
     notifyWrite(addr, n);
 }
 

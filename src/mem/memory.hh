@@ -4,8 +4,10 @@
  * libraries move actual data, which tests verify end-to-end) and supports
  * write watchpoints: a task can sleep until a write lands in the byte
  * range it is polling (or anywhere, for multi-location scans), then
- * re-check the flag. Timing is charged by the components that access
- * memory (CPU, DMA engines), not here.
+ * re-check the flag. A per-page write sequence (writtenSince) lets a
+ * scanner that caches what it read skip re-reading unchanged pages.
+ * Timing is charged by the components that access memory (CPU, DMA
+ * engines), not here.
  */
 
 #ifndef SHRIMP_MEM_MEMORY_HH
@@ -15,6 +17,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "base/ownership.hh"
 #include "base/types.hh"
@@ -42,7 +45,7 @@ class Memory
 
     std::size_t size() const { return data_.size(); }
     std::size_t pageBytes() const { return pageBytes_; }
-    PageNum pageOf(PAddr addr) const { return addr / pageBytes_; }
+    PageNum pageOf(PAddr addr) const { return addr >> pageShift_; }
     std::size_t numPages() const { return data_.size() / pageBytes_; }
 
     /** Copy @p n bytes into memory at @p addr and wake write-watchers. */
@@ -87,8 +90,43 @@ class Memory
 
     std::uint64_t writeCount() const { return writeCount_; }
 
+    /**
+     * True if a write touching any page of [addr, addr+n) came after the
+     * writeCount() value @p seq. Every write stamps the pages it touches
+     * with its writeCount(), so a poller that caches what it read from a
+     * range, recording writeCount() right after the read, can tell
+     * whether the cache is still exact without re-reading the bytes.
+     */
+    bool
+    writtenSince(PAddr addr, std::size_t n, std::uint64_t seq) const
+    {
+        if (n == 0)
+            return false;
+        PageNum end = pageOf(PAddr(addr + n - 1)) + 1;
+        if (end > pageSeq_.size())
+            end = PageNum(pageSeq_.size());
+        for (PageNum p = pageOf(addr); p < end; ++p) {
+            if (pageSeq_[p] > seq)
+                return true;
+        }
+        return false;
+    }
+
   private:
     void checkRange(PAddr addr, std::size_t n) const;
+
+    /** Stamp the pages of [addr, addr+n), n > 0, with writeCount_. The
+     *  table grows to the highest page written, so memories whose
+     *  upper pages stay untouched pay nothing for them. */
+    void
+    stampPages(PAddr addr, std::size_t n)
+    {
+        PageNum last = pageOf(PAddr(addr + n - 1));
+        if (last >= pageSeq_.size()) [[unlikely]]
+            pageSeq_.resize(std::size_t(last) + 1, 0);
+        for (PageNum p = pageOf(addr); p <= last; ++p)
+            pageSeq_[p] = writeCount_;
+    }
 
     /** Wake pollers watching bytes of [addr, addr+n); no-op when nobody
      *  is waiting, so un-watched writes pay nothing for the mechanism. */
@@ -102,10 +140,12 @@ class Memory
     sim::EventQueue &queue_;
     ZeroRegion data_;
     std::size_t pageBytes_;
+    unsigned pageShift_ = 0; //!< log2(pageBytes_): pageOf runs per write
     std::string name_;
     sim::AddrCondition writeWaiters_;
     PAddr nextFrame_ = 0;
     std::uint64_t writeCount_ = 0;
+    std::vector<std::uint64_t> pageSeq_; //!< per page: last writeCount_
 };
 
 #ifndef SHRIMP_CHECK
@@ -134,6 +174,7 @@ Memory::write32(PAddr addr, std::uint32_t value)
     std::memcpy(data_.data() + addr, &value, sizeof(value));
     data_.noteDirty(std::size_t(addr) + sizeof(value));
     ++writeCount_;
+    stampPages(addr, sizeof(value));
     notifyWrite(addr, sizeof(value));
 }
 #endif // !SHRIMP_CHECK

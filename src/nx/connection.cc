@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "base/logging.hh"
+#include "check/check.hh"
 
 namespace shrimp::nx
 {
@@ -27,10 +28,15 @@ round4(std::size_t v)
 Connection::Connection(vmmc::Endpoint &ep, int my_rank, int peer_rank,
                        NodeId peer_node, const NxOptions &opt)
     : ep_(ep), myRank_(my_rank), peerRank_(peer_rank), peerNode_(peer_node),
-      opt_(opt)
+      opt_(opt),
+      dataBytes_(roundUp(std::size_t(opt.numBufs) * bufStride(),
+                         ep.proc().config().pageBytes))
 {
     if (opt_.numBufs < 2)
         fatal("NX needs at least two packet buffers per connection");
+    if (opt_.numBufs > 64)
+        fatal("NX supports at most 64 packet buffers per connection "
+              "(one occupancy-mask bit each)");
 }
 
 std::uint32_t
@@ -39,13 +45,6 @@ Connection::regionKey(int importer_rank, int exporter_rank)
     // "NX" region namespace: unique per directed pair of ranks.
     return 0x4E580000u | (std::uint32_t(exporter_rank) << 8) |
            std::uint32_t(importer_rank);
-}
-
-std::size_t
-Connection::dataAreaBytes() const
-{
-    std::size_t page = ep_.proc().config().pageBytes;
-    return roundUp(std::size_t(opt_.numBufs) * bufStride(), page);
 }
 
 std::size_t
@@ -76,6 +75,7 @@ sim::Task<>
 Connection::exportSide()
 {
     region_ = ep_.proc().alloc(regionBytes());
+    dataPa_ = ep_.proc().as().translateRange(region_, dataAreaBytes());
     // Export with a no-op handler so the pages' interrupt bits are set:
     // the library is prepared to take the "out of buffers" prod
     // interrupt (paper section 6, "Interrupts").
@@ -129,17 +129,6 @@ Connection::importSide()
 }
 
 // ---- send side ----------------------------------------------------------
-
-bool
-Connection::creditAvailable()
-{
-    if (!freeBufs_.empty())
-        return true;
-    std::size_t slot = creditsTaken_ % creditEntries();
-    std::uint32_t count =
-        ep_.proc().peek32(VAddr(ctlBase() + creditRingOff() + slot * 8));
-    return count == creditsTaken_ + 1;
-}
 
 sim::Task<int>
 Connection::acquireBuffer()
@@ -305,6 +294,40 @@ Connection::peekStamp(int i) const
     return ep_.proc().peek32(descAddr(i));
 }
 
+void
+Connection::rereadSlots()
+{
+    slotMask_ = 0;
+    for (int i = 0; i < opt_.numBufs; ++i) {
+        if (peekStamp(i) != 0)
+            slotMask_ |= std::uint64_t(1) << i;
+    }
+    slotSeq_ = ep_.proc().node().memory().writeCount();
+}
+
+std::uint64_t
+Connection::occupiedSlots()
+{
+    const mem::Memory &m = ep_.proc().node().memory();
+    bool current = !m.writtenSince(dataPa_, dataAreaBytes(), slotSeq_);
+#ifdef SHRIMP_CHECK
+    // Checked builds read every stamp on every scan, as the race
+    // detector's observation edges expect, and cross-check the cache.
+    std::uint64_t cached = slotMask_;
+    rereadSlots();
+    if (current && slotMask_ != cached && check::on())
+        check::SimChecker::instance().report(logging::format(
+            "nx: rank %d's slot mask for peer %d changed without a write "
+            "to its packet buffers (cached 0x%llx, read 0x%llx)",
+            myRank_, peerRank_, static_cast<unsigned long long>(cached),
+            static_cast<unsigned long long>(slotMask_)));
+#else
+    if (!current)
+        rereadSlots();
+#endif
+    return slotMask_;
+}
+
 sim::Task<>
 Connection::copyOut(int i, std::size_t size, VAddr dst,
                     std::size_t dst_len, std::size_t dst_off)
@@ -370,12 +393,6 @@ Connection::findDone(std::uint32_t stamp)
         }
     }
     return false;
-}
-
-bool
-Connection::creditRequested() const
-{
-    return ep_.proc().peek32(VAddr(ctlBase() + reqFlagOff())) != 0;
 }
 
 } // namespace shrimp::nx

@@ -113,9 +113,6 @@ class Connection
 
     // ---- send side -------------------------------------------------------
 
-    /** True if a packet buffer credit is available without waiting. */
-    bool creditAvailable();
-
     /**
      * Take a free peer packet buffer, waiting for a credit if none is
      * free (after prodding the receiver with a notification, as the
@@ -151,13 +148,21 @@ class Connection
     /** Local descriptor of buffer @p i (reads local memory, untimed). */
     NxDesc peekDesc(int i) const;
 
-    /** Just the stamp word of buffer @p i's descriptor: the empty test
-     *  the receive scans run on every slot, via the word-peek fast path. */
+    /** Just the stamp word of buffer @p i's descriptor: the empty test,
+     *  via the word-peek fast path. */
     std::uint32_t peekStamp(int i) const;
+
+    /**
+     * Bit i set iff buffer i's descriptor stamp is nonzero, i.e. the
+     * slots a receive scan has to look at. The mask is re-read only
+     * when a write has touched the packet-buffer pages since the last
+     * read (Memory::writtenSince), so it is exact while a rescan after
+     * a write elsewhere in node memory costs no stamp reads.
+     */
+    std::uint64_t occupiedSlots();
 
     /** Virtual address of buffer @p i's payload end (descriptor start). */
     VAddr descAddr(int i) const;
-    VAddr bufDataEnd(int i) const { return descAddr(i); }
 
     /** Copy a consumed fragment out of buffer @p i into @p dst. */
     sim::Task<> copyOut(int i, std::size_t size, VAddr dst,
@@ -177,9 +182,6 @@ class Connection
     /** Scan the done ring for the sender's completion of @p stamp. */
     bool findDone(std::uint32_t stamp);
 
-    /** True if the peer has raised the request-credit flag. */
-    bool creditRequested() const;
-
     // ---- bookkeeping -----------------------------------------------------
 
     vmmc::Endpoint &endpoint() { return ep_; }
@@ -191,7 +193,9 @@ class Connection
     static std::uint32_t regionKey(int importer_rank, int exporter_rank);
 
     std::size_t bufStride() const { return opt_.pktDataBytes + nxDescBytes; }
-    std::size_t dataAreaBytes() const;
+    /** Packet buffers, rounded up to whole pages (the scans and every
+     *  control-page address use it, so it is computed once). */
+    std::size_t dataAreaBytes() const { return dataBytes_; }
     std::size_t regionBytes() const;
 
     // Control-area offsets, relative to the control page. AU writes go
@@ -205,17 +209,23 @@ class Connection
     /** Local (receive-side) address of the control page. */
     VAddr ctlBase() const { return VAddr(region_ + dataAreaBytes()); }
 
+    /** Read every descriptor stamp into slotMask_ and note the node's
+     *  write count the mask is current as of. */
+    void rereadSlots();
+
     vmmc::Endpoint &ep_;
     int myRank_;
     int peerRank_;
     NodeId peerNode_;
     NxOptions opt_;
+    std::size_t dataBytes_; //!< dataAreaBytes()
 
     VAddr region_ = 0;    //!< local receive region (peer writes here)
     VAddr auData_ = 0;    //!< AU-bound marshal area -> peer packet bufs
     VAddr auCtl_ = 0;     //!< AU-bound area -> peer control page
     VAddr stage_ = 0;     //!< staging area for DU marshalling
     int importHandle_ = -1;
+    PAddr dataPa_ = 0;    //!< physical start of the packet buffers
 
     /** Import cache for peers' exported user receive buffers (the
      *  "if it hasn't done so already, the sender imports that buffer"
@@ -226,9 +236,10 @@ class Connection
     std::vector<int> freeBufs_;
     std::uint32_t creditsTaken_ = 0; //!< credits consumed from the ring
     std::uint32_t nextSendStamp_ = 1;
-    std::uint32_t repliesSeen_ = 0;
 
     // receive-side state
+    std::uint64_t slotMask_ = 0; //!< occupiedSlots() as of slotSeq_
+    std::uint64_t slotSeq_ = 0;  //!< Memory::writeCount() at last reread
     std::uint32_t creditsReturned_ = 0;
     std::uint32_t repliesPosted_ = 0;
     std::uint32_t donesPosted_ = 0;

@@ -1,6 +1,7 @@
 #include "nx/nx.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "base/logging.hh"
@@ -81,9 +82,9 @@ NxProc::resolveMode(VAddr buf, std::size_t len) const
     // back to the marshalled (two-copy) variant for unaligned buffers.
     if (m == SendMode::DuOneCopy && buf % 4 != 0)
         m = SendMode::DuTwoCopy;
-    // Zero copy needs word alignment and whole words on both sides;
-    // the scout/fallback handshake handles the receiver, but a hopeless
-    // sender skips the scout entirely.
+    // Zero copy needs word alignment and whole words on the sender;
+    // the receiver copes with any buffer (bounce landing zone), but a
+    // hopeless sender skips the scout entirely.
     if (m == SendMode::ZeroCopy && (buf % 4 != 0 || len % 4 != 0 ||
                                     len == 0)) {
         m = (buf % 4 == 0) ? SendMode::DuOneCopy : SendMode::DuTwoCopy;
@@ -206,20 +207,13 @@ NxProc::sendLarge(int dest, long type, VAddr buf, std::size_t len)
             co_await proc.compute(proc.config().cpuOpCost);
             if (safe)
                 releaseSafeBuffer(safe);
-            if (e.key == 0) {
-                // Receiver could not set up a zero-copy landing zone;
-                // fall back to the fragmented one-copy protocol.
-                co_await sendFragmented(dest, type, buf, len,
-                                        SendMode::DuOneCopy);
-            } else {
-                std::size_t transfer = std::min(len, std::size_t(e.pad));
-                vmmc::Status s = co_await c.sendDirect(e.key, e.off, buf,
-                                                       transfer);
-                if (s != vmmc::Status::Ok)
-                    panic(std::string("NX zero-copy transfer failed: ") +
-                          vmmc::statusName(s));
-                co_await c.postDone(stamp);
-            }
+            std::size_t transfer = std::min(len, std::size_t(e.pad));
+            vmmc::Status s = co_await c.sendDirect(e.key, e.off, buf,
+                                                   transfer);
+            if (s != vmmc::Status::Ok)
+                panic(std::string("NX zero-copy transfer failed: ") +
+                      vmmc::statusName(s));
+            co_await c.postDone(stamp);
             co_return;
         }
         if (!can_copy) {
@@ -252,11 +246,11 @@ NxProc::scanMatch(long typesel)
             continue;
         Connection &c = conn(peer);
         std::optional<Match> best;
-        for (int i = 0; i < system_.options().numBufs; ++i) {
-            // Stamp-first: most slots scan empty, so read one word
-            // before paying for the full descriptor.
-            if (c.peekStamp(i) == 0)
-                continue;
+        // Walk only the occupied slots, lowest index first; the mask
+        // costs no memory reads unless the buffers changed.
+        for (std::uint64_t slots = c.occupiedSlots(); slots != 0;
+             slots &= slots - 1) {
+            int i = std::countr_zero(slots);
             NxDesc d = c.peekDesc(i);
             bool is_scout = d.frag == nxScoutFrag;
             if (!is_scout && (d.frag >> 16) != 0)
@@ -338,13 +332,53 @@ NxProc::exportWindow(VAddr base, std::size_t len, std::uint32_t &off_out)
     vmmc::Status s =
         co_await ep_.exportBuffer(key, page_base, wlen, vmmc::Perm{});
     if (s != vmmc::Status::Ok)
-        co_return 0; // caller falls back to the one-copy protocol
+        co_return 0; // caller lands the data in a bounce buffer
     windows_.push_back(ExportedWindow{page_base, wlen, key});
     off_out = std::uint32_t(base - page_base);
     co_return key;
 }
 
-sim::Task<std::uint32_t>
+sim::Task<VAddr>
+NxProc::acquireBounce(std::size_t len, std::uint32_t &key_out)
+{
+    for (Bounce &b : bounces_) {
+        if (!b.busy && b.len >= len) {
+            b.busy = true;
+            key_out = b.key;
+            co_return b.base;
+        }
+    }
+    std::size_t page = ep_.proc().config().pageBytes;
+    std::size_t blen = std::max(page, (len + page - 1) / page * page);
+    VAddr base = ep_.proc().alloc(blen);
+    std::uint32_t key = nextWindowKey_++;
+    vmmc::Status s = co_await ep_.exportBuffer(key, base, blen,
+                                               vmmc::Perm{});
+    if (s != vmmc::Status::Ok)
+        panic(std::string("NX bounce buffer export failed: ") +
+              vmmc::statusName(s));
+    bounces_.push_back(Bounce{base, blen, key, true});
+    key_out = key;
+    co_return base;
+}
+
+sim::Task<>
+NxProc::landLarge(VAddr bounce, VAddr buf, std::size_t n)
+{
+    node::Process &proc = ep_.proc();
+    if (bounce == 0) {
+        co_await proc.detectPenalty(buf);
+        co_return;
+    }
+    co_await proc.detectPenalty(bounce);
+    co_await proc.copy(buf, bounce, n);
+    for (Bounce &b : bounces_) {
+        if (b.base == bounce)
+            b.busy = false;
+    }
+}
+
+sim::Task<VAddr>
 NxProc::answerScout(const Match &m, VAddr buf, std::size_t maxlen,
                     RecvInfo &info)
 {
@@ -368,6 +402,15 @@ NxProc::answerScout(const Match &m, VAddr buf, std::size_t maxlen,
     std::uint32_t off = 0;
     if (aligned)
         key = co_await exportWindow(buf, accept, off);
+    VAddr bounce = 0;
+    if (key == 0) {
+        // The user buffer cannot be the landing zone: the data lands in
+        // a library buffer and is copied out after the done flag. (A
+        // resend through the packet buffers instead would take stamps
+        // after messages the sender posted meanwhile, breaking FIFO.)
+        bounce = co_await acquireBounce(accept, key);
+        off = 0;
+    }
 
     ReplyEntry e;
     e.stamp = m.desc.stamp;
@@ -378,9 +421,7 @@ NxProc::answerScout(const Match &m, VAddr buf, std::size_t maxlen,
     // accepted length.
     co_await proc.compute(proc.config().cpuOpCost);
     co_await c.postReply(e.stamp, e.key, e.off, e.pad);
-    if (key == 0)
-        co_return 0; // fallback: the data will arrive fragmented
-    co_return m.desc.stamp;
+    co_return bounce;
 }
 
 sim::Task<std::size_t>
@@ -435,15 +476,13 @@ NxProc::crecv(long typesel, VAddr buf, std::size_t maxlen)
         co_await proc.compute(2 * proc.config().cpuOpCost);
         if (m->desc.frag == nxScoutFrag) {
             RecvInfo info;
-            std::uint32_t stamp = co_await answerScout(*m, buf, maxlen,
-                                                       info);
-            if (stamp == 0)
-                continue; // fallback: wait for the fragmented resend
-            co_await waitDone(m->peer, stamp);
-            co_await proc.detectPenalty(buf);
+            VAddr bounce = co_await answerScout(*m, buf, maxlen, info);
+            co_await waitDone(m->peer, m->desc.stamp);
+            std::size_t n = std::min(info.count, maxlen);
+            co_await landLarge(bounce, buf, n);
             co_await proc.compute(nxRecvOverhead);
             info_ = info;
-            co_return std::min(info.count, maxlen);
+            co_return n;
         }
         RecvInfo info = co_await consumeSmall(*m, buf, maxlen);
         // Buffer management on the way out, including the credit
@@ -479,17 +518,12 @@ NxProc::progressSends()
         }
         PendingLarge done = p;
         pendingLarge_.erase(pendingLarge_.begin() + long(i));
-        if (e.key == 0) {
-            co_await sendFragmented(done.peer, done.type, done.src,
-                                    done.len, SendMode::DuOneCopy);
-        } else {
-            std::size_t transfer = std::min(done.len, std::size_t(e.pad));
-            vmmc::Status s = co_await c.sendDirect(e.key, e.off, done.src,
-                                                   transfer);
-            if (s != vmmc::Status::Ok)
-                panic("NX zero-copy completion failed");
-            co_await c.postDone(done.stamp);
-        }
+        std::size_t transfer = std::min(done.len, std::size_t(e.pad));
+        vmmc::Status s = co_await c.sendDirect(e.key, e.off, done.src,
+                                               transfer);
+        if (s != vmmc::Status::Ok)
+            panic("NX zero-copy completion failed");
+        co_await c.postDone(done.stamp);
         releaseSafeBuffer(done.src);
     }
 }
@@ -497,14 +531,14 @@ NxProc::progressSends()
 sim::Task<>
 NxProc::progressRecvs()
 {
-    node::Process &proc = ep_.proc();
     // Fill posted receives.
     for (PostedRecv &p : posted_) {
         if (p.done)
             continue;
         if (p.largeWait) {
             if (conn(p.largePeer).findDone(p.largeStamp)) {
-                co_await proc.detectPenalty(p.buf);
+                co_await landLarge(p.bounce, p.buf,
+                                   std::min(p.info.count, p.maxlen));
                 p.done = true;
             }
             continue;
@@ -513,13 +547,10 @@ NxProc::progressRecvs()
         if (!m)
             continue;
         if (m->desc.frag == nxScoutFrag) {
-            std::uint32_t stamp =
-                co_await answerScout(*m, p.buf, p.maxlen, p.info);
-            if (stamp != 0) {
-                p.largeWait = true;
-                p.largePeer = m->peer;
-                p.largeStamp = stamp;
-            }
+            p.bounce = co_await answerScout(*m, p.buf, p.maxlen, p.info);
+            p.largeWait = true;
+            p.largePeer = m->peer;
+            p.largeStamp = m->desc.stamp;
             continue;
         }
         p.info = co_await consumeSmall(*m, p.buf, p.maxlen);
@@ -575,7 +606,7 @@ NxProc::irecv(long typesel, VAddr buf, std::size_t maxlen)
     p.maxlen = maxlen;
     posted_.push_back(p);
     co_await progress();
-    co_return posted_.back().id == p.id ? p.id : p.id;
+    co_return p.id;
 }
 
 sim::Task<>

@@ -14,7 +14,10 @@
  * ahead; the sender starts making a safe copy; the receive call answers
  * with the export key/offset of the user receive buffer; the sender
  * transfers directly into it (stopping the safe copy the moment the
- * reply arrives) and raises a done flag.
+ * reply arrives) and raises a done flag. A user buffer that cannot be
+ * exported (misaligned, an odd truncated length, or pages already held
+ * by a smaller window) gets a library bounce buffer as the landing
+ * zone instead, copied out once the done flag is up.
  *
  * Typed receives (crecv/irecv with a type selector), isend/irecv with
  * msgwait, iprobe, and the NX global operations gsync()/gdsum() are
@@ -174,6 +177,7 @@ class NxProc
         bool largeWait = false;
         int largePeer = -1;
         std::uint32_t largeStamp = 0;
+        VAddr bounce = 0; //!< landing zone when not buf itself
         RecvInfo info;
     };
 
@@ -205,17 +209,30 @@ class NxProc
                                      bool in_place = false);
 
     /** Answer a scout: set up the zero-copy landing zone and reply.
-     *  @return the stamp to wait a done flag for. */
-    sim::Task<std::uint32_t> answerScout(const Match &m, VAddr buf,
-                                         std::size_t maxlen,
-                                         RecvInfo &info);
+     *  The sender raises the done flag for the scout's stamp when the
+     *  data is in place.
+     *  @return the bounce buffer the data lands in, or 0 when it lands
+     *  in @p buf itself. */
+    sim::Task<VAddr> answerScout(const Match &m, VAddr buf,
+                                 std::size_t maxlen, RecvInfo &info);
+
+    /** After the done flag: charge detection of the landed data and,
+     *  if it landed in @p bounce, copy @p n bytes out into @p buf and
+     *  free the bounce buffer. */
+    sim::Task<> landLarge(VAddr bounce, VAddr buf, std::size_t n);
 
     /** Wait for a large transfer's done flag, making progress. */
     sim::Task<> waitDone(int peer, std::uint32_t stamp);
 
-    /** Find or create an export covering the receive window. */
+    /** Find or create an export covering the receive window.
+     *  @return its key, or 0 if the pages cannot be exported. */
     sim::Task<std::uint32_t> exportWindow(VAddr base, std::size_t len,
                                           std::uint32_t &off_out);
+
+    /** Take a free exported bounce buffer of at least @p len bytes,
+     *  exporting a new one if none fits. @p key_out gets its key. */
+    sim::Task<VAddr> acquireBounce(std::size_t len,
+                                   std::uint32_t &key_out);
 
     /**
      * Arm the background completion agent: a library task that drives
@@ -256,7 +273,16 @@ class NxProc
         std::uint32_t key;
     };
     std::vector<ExportedWindow> windows_;
-    std::uint32_t nextWindowKey_;
+
+    struct Bounce
+    {
+        VAddr base;
+        std::size_t len;
+        std::uint32_t key;
+        bool busy;
+    };
+    std::vector<Bounce> bounces_;
+    std::uint32_t nextWindowKey_; //!< windows and bounce buffers
 
     stats::Group stats_;
     trace::TrackId track_;

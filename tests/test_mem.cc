@@ -120,6 +120,76 @@ TEST(Memory, WholeMemoryWaitStillWakesOnAnyWrite)
     EXPECT_EQ(woke_at, 40u);
 }
 
+TEST(Memory, WriteSequenceMarksBothPagesOfASpanningWrite)
+{
+    sim::Simulator s;
+    Memory m(s.queue(), 16 * kPage, kPage);
+    std::uint64_t before = m.writeCount();
+    std::uint8_t buf[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+    m.write(2 * kPage - 4, buf, sizeof(buf)); // [2p-4, 2p+4)
+    EXPECT_TRUE(m.writtenSince(1 * kPage, kPage, before));
+    EXPECT_TRUE(m.writtenSince(2 * kPage, kPage, before));
+    EXPECT_FALSE(m.writtenSince(0, kPage, before));
+    EXPECT_FALSE(m.writtenSince(3 * kPage, kPage, before));
+}
+
+TEST(Memory, WriteSequenceMarksWord32Page)
+{
+    sim::Simulator s;
+    Memory m(s.queue(), 16 * kPage, kPage);
+    std::uint64_t before = m.writeCount();
+    m.write32(3 * kPage + 8, 5);
+    EXPECT_TRUE(m.writtenSince(3 * kPage + 100, 4, before));
+    EXPECT_FALSE(m.writtenSince(2 * kPage, kPage, before));
+    EXPECT_FALSE(m.writtenSince(4 * kPage, kPage, before));
+    // A range reaching into the page counts.
+    EXPECT_TRUE(m.writtenSince(2 * kPage, kPage + 1, before));
+}
+
+TEST(Memory, WriteSequenceSeesOnlyLaterWrites)
+{
+    sim::Simulator s;
+    Memory m(s.queue(), 16 * kPage, kPage);
+    m.write32(1 * kPage, 1);
+    std::uint64_t mid = m.writeCount();
+    m.write32(4 * kPage, 2);
+    EXPECT_FALSE(m.writtenSince(1 * kPage, kPage, mid));
+    EXPECT_TRUE(m.writtenSince(4 * kPage, kPage, mid));
+    EXPECT_TRUE(m.writtenSince(1 * kPage, 4 * kPage, mid));
+    EXPECT_FALSE(m.writtenSince(4 * kPage, kPage, m.writeCount()));
+    // Rewriting the earlier page marks it again.
+    m.write32(1 * kPage + 4, 3);
+    EXPECT_TRUE(m.writtenSince(1 * kPage, kPage, mid));
+}
+
+TEST(Memory, WriteSequenceSeesWritesPastTableEnd)
+{
+    sim::Simulator s;
+    Memory m(s.queue(), 16 * kPage, kPage);
+    m.write32(0, 1); // the table now covers page 0 only
+    std::uint64_t seq = m.writeCount();
+    EXPECT_FALSE(m.writtenSince(12 * kPage, 4 * kPage, seq));
+    m.write32(13 * kPage, 2);
+    EXPECT_TRUE(m.writtenSince(12 * kPage, 4 * kPage, seq));
+    EXPECT_TRUE(m.writtenSince(13 * kPage, 4, seq));
+    EXPECT_FALSE(m.writtenSince(14 * kPage, 2 * kPage, seq));
+    EXPECT_FALSE(m.writtenSince(0, kPage, seq));
+}
+
+TEST(Memory, WriteSequenceNeverWrittenPageIsClean)
+{
+    sim::Simulator s;
+    Memory m(s.queue(), 16 * kPage, kPage);
+    EXPECT_FALSE(m.writtenSince(0, 16 * kPage, 0));
+    m.write32(5 * kPage, 1);
+    // Pages below and above the written one read clean even against
+    // the oldest sequence.
+    EXPECT_FALSE(m.writtenSince(4 * kPage, kPage, 0));
+    EXPECT_FALSE(m.writtenSince(6 * kPage, kPage, 0));
+    EXPECT_TRUE(m.writtenSince(0, 16 * kPage, 0));
+    EXPECT_FALSE(m.writtenSince(5 * kPage, 0, 0)); // empty range
+}
+
 TEST(Memory, Word32OutOfRangePanics)
 {
     sim::Simulator s;
@@ -147,6 +217,12 @@ TEST(Memory, RejectsUnalignedSize)
 {
     sim::Simulator s;
     EXPECT_THROW(Memory(s.queue(), kPage + 5, kPage), FatalError);
+}
+
+TEST(Memory, RejectsPageSizeThatIsNotAPowerOfTwo)
+{
+    sim::Simulator s;
+    EXPECT_THROW(Memory(s.queue(), 4 * 3000, 3000), FatalError);
 }
 
 class AddressSpaceTest : public ::testing::Test

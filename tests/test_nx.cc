@@ -293,6 +293,32 @@ TEST_F(NxTest, IprobeSeesPendingMessage)
     runAll(std::move(tasks));
 }
 
+TEST_F(NxTest, PokedDescriptorIsSeenAndHiddenByTheNextScan)
+{
+    // An untimed write into a receive slot (a test poke, no DMA) must
+    // reach the next scan: the slot mask is re-read after any write to
+    // the packet buffers, however it got there.
+    std::vector<sim::Task<>> tasks;
+    tasks.push_back([](NxTest &t) -> sim::Task<> {
+        auto &p = t.nx_.proc(1);
+        bool before = co_await p.iprobe(33); // caches an empty mask
+        EXPECT_FALSE(before);
+        NxDesc d;
+        d.stamp = 1;
+        d.type = 33;
+        d.size = 0;
+        d.frag = 1; // fragment 0 of 1
+        VAddr slot = p.conn(0).descAddr(3);
+        t.proc(1).poke(slot, &d, sizeof(d));
+        bool seen = co_await p.iprobe(33);
+        EXPECT_TRUE(seen);
+        t.proc(1).poke32(slot, 0); // stamp 0: the slot is empty again
+        bool hidden = co_await p.iprobe(33);
+        EXPECT_FALSE(hidden);
+    }(*this));
+    runAll(std::move(tasks));
+}
+
 TEST_F(NxTest, MultipleSendersToOneReceiver)
 {
     std::vector<sim::Task<>> tasks;
@@ -490,6 +516,48 @@ TEST(NxOptionsTest, SmallBufferCountStillCorrect)
         EXPECT_EQ(got, expect);
     }(nx, data));
     sys.sim().runAll();
+}
+
+TEST(NxOptionsTest, BufferCountOutsideTwoToSixtyFourIsRejected)
+{
+    for (int bufs : {1, 65}) {
+        NxOptions opt;
+        opt.numBufs = bufs;
+        vmmc::System sys;
+        EXPECT_THROW(NxSystem(sys, 2, opt), FatalError) << bufs;
+    }
+}
+
+TEST(NxOptionsTest, SixtyFourBuffersAllCarryMessages)
+{
+    // The largest buffer count: the sender fills every slot, bit 63 of
+    // the receiver's slot mask included, before anything is received.
+    NxOptions opt;
+    opt.numBufs = 64;
+    opt.pktDataBytes = 256;
+    vmmc::System sys;
+    NxSystem nx(sys, 2, opt);
+    test::runTask(sys.sim(), nx.init());
+    const int n = 70;
+    sys.sim().spawn([](NxSystem &nx, int n) -> sim::Task<> {
+        auto &proc = nx.proc(0).endpoint().proc();
+        VAddr buf = proc.alloc(64);
+        for (int i = 0; i < n; ++i) {
+            proc.poke32(buf, std::uint32_t(i));
+            co_await nx.proc(0).csend(3, buf, 4, 1);
+        }
+    }(nx, n));
+    sys.sim().spawn([](NxSystem &nx, int n) -> sim::Task<> {
+        auto &proc = nx.proc(1).endpoint().proc();
+        VAddr buf = proc.alloc(64);
+        co_await proc.compute(2 * units::ms);
+        for (int i = 0; i < n; ++i) {
+            co_await nx.proc(1).crecv(3, buf, 64);
+            EXPECT_EQ(proc.peek32(buf), std::uint32_t(i));
+        }
+    }(nx, n));
+    sys.sim().runAll();
+    EXPECT_GE(nx.proc(0).conn(1).creditStalls(), 1u);
 }
 
 } // namespace

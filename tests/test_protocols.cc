@@ -6,8 +6,11 @@
  * daemon freeze-policy behaviour under rogue traffic.
  */
 
+#include <iterator>
+#include <map>
 #include <random>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,114 +25,176 @@ namespace shrimp
 namespace
 {
 
-/** Property: an NX message soup with random sizes/types arrives intact
- *  and in FIFO order per (sender, type). */
-class NxSoup : public ::testing::TestWithParam<std::uint32_t>
+struct SoupMsg
 {
+    std::size_t size;
+    long type;
 };
 
-TEST_P(NxSoup, RandomTrafficPreservesContentAndOrder)
+/** Sender @p sender's seeded stream: a mix of tiny, mid-size,
+ *  fragmented and zero-copy-sized messages of types 1-3. */
+std::vector<SoupMsg>
+soupStream(std::uint32_t seed, int sender, int n)
 {
-    std::mt19937 rng(GetParam());
-    const int kMsgs = 25;
-
-    // Pre-generate the schedule: sizes and types for each message.
-    std::vector<std::size_t> sizes(kMsgs);
-    std::vector<long> types(kMsgs);
-    for (int i = 0; i < kMsgs; ++i) {
-        // Mix of tiny, fragmented, and zero-copy-sized messages.
+    std::mt19937 rng(seed + 1000u * std::uint32_t(sender));
+    std::vector<SoupMsg> msgs(n);
+    for (SoupMsg &m : msgs) {
         switch (rng() % 4) {
           case 0:
-            sizes[i] = 1 + rng() % 64;
+            m.size = 1 + rng() % 64;
             break;
           case 1:
-            sizes[i] = 200 + rng() % 1800;
+            m.size = 200 + rng() % 1800;
             break;
           case 2:
-            sizes[i] = 2100 + rng() % 4000; // fragmented
+            m.size = 2100 + rng() % 4000; // fragmented
             break;
           default:
-            sizes[i] = 5000 + rng() % 20000; // zero-copy
+            m.size = 5000 + rng() % 20000; // zero-copy
         }
-        types[i] = long(1 + rng() % 3);
+        m.type = long(1 + rng() % 3);
     }
+    return msgs;
+}
 
-    vmmc::System sys;
-    nx::NxSystem nxs(sys, 2);
+std::uint32_t
+soupPatternSeed(std::uint32_t seed, int sender, std::size_t i)
+{
+    return seed + 1000u * std::uint32_t(sender) + std::uint32_t(i);
+}
+
+/** Property: an NX message soup with random sizes/types arrives intact
+ *  and in FIFO order per (sender, type). Every rank but 0 sends its own
+ *  seeded stream to rank 0, which mixes typed and any-type receives. */
+class NxSoup : public ::testing::TestWithParam<std::uint32_t>
+{
+  protected:
+    /** Run the soup over @p ranks ranks on a @p mesh_w x @p mesh_h
+     *  mesh (one rank per node). */
+    void run(int ranks, int mesh_w, int mesh_h);
+};
+
+void
+NxSoup::run(int ranks, int mesh_w, int mesh_h)
+{
+    const int kMsgs = 25;
+    const std::uint32_t seed = GetParam();
+    std::vector<std::vector<SoupMsg>> streams(ranks);
+    for (int s = 1; s < ranks; ++s)
+        streams[s] = soupStream(seed, s, kMsgs);
+
+    MachineConfig cfg;
+    cfg.meshWidth = mesh_w;
+    cfg.meshHeight = mesh_h;
+    vmmc::System sys(cfg);
+    nx::NxSystem nxs(sys, ranks);
     test::runTask(sys.sim(), nxs.init());
 
-    sys.sim().spawn([](nx::NxSystem &nxs, std::vector<std::size_t> sizes,
-                       std::vector<long> types,
+    for (int s = 1; s < ranks; ++s) {
+        sys.sim().spawn([](nx::NxSystem &nxs, int s,
+                           std::vector<SoupMsg> msgs,
+                           std::uint32_t seed) -> sim::Task<> {
+            auto &p = nxs.proc(s);
+            auto &proc = p.endpoint().proc();
+            VAddr buf = proc.alloc(32 * 1024);
+            for (std::size_t i = 0; i < msgs.size(); ++i) {
+                auto data = test::pattern(msgs[i].size,
+                                          soupPatternSeed(seed, s, i));
+                proc.poke(buf, data.data(), data.size());
+                co_await p.csend(msgs[i].type, buf, msgs[i].size, 0);
+            }
+        }(nxs, s, streams[s], seed));
+    }
+
+    sys.sim().spawn([](nx::NxSystem &nxs,
+                       std::vector<std::vector<SoupMsg>> streams,
                        std::uint32_t seed) -> sim::Task<> {
         auto &p = nxs.proc(0);
         auto &proc = p.endpoint().proc();
         VAddr buf = proc.alloc(32 * 1024);
-        for (std::size_t i = 0; i < sizes.size(); ++i) {
-            auto data =
-                test::pattern(sizes[i], seed + std::uint32_t(i));
-            proc.poke(buf, data.data(), data.size());
-            co_await p.csend(types[i], buf, sizes[i], 1);
+        const int ranks = int(streams.size());
+        // Per sender: message indices of each type, in send order, and
+        // how many of them have been received.
+        std::vector<std::map<long, std::vector<std::size_t>>> by_type(
+            ranks);
+        std::vector<std::map<long, std::size_t>> next(ranks);
+        std::vector<std::set<std::size_t>> consumed(ranks);
+        std::size_t total = 0;
+        for (int s = 1; s < ranks; ++s) {
+            for (std::size_t i = 0; i < streams[s].size(); ++i)
+                by_type[s][streams[s][i].type].push_back(i);
+            total += streams[s].size();
         }
-    }(nxs, sizes, types, GetParam()));
-
-    sys.sim().spawn([](nx::NxSystem &nxs, std::vector<std::size_t> sizes,
-                       std::vector<long> types,
-                       std::uint32_t seed) -> sim::Task<> {
-        auto &p = nxs.proc(1);
-        auto &proc = p.endpoint().proc();
-        VAddr buf = proc.alloc(32 * 1024);
-        // Consume per type, in order within each type.
-        std::map<long, std::vector<std::size_t>> by_type;
-        for (std::size_t i = 0; i < sizes.size(); ++i)
-            by_type[types[i]].push_back(i);
-        // Interleave types pseudo-randomly but FIFO within a type.
-        std::mt19937 rng(seed ^ 0x9E3779B9);
-        std::map<long, std::size_t> next;
-        std::set<std::size_t> consumed;
-        std::size_t received = 0;
-        // Conservative packet-buffer footprint of message i if it is
-        // left unconsumed: worst case it arrives fragmented (unaligned
-        // large messages fall back to the one-copy protocol).
-        auto footprint = [&sizes](std::size_t i) {
-            return (sizes[i] + 2047) / 2048 + 1;
+        // Conservative packet-buffer footprint of a message left
+        // unconsumed: worst case it arrives fragmented (unaligned large
+        // messages fall back to the one-copy protocol).
+        auto footprint = [](std::size_t size) {
+            return (size + 2047) / 2048 + 1;
         };
-        while (received < sizes.size()) {
-            // Pick a type that still has pending messages — but bound
-            // the reorder window by the packet-buffer budget: skipped
-            // (earlier, unconsumed) messages pin buffers, and a
-            // receiver that defers them indefinitely can exhaust the
-            // sender's credits. An inherent NX property, not a bug.
-            std::vector<long> avail;
-            for (auto &[ty2, idxs] : by_type) {
-                if (next[ty2] >= idxs.size())
-                    continue;
-                std::size_t idx2 = idxs[next[ty2]];
-                std::size_t skipped_cost = 0;
-                for (std::size_t j = 0; j < idx2; ++j) {
-                    if (!consumed.count(j))
-                        skipped_cost += footprint(j);
+        std::mt19937 rng(seed ^ 0x9E3779B9);
+        for (std::size_t received = 0; received < total; ++received) {
+            // A typed receive may ask for type t only if some sender's
+            // next type-t message is sendable: the earlier messages it
+            // skips pin packet buffers, and a receiver that defers them
+            // indefinitely can exhaust that sender's credits. An
+            // inherent NX property, not a bug. An any-type receive
+            // always makes progress.
+            std::set<long> avail;
+            for (int s = 1; s < ranks; ++s) {
+                for (auto &[ty, idxs] : by_type[s]) {
+                    if (next[s][ty] >= idxs.size())
+                        continue;
+                    std::size_t skipped_cost = 0;
+                    for (std::size_t j = 0; j < idxs[next[s][ty]]; ++j) {
+                        if (!consumed[s].count(j))
+                            skipped_cost += footprint(streams[s][j].size);
+                    }
+                    if (skipped_cost <= 4)
+                        avail.insert(ty);
                 }
-                if (skipped_cost <= 4)
-                    avail.push_back(ty2);
             }
-            EXPECT_FALSE(avail.empty());
-            if (avail.empty())
+            long sel = nx::nxAnyType;
+            if (!avail.empty() && rng() % 2 == 0)
+                sel = *std::next(avail.begin(), rng() % avail.size());
+            std::size_t n = co_await p.crecv(sel, buf, 32 * 1024);
+            int s = p.infonode();
+            long ty = p.infotype();
+            if (sel != nx::nxAnyType) {
+                EXPECT_EQ(ty, sel);
+            }
+            if (s < 1 || s >= ranks ||
+                next[s][ty] >= by_type[s][ty].size()) {
+                ADD_FAILURE() << "unexpected message from rank " << s
+                              << " type " << ty;
                 co_return;
-            long ty = avail[rng() % avail.size()];
-            std::size_t idx = by_type[ty][next[ty]++];
-            consumed.insert(idx);
-            std::size_t n = co_await p.crecv(ty, buf, 32 * 1024);
-            EXPECT_EQ(n, sizes[idx]) << "msg " << idx << " type " << ty;
-            auto expect =
-                test::pattern(sizes[idx], seed + std::uint32_t(idx));
+            }
+            // FIFO per (sender, type): it must be that pair's next one.
+            std::size_t idx = by_type[s][ty][next[s][ty]++];
+            consumed[s].insert(idx);
+            EXPECT_EQ(n, streams[s][idx].size)
+                << "sender " << s << " msg " << idx << " type " << ty;
+            EXPECT_EQ(p.infocount(), streams[s][idx].size);
+            auto expect = test::pattern(streams[s][idx].size,
+                                        soupPatternSeed(seed, s, idx));
             std::vector<std::uint8_t> got(n);
             proc.peek(buf, got.data(), n);
-            EXPECT_EQ(got, expect) << "msg " << idx;
-            ++received;
+            EXPECT_EQ(got, expect) << "sender " << s << " msg " << idx;
         }
-    }(nxs, sizes, types, GetParam()));
+    }(nxs, streams, seed));
 
     sys.sim().runAll();
+}
+
+TEST_P(NxSoup, RandomTrafficPreservesContentAndOrder)
+{
+    run(2, 2, 2);
+}
+
+/** Seven senders into one receiver: its scans walk seven connections,
+ *  most of them idle at any moment. */
+TEST_P(NxSoup, ManySendersPreserveContentAndOrder)
+{
+    run(8, 4, 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NxSoup,
