@@ -28,9 +28,12 @@
  * For each workload the whole simulation is repeated until a minimum
  * wall time has elapsed; the report gives host events/sec (best rep),
  * ns/event, and peak RSS, and a JSON file (default BENCH_host_perf.json)
- * records the trajectory for CI. With --baseline=FILE the run compares
- * events/sec per workload against the baseline JSON and exits nonzero
- * on a regression beyond --max-regress (default 0.20).
+ * records the trajectory for CI. With --baseline=FILE the run first
+ * checks that every workload did the baseline's simulated work (same
+ * `events` and `simulated_ns`, same workload names) and exits 1 naming
+ * any that differ; then it compares events/sec per workload and exits
+ * nonzero on a regression beyond --max-regress (default 0.20). ctest's
+ * host_perf.simulated_work runs only the first check (--max-regress=1).
  *
  * Wall-clock use is deliberate and confined to bench/ (src/ bans it:
  * simulated results must not depend on the host clock; host *speed*
@@ -39,8 +42,10 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -393,12 +398,20 @@ peakRssKb()
 }
 
 // ---- baseline comparison --------------------------------------------------
-// The JSON we emit is flat and regular; a full parser would be overkill.
-// Extract "name" and "events_per_sec" pairs with string scanning.
+// The JSON we emit is flat and regular (one workload object per line); a
+// full parser would be overkill. Extract each object's fields by string
+// scanning.
+
+struct BaselineRow
+{
+    std::string name;
+    std::uint64_t events = 0;
+    std::uint64_t simulatedNs = 0;
+    double eventsPerSec = 0.0;
+};
 
 bool
-loadBaseline(const std::string &path,
-             std::vector<std::pair<std::string, double>> &out)
+loadBaseline(const std::string &path, std::vector<BaselineRow> &out)
 {
     std::FILE *f = std::fopen(path.c_str(), "r");
     if (!f)
@@ -414,17 +427,71 @@ loadBaseline(const std::string &path,
     while ((pos = text.find("\"name\":", pos)) != std::string::npos) {
         std::size_t q1 = text.find('"', pos + 7);
         std::size_t q2 = text.find('"', q1 + 1);
-        if (q1 == std::string::npos || q2 == std::string::npos)
+        std::size_t end = text.find('}', q2);
+        if (q1 == std::string::npos || q2 == std::string::npos ||
+            end == std::string::npos)
             break;
-        std::string name = text.substr(q1 + 1, q2 - q1 - 1);
-        std::size_t ep = text.find("\"events_per_sec\":", q2);
-        if (ep == std::string::npos)
-            break;
-        double v = std::atof(text.c_str() + ep + 17);
-        out.emplace_back(name, v);
-        pos = q2;
+        const std::string obj = text.substr(q2, end - q2);
+        auto field = [&obj](const std::string &key) -> const char * {
+            std::size_t k = obj.find("\"" + key + "\":");
+            return k == std::string::npos ? "0"
+                                          : obj.c_str() + k + key.size() + 3;
+        };
+        BaselineRow row;
+        row.name = text.substr(q1 + 1, q2 - q1 - 1);
+        row.events = std::strtoull(field("events"), nullptr, 10);
+        row.simulatedNs = std::strtoull(field("simulated_ns"), nullptr, 10);
+        row.eventsPerSec = std::atof(field("events_per_sec"));
+        out.push_back(row);
+        pos = end;
     }
     return true;
+}
+
+/** Exit-1 check: a host-only change must leave every workload's
+ *  simulated work as recorded. @return the number of mismatches. */
+int
+checkSimulatedWork(const std::vector<BaselineRow> &base,
+                   const std::vector<Measurement> &ms)
+{
+    int failures = 0;
+    for (const BaselineRow &b : base) {
+        auto m = std::find_if(ms.begin(), ms.end(),
+                              [&](const Measurement &r) {
+                                  return r.name == b.name;
+                              });
+        if (m == ms.end()) {
+            std::fprintf(stderr,
+                         "host_perf: baseline workload %s was not run\n",
+                         b.name.c_str());
+            ++failures;
+            continue;
+        }
+        if (m->events != b.events || m->simulatedNs != b.simulatedNs) {
+            std::fprintf(stderr,
+                         "host_perf: %s did different simulated work: "
+                         "events %llu (baseline %llu), simulated_ns %llu "
+                         "(baseline %llu)\n",
+                         b.name.c_str(), (unsigned long long)m->events,
+                         (unsigned long long)b.events,
+                         (unsigned long long)m->simulatedNs,
+                         (unsigned long long)b.simulatedNs);
+            ++failures;
+        }
+    }
+    for (const Measurement &m : ms) {
+        if (std::none_of(base.begin(), base.end(),
+                         [&](const BaselineRow &b) {
+                             return b.name == m.name;
+                         })) {
+            std::fprintf(stderr,
+                         "host_perf: workload %s is missing from the "
+                         "baseline\n",
+                         m.name.c_str());
+            ++failures;
+        }
+    }
+    return failures;
 }
 
 } // namespace
@@ -508,26 +575,27 @@ main(int argc, char **argv)
     std::printf("wrote %s\n", out_path.c_str());
 
     if (!baseline_path.empty()) {
-        std::vector<std::pair<std::string, double>> base;
+        std::vector<BaselineRow> base;
         if (!loadBaseline(baseline_path, base)) {
             std::fprintf(stderr, "host_perf: cannot read baseline %s\n",
                          baseline_path.c_str());
             return 2;
         }
-        int failures = 0;
-        for (const auto &[name, base_eps] : base) {
+        int failures = checkSimulatedWork(base, ms);
+        for (const BaselineRow &b : base) {
             for (const Measurement &m : ms) {
-                if (m.name != name || base_eps <= 0.0)
+                if (m.name != b.name || b.eventsPerSec <= 0.0)
                     continue;
-                double ratio = m.eventsPerSec / base_eps;
-                std::printf("vs baseline %16s: %6.2fx\n", name.c_str(),
+                double ratio = m.eventsPerSec / b.eventsPerSec;
+                std::printf("vs baseline %16s: %6.2fx\n", b.name.c_str(),
                             ratio);
                 if (ratio < 1.0 - max_regress) {
                     std::fprintf(stderr,
                                  "host_perf: %s regressed: %.0f -> %.0f "
                                  "events/sec (%.0f%% of baseline, limit "
                                  "%.0f%%)\n",
-                                 name.c_str(), base_eps, m.eventsPerSec,
+                                 b.name.c_str(), b.eventsPerSec,
+                                 m.eventsPerSec,
                                  ratio * 100.0,
                                  (1.0 - max_regress) * 100.0);
                     ++failures;

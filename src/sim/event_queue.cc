@@ -1,6 +1,7 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "base/logging.hh"
@@ -84,135 +85,80 @@ EventQueue::prepare(Tick when)
 }
 
 void
-EventQueue::bitSet(std::size_t idx)
+EventQueue::file(EventNode *n, int b)
 {
-    bits_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
-    summary_ |= std::uint64_t(1) << (idx >> 6);
-}
-
-void
-EventQueue::bitClear(std::size_t idx)
-{
-    std::uint64_t &w = bits_[idx >> 6];
-    w &= ~(std::uint64_t(1) << (idx & 63));
-    if (w == 0)
-        summary_ &= ~(std::uint64_t(1) << (idx >> 6));
+    Bucket &bk = buckets_[b];
+    if (bk.head)
+        bk.tail->next = n;
+    else
+        bk.head = n;
+    bk.tail = n;
+    if (b != 0)
+        occupied_ |= std::uint64_t(1) << (b - 1);
 }
 
 void
 EventQueue::enqueue(EventNode *n)
 {
     ++size_;
-    if (n->when - now_ < wheelTicks) {
-        std::size_t idx = std::size_t(n->when) & (numBuckets - 1);
-        Bucket &b = wheel_[idx];
-        if (!b.head) {
-            b.head = b.tail = n;
-            bitSet(idx);
-        } else {
-            b.tail->next = n;
-            b.tail = n;
-        }
-        ++wheelCount_;
-        ++wheelScheduled_;
-    } else {
-        heap_.push_back(n);
-        std::push_heap(heap_.begin(), heap_.end(), NodeLater{});
-        ++heapScheduled_;
-    }
-}
-
-Tick
-EventQueue::earliestWheelTick() const
-{
-    if (wheelCount_ == 0)
-        return maxTick;
-    // All wheel residents live in [now_, now_ + wheelTicks): scan the
-    // bucket bitmap from now_'s slot, wrapping once. The summary word
-    // (one bit per 64 buckets) keeps the scan to a handful of word ops.
-    const std::size_t start = std::size_t(now_) & (numBuckets - 1);
-    std::size_t word = start >> 6;
-    const unsigned bit = unsigned(start & 63);
-
-    // Partial first word: bits at or after `start`.
-    std::uint64_t w = bits_[word] & (~std::uint64_t(0) << bit);
-    std::size_t idx;
-    if (w) {
-        idx = (word << 6) + std::size_t(__builtin_ctzll(w));
-        std::size_t d = (idx - start) & (numBuckets - 1);
-        return now_ + Tick(d);
-    }
-    // Remaining words, wrapping, via the summary bitmap.
-    for (std::size_t step = 1; step <= bitsWords; ++step) {
-        std::size_t g = (word + step) & (bitsWords - 1);
-        if (!(summary_ & (std::uint64_t(1) << g)))
-            continue;
-        std::uint64_t v = bits_[g];
-        if (g == word) // wrapped to the first word: bits before `start`
-            v &= ~(~std::uint64_t(0) << bit);
-        if (!v)
-            continue;
-        idx = (g << 6) + std::size_t(__builtin_ctzll(v));
-        std::size_t d = (idx - start) & (numBuckets - 1);
-        return now_ + Tick(d);
-    }
-    return maxTick; // unreachable while wheelCount_ > 0
-}
-
-EventQueue::EventNode *
-EventQueue::peekEarliest() const
-{
-    EventNode *heap_top = heap_.empty() ? nullptr : heap_.front();
-    if (wheelCount_ == 0)
-        return heap_top;
-    Tick wt = earliestWheelTick();
-    EventNode *wheel_head = wheel_[std::size_t(wt) & (numBuckets - 1)].head;
-    if (!heap_top)
-        return wheel_head;
-    if (wt != heap_top->when)
-        return wt < heap_top->when ? wheel_head : heap_top;
-    return wheel_head->seq < heap_top->seq ? wheel_head : heap_top;
+    file(n, std::bit_width(n->when ^ now_));
 }
 
 EventQueue::EventNode *
 EventQueue::popEarliest()
 {
-    EventNode *n = peekEarliest();
-    if (!n)
-        return nullptr;
-    if (!heap_.empty() && heap_.front() == n) {
-        std::pop_heap(heap_.begin(), heap_.end(), NodeLater{});
-        heap_.pop_back();
-    } else {
-        std::size_t idx = std::size_t(n->when) & (numBuckets - 1);
-        Bucket &b = wheel_[idx];
-        b.head = n->next;
-        if (!b.head) {
-            b.tail = nullptr;
-            bitClear(idx);
+    Bucket &cur = buckets_[0];
+    if (!cur.head) {
+        if (!occupied_)
+            return nullptr;
+        // Drain the lowest non-empty bucket: its minimum becomes now_,
+        // and every node re-files, in FIFO order, into a lower (empty)
+        // bucket against the new base. Higher buckets stay valid.
+        const int b = std::countr_zero(occupied_) + 1;
+        occupied_ &= occupied_ - 1;
+        EventNode *n = buckets_[b].head;
+        buckets_[b].head = nullptr;
+        Tick base = n->when;
+        for (const EventNode *m = n->next; m; m = m->next)
+            base = std::min(base, m->when);
+        now_ = base;
+        while (n) {
+            EventNode *next = n->next;
+            n->next = nullptr;
+            const int to = std::bit_width(n->when ^ now_);
+            SHRIMP_CHECK_HOOK(
+                if (to >= b) check::SimChecker::instance().report(
+                    logging::format("event queue re-filed seq %llu (when=%llu "
+                                    "ns) from bucket %d into bucket %d at "
+                                    "now=%llu ns",
+                                    (unsigned long long)n->seq,
+                                    (unsigned long long)n->when, b, to,
+                                    (unsigned long long)now_)));
+            file(n, to);
+            n = next;
         }
-        --wheelCount_;
     }
+    EventNode *n = cur.head;
+    cur.head = n->next;
     --size_;
     return n;
-}
-
-Tick
-EventQueue::nextWhen() const
-{
-    const EventNode *n = peekEarliest();
-    return n ? n->when : maxTick;
 }
 
 bool
 EventQueue::runOne()
 {
+    [[maybe_unused]] const Tick prev = now_;
     EventNode *n = popEarliest();
-    if (!n)
+    if (!n) {
+        if (size_ != 0)
+            panic(logging::format(
+                "event queue lost track of %zu pending event(s): every "
+                "bucket is empty at now=%llu ns",
+                size_, (unsigned long long)now_));
         return false;
+    }
     SHRIMP_CHECK_HOOK(check::SimChecker::instance().onEventRun(
-        this, n->when, n->seq, now_));
-    now_ = n->when;
+        this, n->when, n->seq, prev));
     // The callable runs with its node already unlinked, so it may
     // schedule freely (including for the current tick). Destruction and
     // pool release happen even if it throws (checker errors propagate).
@@ -251,20 +197,6 @@ EventQueue::run(std::uint64_t max_events)
         if (++n > max_events)
             panic("event limit exceeded; runaway simulation?");
     }
-    return n;
-}
-
-std::uint64_t
-EventQueue::runUntil(Tick until, std::uint64_t max_events)
-{
-    std::uint64_t n = 0;
-    while (size_ != 0 && nextWhen() <= until) {
-        runOne();
-        if (++n > max_events)
-            panic("event limit exceeded; runaway simulation?");
-    }
-    if (now_ < until)
-        now_ = until;
     return n;
 }
 

@@ -14,16 +14,28 @@
  *    allocation in steady state (only callables larger than
  *    inlineCallableBytes fall back to the heap, counted by
  *    heapCallables()).
- *  - A timing-wheel front end covers the near future
- *    ([now, now + wheelTicks)): the dense same-epoch scheduling that
- *    semaphore handoffs, condition wakeups and CPU slices generate is
- *    O(1) push/pop. Events beyond the horizon overflow into a binary
- *    heap of node pointers.
+ *  - Pending nodes sit in a radix heap keyed on `when` and based at
+ *    now(): 65 intrusive FIFO buckets, where bucket 0 holds the events
+ *    of the current tick and bucket b (1..64) the events whose `when`
+ *    first differs from now(), scanning from the top, at bit b-1. A
+ *    schedule is one bit_width plus a tail append. A pop takes bucket
+ *    0's head; when bucket 0 is empty it first finds the lowest
+ *    non-empty bucket (ctz of a 64-bit occupancy mask), moves now() to
+ *    that bucket's minimum `when` and re-files the bucket's nodes
+ *    against it.
  *
- * Both structures pop in bit-exact (when, seq) order, so the swap from
- * the old std::priority_queue<std::function> core is invisible to
- * simulated time (verified by the golden trace hashes in
- * tests/golden_trace_hashes.txt).
+ * Pops come out in bit-exact (when, seq) order:
+ *  - a node's bucket is a function of `when` and now(), so events of
+ *    equal `when` always share a bucket;
+ *  - buckets are FIFO and nodes enter them in seq order (new nodes
+ *    carry the highest seq; a re-file walks its bucket front to back);
+ *  - re-filing moves nodes only into lower buckets, which are empty at
+ *    that point, so it never puts a node behind a later-scheduled one.
+ *    Nodes in higher buckets agree with the new now() on every bit at
+ *    and above the drained bucket's, so their buckets do not change.
+ * Only a pop moves now(), and it re-files every node whose bucket the
+ * move changes. Hence there is no runUntil(): it would move now() with
+ * nodes still filed against the old base.
  */
 
 #ifndef SHRIMP_SIM_EVENT_QUEUE_HH
@@ -75,7 +87,8 @@ class EventQueue
         schedule(now_ + delay, std::forward<F>(fn));
     }
 
-    /** Run the earliest pending event. @return false if queue empty. */
+    /** Run the earliest pending event. @return false if queue empty;
+     *  panics if the buckets are empty while events are pending. */
     bool runOne();
 
     /**
@@ -86,17 +99,10 @@ class EventQueue
      */
     std::uint64_t run(std::uint64_t max_events = defaultMaxEvents);
 
-    /** Run events until simulated time would exceed @p until. */
-    std::uint64_t runUntil(Tick until,
-                           std::uint64_t max_events = defaultMaxEvents);
-
     bool empty() const { return size_ == 0; }
     std::size_t pending() const { return size_; }
 
-    /** Tick of the earliest pending event (maxTick when empty). */
-    Tick nextWhen() const;
-
-    // ---- pool/wheel introspection (tests, DESIGN.md §11 numbers) ------
+    // ---- pool introspection (tests, DESIGN.md §11 numbers) -------------
     /** Event nodes ever carved from the host heap (pool growth). Stable
      *  across steady-state scheduling: nodes recycle via the free list. */
     std::uint64_t nodesAllocated() const { return nodesAllocated_; }
@@ -104,17 +110,7 @@ class EventQueue
     /** Callables too large for a node's inline buffer (heap fallback). */
     std::uint64_t heapCallables() const { return heapCallables_; }
 
-    /** Events that took the timing-wheel front end (vs overflow heap). */
-    std::uint64_t wheelScheduled() const { return wheelScheduled_; }
-    std::uint64_t heapScheduled() const { return heapScheduled_; }
-
     static constexpr std::uint64_t defaultMaxEvents = 500'000'000;
-
-    /** Near-future horizon of the timing wheel, in ticks (ns). Spans the
-     *  dense delays of the cost model (poll checks, CPU slices, PIO,
-     *  packetization); bus occupancies of tens of microseconds overflow
-     *  into the heap, which is fine — they are rare by comparison. */
-    static constexpr Tick wheelTicks = 4096;
 
     /** Payload bytes stored inline in an EventNode. Sized for the
      *  common captures (a coroutine handle, a couple of pointers); a
@@ -143,24 +139,12 @@ class EventQueue
         EventNode *tail = nullptr;
     };
 
-    /** Heap order: earliest (when, seq) first. */
-    struct NodeLater
-    {
-        bool
-        operator()(const EventNode *a, const EventNode *b) const
-        {
-            if (a->when != b->when)
-                return a->when > b->when;
-            return a->seq > b->seq;
-        }
-    };
-
     /** Validate @p when, stamp a fresh (pooled) node with it and the
      *  next sequence number. Out of line: keeps panic/alloc machinery
      *  out of the inlined template. */
     EventNode *prepare(Tick when);
 
-    /** Place a bound node into the wheel or the overflow heap. */
+    /** File a bound node into bucket bit_width(when ^ now_). */
     void enqueue(EventNode *n);
 
     template <typename F>
@@ -199,37 +183,23 @@ class EventQueue
     EventNode *allocNode();
     void freeNode(EventNode *n);
 
-    /** Earliest pending node, or nullptr (does not remove). */
-    EventNode *peekEarliest() const;
+    /** Append @p n to bucket @p b and mark the bucket occupied. */
+    void file(EventNode *n, int b);
 
-    /** Remove and return the earliest pending node, or nullptr. */
+    /** Remove and return the earliest pending node, moving now_ to its
+     *  tick; nullptr if every bucket is empty. */
     EventNode *popEarliest();
-
-    /** First non-empty wheel bucket at or after now_;
-     *  @return its tick, or maxTick if the wheel is empty. */
-    Tick earliestWheelTick() const;
-
-    void bitSet(std::size_t idx);
-    void bitClear(std::size_t idx);
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::size_t size_ = 0;
 
-    // Timing wheel: bucket b holds the events of exactly one tick
-    // (index = when & (wheelTicks - 1); ticks are unique because all
-    // wheel residents satisfy now_ <= when < now_ + wheelTicks). Bucket
-    // FIFO order is seq order, so draining front-to-back is the total
-    // order. A two-level bitmap finds the next non-empty bucket.
-    static constexpr std::size_t numBuckets = std::size_t(wheelTicks);
-    static constexpr std::size_t bitsWords = numBuckets / 64;
-    std::vector<Bucket> wheel_{numBuckets};
-    std::uint64_t bits_[bitsWords] = {};
-    std::uint64_t summary_ = 0; //!< bit g set: bits_[g] has a set bit
-    std::size_t wheelCount_ = 0;
-
-    // Overflow heap for events at or beyond now_ + wheelTicks.
-    std::vector<EventNode *> heap_;
+    // Radix heap (see the file comment). Bit b-1 of occupied_ is set iff
+    // bucket b (1..64) is non-empty; bucket 0 is tested by its head. A
+    // bucket's tail is meaningful only while its head is non-null.
+    static constexpr int numBuckets = 65;
+    Bucket buckets_[numBuckets];
+    std::uint64_t occupied_ = 0;
 
     // Node pool: blocks are carved on demand and recycled through an
     // intrusive free list; steady-state scheduling never calls malloc.
@@ -238,8 +208,6 @@ class EventQueue
     EventNode *freeList_ = nullptr;
     std::uint64_t nodesAllocated_ = 0;
     std::uint64_t heapCallables_ = 0;
-    std::uint64_t wheelScheduled_ = 0;
-    std::uint64_t heapScheduled_ = 0;
 };
 
 } // namespace shrimp::sim

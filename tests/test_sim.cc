@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 
 #include "base/logging.hh"
 #include "sim/bus.hh"
@@ -77,19 +78,6 @@ TEST(EventQueue, PastSchedulePanicNamesBothTicks)
         EXPECT_NE(msg.find("when=50"), std::string::npos) << msg;
         EXPECT_NE(msg.find("now=100"), std::string::npos) << msg;
     }
-}
-
-TEST(EventQueue, RunUntilStopsAtBoundary)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(100, [&] { ++fired; });
-    q.schedule(200, [&] { ++fired; });
-    q.runUntil(150);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.now(), 150u);
-    q.run();
-    EXPECT_EQ(fired, 2);
 }
 
 TEST(EventQueue, EventLimitGuardsPanic)
@@ -405,43 +393,86 @@ TEST(TaskSemantics, MoveAssignReleasesOldFrame)
     EXPECT_FALSE(b.valid());
 }
 
-// ---- event-core fast path (timing wheel + node pool) -------------------
+// ---- event-core fast path (radix heap + node pool) ---------------------
 
-TEST(EventQueueCore, WheelAndOverflowHeapInterleaveInExactOrder)
+TEST(EventQueueCore, LogUniformDelaysPopInExactOrder)
 {
     EventQueue q;
-    // Deterministic scramble spanning several wheel horizons
-    // (wheelTicks = 4096): wheel and overflow-heap residents must pop
-    // in bit-exact (when, schedule-order) order.
+    // Delays drawn log-uniformly over bit widths 0-40 reach every bucket
+    // up to 41; a third of the callbacks schedule zero- and short-delay
+    // follow-ups from inside dispatch, against a base that has moved.
+    // Pops must follow (when, schedule index) exactly.
     std::vector<std::pair<Tick, int>> scheduled;
     std::vector<std::pair<Tick, int>> fired;
     std::uint64_t x = 0x2545f4914f6cdd1dull;
-    for (int i = 0; i < 2000; ++i) {
+    auto draw = [&x] {
         x = x * 6364136223846793005ull + 1442695040888963407ull;
-        Tick when = Tick((x >> 33) % (EventQueue::wheelTicks * 5));
-        q.schedule(when, [&fired, when, i] { fired.push_back({when, i}); });
+        return x >> 33;
+    };
+    auto logDelay = [&draw] {
+        const int width = int(draw() % 41);
+        if (width == 0)
+            return Tick(0);
+        const Tick top = Tick(1) << (width - 1);
+        const Tick low = (Tick(draw()) << 31) | Tick(draw());
+        return top | (low & (top - 1));
+    };
+    std::function<void(Tick)> add = [&](Tick when) {
+        const int i = int(scheduled.size());
         scheduled.push_back({when, i});
-    }
+        q.schedule(when, [&, when, i] {
+            fired.push_back({when, i});
+            if (i % 3 == 0 && scheduled.size() < 6000) {
+                add(q.now());
+                add(q.now() + Tick(1 + draw() % 16));
+            }
+        });
+    };
+    for (int i = 0; i < 2000; ++i)
+        add(logDelay());
     q.run();
+    ASSERT_GT(scheduled.size(), 3000u);
     std::stable_sort(scheduled.begin(), scheduled.end(),
                      [](const auto &a, const auto &b) {
                          return a.first < b.first;
                      });
     EXPECT_EQ(fired, scheduled);
+    EXPECT_EQ(q.now(), scheduled.back().first);
 }
 
-TEST(EventQueueCore, SameBucketDifferentEpochOrdersByTime)
+TEST(EventQueueCore, EqualTicksAcrossARebasePopInScheduleOrder)
 {
     EventQueue q;
-    // All three land on the same wheel index (when mod 4096) but in
-    // different epochs; later epochs must wait in the overflow heap.
+    // 600 and 1000 first differ from now=0 at the same bit, so popping
+    // 600 re-files the 1000s against the new base; the 1000s scheduled
+    // from inside that dispatch must still pop after them.
     std::vector<int> order;
-    q.schedule(10 + 2 * EventQueue::wheelTicks, [&] { order.push_back(2); });
-    q.schedule(10, [&] { order.push_back(0); });
-    q.schedule(10 + EventQueue::wheelTicks, [&] { order.push_back(1); });
+    q.schedule(1000, [&] { order.push_back(0); });
+    q.schedule(600, [&] {
+        order.push_back(-1);
+        q.schedule(1000, [&] { order.push_back(2); });
+        q.schedule(1000, [&] { order.push_back(3); });
+    });
+    q.schedule(1000, [&] { order.push_back(1); });
     q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_GT(q.heapScheduled(), 0u);
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3}));
+    EXPECT_EQ(q.now(), 1000u);
+}
+
+TEST(EventQueueCore, TopBitEventPopsLast)
+{
+    EventQueue q;
+    // maxTick and 2^63 differ from now=0 in bit 63 (the top bucket);
+    // 2^63 - 1 differs first in bit 62.
+    const Tick top = Tick(1) << 63;
+    std::vector<Tick> fired;
+    auto record = [&] { fired.push_back(q.now()); };
+    q.schedule(maxTick, record);
+    q.schedule(top - 1, record);
+    q.schedule(3, record);
+    q.schedule(top, record);
+    q.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{3, top - 1, top, maxTick}));
 }
 
 TEST(EventQueueCore, SteadyStateSchedulingReusesPooledNodes)
