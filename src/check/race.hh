@@ -45,8 +45,10 @@
  *    joined at every delivery into the window — the import handshake
  *    orders deliveries after the exporter's buffer setup); notification
  *    delivery (handoff DMA->receiving process); and sync-object
- *    release/acquire (objRelease() is hooked into Condition::notifyAll
- *    and Semaphore::release; objAcquire() is available to tests and
+ *    release/acquire (objRelease() is hooked into the sync.hh
+ *    primitives' wakeups and handoffs: Condition::notifyAll,
+ *    AddrCondition::notifyRange, Ledger::release and Channel::send;
+ *    objAcquire() is available to tests and
  *    future primitives — production poll loops get their edge from the
  *    observation rule above, which is more precise than the any-write
  *    watchpoint wakeup).
@@ -167,8 +169,8 @@ class RaceDetector
     void join(ActorId a, const RaceClockRef &c);
 
     /** Release edge: merge @p a's clock into @p obj's clock (hooked
-     *  into Condition::notifyAll / Semaphore::release). No-op when
-     *  @p a is noActor. */
+     *  into the sim/sync.hh wakeups and handoffs). No-op when @p a is
+     *  noActor. */
     void objRelease(const void *obj, ActorId a);
 
     /** Acquire edge: @p a absorbs @p obj's accumulated release clock. */

@@ -63,12 +63,15 @@ Mesh::Mesh(sim::Simulator &sim, const MachineConfig &cfg)
             nextDirTbl_[row + dst] = std::uint8_t(d);
         }
     }
-    ledgers_.assign(std::size_t(n) * numDirs, LinkLedger{});
     // Wire up the grid: every interior edge gets a link in each direction.
+    linkBuses_.assign(std::size_t(n) * numDirs, nullptr);
     for (NodeId i = 0; i < NodeId(n); ++i) {
         for (int d = 0; d < numDirs; ++d) {
-            if (neighborTbl_[linkIndex(i, Dir(d))] >= 0)
+            if (neighborTbl_[linkIndex(i, Dir(d))] >= 0) {
                 routers_[i]->connect(Dir(d));
+                linkBuses_[linkIndex(i, Dir(d))] =
+                    routers_[i]->linkBus(Dir(d));
+            }
         }
     }
     SHRIMP_CHECK_HOOK(check::SimChecker::instance().onMeshCreated(this));
@@ -139,44 +142,31 @@ Mesh::inject(Packet pkt)
         startHop(f);
 }
 
-// ---- link ledger --------------------------------------------------------
+// ---- hops ---------------------------------------------------------------
 // One pooled event per hop, scheduled when the link is granted and
-// firing after the hop's occupancy. A contended link is handed to its
-// oldest waiter through a zero-delay event, the same deferred handoff
-// (same tick, same queue insertion point) as Semaphore::release
-// resuming a Bus::transfer waiter. Event ticks and same-tick order are
-// therefore those of a per-hop Bus::transfer, which the golden trace
-// hashes pin (DESIGN.md §14).
+// firing after the hop's occupancy. A hop claims its link Bus's ledger:
+// a free link is granted at once, a busy one parks the flight, and the
+// release at hopDone hands the link to the oldest waiter through the
+// ledger's zero-delay grant event. That is Bus::transfer's schedule
+// event for event (DESIGN.md §14), which the golden trace hashes pin.
 
 void
 Mesh::startHop(Flight *f)
 {
-    int li = linkIndex(
+    f->link = linkIndex(
         f->cur, Dir(nextDirTbl_[std::size_t(f->cur) * numNodes() +
                                 f->pkt.dst]));
-    f->link = li;
-    LinkLedger &led = ledgers_[li];
-    if (led.busy) {
-        // Park in the ledger's FIFO; no event until the grant.
-        f->qnext = nullptr;
-        if (led.tail)
-            led.tail->qnext = f;
-        else
-            led.head = f;
-        led.tail = f;
-        return;
-    }
-    led.busy = true;
-    grantLink(f);
+    sim::Bus *bus = linkBuses_[f->link];
+    if (!bus)
+        panic("hop on unconnected mesh link");
+    if (bus->ledger().claim(*f))
+        grantLink(f);
 }
 
 void
 Mesh::grantLink(Flight *f)
 {
-    sim::Bus *bus = routers_[f->cur]->linkBus(Dir(f->link % numDirs));
-    if (!bus)
-        panic("hop on unconnected mesh link");
-    bus->beginTransfer(f->pkt.wireBytes());
+    linkBuses_[f->link]->beginTransfer(f->pkt.wireBytes());
     // Router attribution, like Bus::transfer's retag: the hop-done
     // event below (and anything it schedules) bills to the fabric.
     sim::profile::Scope prof(sim::profile::Subsys::Router);
@@ -188,24 +178,13 @@ void
 Mesh::hopDone(Flight *f)
 {
     sim::profile::retag(sim::profile::Subsys::Router);
-    LinkLedger &led = ledgers_[f->link];
     NodeId cur = f->cur;
-    Dir d = Dir(f->link % numDirs);
     Router &rtr = *routers_[cur];
-    rtr.linkBus(d)->endTransfer(f->pkt.wireBytes(), f->occ);
-    // Release the link: the oldest waiter gets it at a zero-delay event.
-    if (Flight *w = led.head) {
-        led.head = w->qnext;
-        if (!led.head)
-            led.tail = nullptr;
-        w->qnext = nullptr;
-        Mesh *m = this;
-        sim_.queue().scheduleIn(0, [m, w] { m->grantLink(w); });
-    } else {
-        led.busy = false;
-    }
+    sim::Bus &bus = *linkBuses_[f->link];
+    bus.endTransfer(f->pkt.wireBytes(), f->occ);
+    bus.ledger().release();
     SHRIMP_CHECK_HOOK(check::SimChecker::instance().onLinkTraverse(
-        &rtr, cur, int(d), f->pkt.src, f->pkt.seq));
+        &rtr, cur, f->link % numDirs, f->pkt.src, f->pkt.seq));
     rtr.noteForwarded();
     SHRIMP_CHECK_HOOK(
         check::SimChecker::instance().onMeshHop(this, f->pkt.seq));
@@ -238,11 +217,11 @@ Mesh::Flight *
 Mesh::allocFlight()
 {
     if (Flight *f = freeFlights_) {
-        freeFlights_ = f->qnext;
-        f->qnext = nullptr;
+        freeFlights_ = f->nextFree;
+        f->nextFree = nullptr;
         return f;
     }
-    flights_.push_back(std::make_unique<Flight>());
+    flights_.push_back(std::make_unique<Flight>(*this));
     return flights_.back().get();
 }
 
@@ -250,7 +229,7 @@ void
 Mesh::freeFlight(Flight *f)
 {
     f->link = -1;
-    f->qnext = freeFlights_;
+    f->nextFree = freeFlights_;
     freeFlights_ = f;
 }
 

@@ -5,11 +5,13 @@
  * preserves the order of packets from each sender to each receiver.
  * Node i sits at (i % width, i / width).
  *
- * Packets move through a per-link occupancy ledger (DESIGN.md §14): a
- * pooled Flight record per packet, one event per hop, and per directed
- * link a busy bit plus a FIFO of waiting flights. Each hop brackets its
- * link Bus's occupancy with Bus::beginTransfer/endTransfer, so checker,
- * trace and stats see every link as a bus carrying one transfer per hop.
+ * Packets move as pooled Flight records, one event per hop (DESIGN.md
+ * §14). A hop claims its directed link's Bus ledger through the waiter
+ * node embedded in the flight, so a contended link queues flights in
+ * arrival order exactly as contending Bus::transfer calls queue, and it
+ * brackets the link's occupancy with Bus::beginTransfer/endTransfer, so
+ * checker, trace and stats see every link as a bus carrying one
+ * transfer per hop.
  */
 
 #ifndef SHRIMP_NET_MESH_HH
@@ -25,6 +27,7 @@
 #include "base/trace.hh"
 #include "net/packet.hh"
 #include "net/router.hh"
+#include "sim/bus.hh"
 #include "sim/simulator.hh"
 
 namespace shrimp::net
@@ -76,33 +79,34 @@ class Mesh
     /**
      * Per-packet state, free-listed so steady traffic allocates nothing.
      * Scheduled hop events capture one Flight pointer; the Flight owns
-     * the packet until ejection.
+     * the packet until ejection. Its Waiter base is the claim it parks
+     * in a busy link's ledger.
      */
-    struct Flight
+    struct Flight : sim::Ledger::Waiter
     {
+        explicit Flight(Mesh &m) : Waiter{&granted}, mesh(m) {}
+
+        /** Ledger grant: the link is this flight's from now. */
+        static void
+        granted(sim::Ledger::Waiter &w)
+        {
+            auto &f = static_cast<Flight &>(w);
+            f.mesh.grantLink(&f);
+        }
+
+        Mesh &mesh;
         Packet pkt;
         NodeId cur = 0;     //!< router the packet is at / leaving
         Tick occ = 0;       //!< per-hop link occupancy (uniform links)
         int link = -1;      //!< directed-link index while on a link
-        Flight *qnext = nullptr; //!< link waiter FIFO / free list
+        Flight *nextFree = nullptr;
     };
 
-    /**
-     * One directed link's occupancy ledger: a busy bit plus a FIFO of
-     * waiting flights, granted in arrival order.
-     */
-    struct LinkLedger
-    {
-        Flight *head = nullptr;
-        Flight *tail = nullptr;
-        bool busy = false;
-    };
-
-    // Start/finish one hop, hand the link to the next waiter, eject at
-    // the destination.
+    // Claim the next link, start/finish one hop on it, eject at the
+    // destination.
     void startHop(Flight *f);
-    void hopDone(Flight *f);
     void grantLink(Flight *f);
+    void hopDone(Flight *f);
     void ejectFlight(Flight *f);
 
     Flight *allocFlight();
@@ -127,8 +131,9 @@ class Mesh
     std::vector<std::uint16_t> hopsTbl_;
     std::vector<std::int32_t> neighborTbl_;
 
-    // Link ledgers and the flight pool.
-    std::vector<LinkLedger> ledgers_;
+    // Link bus per directed-link index (nullptr at mesh edges) and the
+    // flight pool.
+    std::vector<sim::Bus *> linkBuses_;
     std::vector<std::unique_ptr<Flight>> flights_;
     Flight *freeFlights_ = nullptr;
 

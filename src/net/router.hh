@@ -2,9 +2,9 @@
  * @file
  * Router: one iMRC of the routing backplane. Each router has four
  * outgoing mesh links (modelled as bandwidth resources) and an ejection
- * port delivering packets to the attached network interface. The mesh's
- * link ledger charges each hop the per-hop routing latency plus link
- * serialization on these links; their FIFOs preserve per-sender order,
+ * port delivering packets to the attached network interface. Each mesh
+ * hop holds its link Bus's ledger for the per-hop routing latency plus
+ * link serialization; the ledgers' FIFOs preserve per-sender order,
  * matching the iMRC's in-order guarantee (paper section 3.1).
  */
 

@@ -6,26 +6,33 @@ namespace shrimp::node
 {
 
 Cpu::Cpu(sim::EventQueue &queue, const MachineConfig &cfg, std::string name)
-    : queue_(queue), cfg_(cfg), lock_(queue, 1), stats_(std::move(name)),
+    : queue_(queue), cfg_(cfg), ledger_(queue), stats_(std::move(name)),
       track_(trace::track(stats_.name())),
       statUses_(stats_.counter("uses")),
       statBusyNs_(stats_.counter("busyNs"))
 {
 }
 
-sim::Task<>
-Cpu::use(Tick t)
+Tick
+Cpu::UseAwaiter::begin()
 {
-    co_await lock_.acquire();
     sim::profile::retag(sim::profile::Subsys::Cpu);
-    trace::ScopedSpan span(queue_, track_, "compute");
-    // analyze: allow(suspend-under-exclusion) — this Delay IS the
-    // occupancy being modeled; the lock is held exactly for its span.
-    co_await sim::Delay{queue_, t};
-    busyTime_ += t;
-    statUses_ += 1;
-    statBusyNs_ += t;
-    lock_.release();
+    traced_ = trace::on();
+    if (traced_)
+        trace::Tracer::instance().begin(cpu_.track_, "compute",
+                                        cpu_.queue_.now());
+    return t_;
+}
+
+void
+Cpu::UseAwaiter::end()
+{
+    cpu_.busyTime_ += t_;
+    cpu_.statUses_ += 1;
+    cpu_.statBusyNs_ += t_;
+    if (traced_)
+        trace::Tracer::instance().end(cpu_.track_, "compute",
+                                      cpu_.queue_.now());
 }
 
 Tick

@@ -2,8 +2,9 @@
  * @file
  * Cpu: the node processor as a serially-shared timing resource. All
  * compute performed by the (possibly several) processes of a node flows
- * through use(), which serializes them and charges simulated time. The
- * per-operation costs of the 60 MHz Pentium are in MachineConfig.
+ * through use(), which holds the CPU's ledger for the charged time, so
+ * processes run one at a time in arrival order. The per-operation costs
+ * of the 60 MHz Pentium are in MachineConfig.
  */
 
 #ifndef SHRIMP_NODE_CPU_HH
@@ -16,7 +17,6 @@
 #include "base/trace.hh"
 #include "base/types.hh"
 #include "sim/sync.hh"
-#include "sim/task.hh"
 
 namespace shrimp::node
 {
@@ -27,8 +27,25 @@ class Cpu
     Cpu(sim::EventQueue &queue, const MachineConfig &cfg,
         std::string name = "cpu");
 
+    /** Awaiter for use(): one `compute` span on the CPU's track. */
+    class [[nodiscard]] UseAwaiter : public sim::Hold<UseAwaiter>
+    {
+      public:
+        UseAwaiter(Cpu &cpu, Tick t) : Hold(cpu.ledger_), cpu_(cpu), t_(t)
+        {}
+
+      private:
+        friend class sim::Hold<UseAwaiter>;
+        Tick begin();
+        void end();
+
+        Cpu &cpu_;
+        Tick t_;
+        bool traced_ = false; //!< the span began with tracing on
+    };
+
     /** Occupy the CPU for @p t ticks of computation. */
-    sim::Task<> use(Tick t);
+    UseAwaiter use(Tick t) { return UseAwaiter(*this, t); }
 
     /** Time to memcpy @p bytes to a destination with cache mode
      *  @p mode (excluding the per-call overhead). */
@@ -41,7 +58,7 @@ class Cpu
   private:
     sim::EventQueue &queue_;
     const MachineConfig &cfg_;
-    sim::Semaphore lock_;
+    sim::Ledger ledger_;
     Tick busyTime_ = 0;
     stats::Group stats_;
     trace::TrackId track_;

@@ -74,14 +74,6 @@ Process::poke32(VAddr addr, std::uint32_t v)
 }
 
 sim::Task<>
-Process::compute(Tick t)
-{
-    // Forward the task directly (like waitWord32Eq/Ne): no wrapper
-    // coroutine frame for the single hottest cost-charge call.
-    return node_.cpu().use(t);
-}
-
-sim::Task<>
 Process::write(VAddr dst, const void *src, std::size_t n)
 {
     const MachineConfig &cfg = config();

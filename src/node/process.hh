@@ -60,7 +60,7 @@ class Process
 
     // ---- timed operations ---------------------------------------------
     /** Occupy the CPU for @p t ticks. */
-    sim::Task<> compute(Tick t);
+    Cpu::UseAwaiter compute(Tick t) { return node_.cpu().use(t); }
 
     /** Store @p n bytes at @p dst: charges copy time by the destination
      *  cache mode and feeds the NIC snoop logic chunk by chunk, so

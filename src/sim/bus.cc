@@ -8,7 +8,7 @@ namespace shrimp::sim
 
 Bus::Bus(EventQueue &queue, double mb_per_sec, std::string name)
     : queue_(queue), bw_(mb_per_sec), bps_(units::bytesPerSec(mb_per_sec)),
-      lock_(queue, 1),
+      ledger_(queue),
       stats_(std::move(name)), track_(trace::track(stats_.name())),
       statTransactions_(stats_.counter("transactions")),
       statBytes_(stats_.counter("bytes")),
@@ -49,23 +49,6 @@ Bus::endTransfer(std::size_t bytes, Tick occupied)
     statXferBytes_.sample(double(bytes));
     if (trace::on())
         trace::Tracer::instance().end(track_, "xfer", queue_.now());
-}
-
-Task<>
-Bus::transfer(std::size_t bytes, Tick setup)
-{
-    // The queueing and occupancy events this coroutine schedules are
-    // the bus's own cost, whoever initiated the transfer.
-    profile::retag(profSubsys_);
-    co_await lock_.acquire();
-    profile::retag(profSubsys_);
-    beginTransfer(bytes);
-    Tick t = occupancy(bytes, setup);
-    // analyze: allow(suspend-under-exclusion) — this Delay IS the bus
-    // occupancy being modeled; the lock is held exactly for its span.
-    co_await Delay{queue_, t};
-    endTransfer(bytes, t);
-    lock_.release();
 }
 
 } // namespace shrimp::sim

@@ -1,9 +1,10 @@
 /**
  * @file
- * Bus: a shared bandwidth resource. A transfer occupies the bus
- * exclusively for setup + bytes/bandwidth; contending transfers queue in
- * FIFO order. Used for the Xpress memory bus, the EISA expansion bus,
- * mesh links, and the Ethernet side channel.
+ * Bus: a shared bandwidth resource. A transfer holds the bus's ledger
+ * for setup + bytes/bandwidth; contending transfers queue in FIFO order.
+ * Used for the Xpress memory bus, the EISA expansion bus, mesh links
+ * (whose hops claim the ledger directly, net/mesh.hh), and the Ethernet
+ * side channel.
  */
 
 #ifndef SHRIMP_SIM_BUS_HH
@@ -17,7 +18,6 @@
 #include "base/types.hh"
 #include "sim/profile.hh"
 #include "sim/sync.hh"
-#include "sim/task.hh"
 
 namespace shrimp::sim
 {
@@ -32,11 +32,51 @@ class Bus
      */
     Bus(EventQueue &queue, double mb_per_sec, std::string name = "bus");
 
+    /** Awaiter for transfer(): one `xfer` span on the bus's track. */
+    class [[nodiscard]] TransferAwaiter : public Hold<TransferAwaiter>
+    {
+      public:
+        TransferAwaiter(Bus &bus, std::size_t bytes, Tick setup)
+            : Hold(bus.ledger_), bus_(bus), bytes_(bytes),
+              span_(bus.occupancy(bytes, setup))
+        {}
+
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            // The queueing and occupancy events are the bus's own
+            // cost, whoever initiated the transfer.
+            profile::retag(bus_.profSubsys_);
+            Hold::await_suspend(h);
+        }
+
+      private:
+        friend class Hold<TransferAwaiter>;
+
+        Tick
+        begin()
+        {
+            profile::retag(bus_.profSubsys_);
+            bus_.beginTransfer(bytes_);
+            return span_;
+        }
+
+        void end() { bus_.endTransfer(bytes_, span_); }
+
+        Bus &bus_;
+        std::size_t bytes_;
+        Tick span_;
+    };
+
     /**
      * Occupy the bus for one transaction of @p bytes plus a fixed
      * @p setup time; completes when the transaction is done.
      */
-    Task<> transfer(std::size_t bytes, Tick setup = 0);
+    TransferAwaiter
+    transfer(std::size_t bytes, Tick setup = 0)
+    {
+        return TransferAwaiter(*this, bytes, setup);
+    }
 
     /** Time one transaction of @p bytes would occupy the bus. */
     Tick occupancy(std::size_t bytes, Tick setup = 0) const;
@@ -44,15 +84,18 @@ class Bus
     /**
      * Start one transaction of @p bytes: the checker's grant hook and an
      * `xfer` span on this bus's track. transfer() brackets its occupancy
-     * with this pair; the mesh's link ledger, which serializes its links
-     * itself, calls the pair directly so both look alike to the checker,
-     * the trace and the stats.
+     * with this pair; a mesh hop, which claims ledger() itself, calls the
+     * pair directly so both look alike to the checker, the trace and the
+     * stats.
      */
     void beginTransfer(std::size_t bytes);
 
     /** End the transaction beginTransfer() started, after it occupied
      *  the bus for @p occupied ticks: checker hook, stats, span end. */
     void endTransfer(std::size_t bytes, Tick occupied);
+
+    /** The ledger transfers hold; mesh hops claim it directly. */
+    Ledger &ledger() { return ledger_; }
 
     double bandwidth() const { return bw_; }
     Tick busyTime() const { return busyTime_; }
@@ -69,7 +112,7 @@ class Bus
     double bw_;
     profile::Subsys profSubsys_ = profile::Subsys::Bus;
     std::uint64_t bps_; //!< bw_ in whole bytes/s; see units::transferTime
-    Semaphore lock_;
+    Ledger ledger_;
     Tick busyTime_ = 0;
     std::uint64_t bytes_ = 0;
     std::uint64_t transactions_ = 0;

@@ -1,10 +1,11 @@
 /**
  * @file
  * Synchronization primitives for simulated tasks: Condition (broadcast
- * wakeup), AddrCondition (address-range-keyed wakeup), Semaphore (FIFO,
- * counting), and Channel<T> (typed FIFO queue with blocking receive).
- * All wakeups are routed through the EventQueue so execution order stays
- * deterministic.
+ * wakeup), AddrCondition (address-range-keyed wakeup), Ledger (a
+ * resource held in FIFO order for spans of simulated time) with Hold,
+ * its frame-free awaiter, and Channel<T> (typed FIFO queue with a
+ * frame-free blocking receive). All wakeups are routed through the
+ * EventQueue so execution order stays deterministic.
  */
 
 #ifndef SHRIMP_SIM_SYNC_HH
@@ -14,15 +15,34 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "base/types.hh"
 #include "sim/event_queue.hh"
 #include "sim/simulator.hh"
 #include "sim/task.hh"
 
 namespace shrimp::sim
 {
+
+namespace detail
+{
+
+/** Resume @p h at a zero-delay event, between the checker's
+ *  double-resume hooks: the deferred wakeup of every primitive here. */
+void resumeSoon(EventQueue &queue, std::coroutine_handle<> h);
+
+/** Race-detector release edge: @p obj publishes the current actor's
+ *  history (tasks resumed later can objAcquire it). */
+#ifdef SHRIMP_CHECK
+void publish(const void *obj);
+#else
+inline void publish(const void *) {}
+#endif
+
+} // namespace detail
 
 /**
  * Broadcast condition: tasks wait(); notifyAll() wakes every current
@@ -122,86 +142,212 @@ class AddrCondition
 };
 
 /**
- * Counting semaphore with FIFO handoff: release() passes ownership
- * directly to the oldest waiter, preserving arrival order.
+ * Ledger: a resource held in FIFO order for spans of simulated time —
+ * a node's CPU, a bus, a mesh link. claim() takes an idle resource at
+ * once; on a busy one it parks the claimant's Waiter, a node embedded
+ * in whatever waits (a Hold awaiter in a coroutine frame, a mesh
+ * flight), so no path allocates. release() hands the resource to the
+ * oldest waiter by scheduling a zero-delay event that runs its grant,
+ * before the releasing code continues; with no waiter it marks the
+ * resource idle.
  */
-class Semaphore
+class Ledger
 {
   public:
-    Semaphore(EventQueue &queue, std::size_t initial)
-        : queue_(queue), count_(initial)
-    {}
-
-    struct AcquireAwaiter
+    /** A parked claim. */
+    struct Waiter
     {
-        Semaphore &sem;
-
-        bool
-        await_ready()
-        {
-            if (sem.count_ > 0) {
-                --sem.count_;
-                return true;
-            }
-            return false;
-        }
-
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            sem.waiters_.push_back(h);
-        }
-
-        void await_resume() const noexcept {}
+        /** Runs at the handoff event; the waiter holds the resource
+         *  from then until it calls release(). */
+        void (*grant)(Waiter &);
+        Waiter *next = nullptr;
     };
 
-    /** Take one unit, waiting if none is available. */
-    AcquireAwaiter acquire() { return AcquireAwaiter{*this}; }
+    explicit Ledger(EventQueue &queue) : queue_(queue) {}
 
-    /** Return one unit, handing it to the oldest waiter if any. */
+    Ledger(const Ledger &) = delete;
+    Ledger &operator=(const Ledger &) = delete;
+
+    /** Take the resource if it is idle (@return true: the caller holds
+     *  it now); otherwise queue @p w behind the earlier waiters. */
+    bool
+    claim(Waiter &w)
+    {
+        if (!busy_) {
+            busy_ = true;
+            return true;
+        }
+        w.next = nullptr;
+        if (tail_)
+            tail_->next = &w;
+        else
+            head_ = &w;
+        tail_ = &w;
+        return false;
+    }
+
+    /** Hand the resource to the oldest waiter, or mark it idle. */
     void release();
 
-    std::size_t available() const { return count_; }
-    std::size_t numWaiters() const { return waiters_.size(); }
+    EventQueue &queue() const { return queue_; }
 
   private:
     EventQueue &queue_;
-    std::size_t count_;
-    std::deque<std::coroutine_handle<>> waiters_;
+    Waiter *head_ = nullptr;
+    Waiter *tail_ = nullptr;
+    bool busy_ = false;
 };
 
-/** Typed FIFO message queue with blocking receive. */
+/**
+ * Hold<Derived>: awaiter that holds a Ledger for one span of simulated
+ * time, with no coroutine frame — the body of Cpu::use and
+ * Bus::transfer. await_suspend() claims the ledger or parks in its
+ * FIFO. At the grant Derived::begin() runs and returns the span; at the
+ * span's end one event runs Derived::end(), releases the ledger (so the
+ * handoff to the next waiter is queued first) and resumes the awaiting
+ * coroutine. The awaiter lives in the awaiting coroutine's frame, and
+ * the ledger and the event queue hold its address while that coroutine
+ * is suspended, so it can be neither copied nor moved.
+ */
+template <typename Derived>
+class Hold : Ledger::Waiter
+{
+  public:
+    Hold(const Hold &) = delete;
+    Hold(Hold &&) = delete;
+    Hold &operator=(const Hold &) = delete;
+    Hold &operator=(Hold &&) = delete;
+
+    bool await_ready() const noexcept { return false; }
+
+    void
+    await_suspend(std::coroutine_handle<> h)
+    {
+        awaiting_ = h;
+        if (ledger_.claim(*this))
+            start();
+    }
+
+    void await_resume() const noexcept {}
+
+  protected:
+    explicit Hold(Ledger &ledger) : Waiter{&granted}, ledger_(ledger) {}
+
+  private:
+    static void
+    granted(Ledger::Waiter &w)
+    {
+        static_cast<Hold &>(w).start();
+    }
+
+    void
+    start()
+    {
+        Tick span = static_cast<Derived &>(*this).begin();
+        ledger_.queue().scheduleIn(span, [this] { finish(); });
+    }
+
+    void
+    finish()
+    {
+        static_cast<Derived &>(*this).end();
+        ledger_.release();
+        awaiting_.resume();
+    }
+
+    Ledger &ledger_;
+    std::coroutine_handle<> awaiting_;
+};
+
+/**
+ * Typed FIFO message queue. recv() is a frame-free awaiter: it takes a
+ * queued item without suspending. On an empty queue the receiver
+ * parks, and send() hands its item straight to the oldest parked
+ * receiver with one zero-delay resume, so a receiver never wakes to
+ * find the queue empty.
+ */
 template <typename T>
 class Channel
 {
   public:
-    explicit Channel(EventQueue &queue) : cond_(queue) {}
+    explicit Channel(EventQueue &queue) : queue_(queue) {}
 
-    /** Enqueue an item and wake any blocked receivers. */
+    Channel(const Channel &) = delete;
+    Channel &operator=(const Channel &) = delete;
+
+    /** Awaiter for recv(); parked in the channel by address, so it can
+     *  be neither copied nor moved. */
+    class [[nodiscard]] RecvAwaiter
+    {
+      public:
+        explicit RecvAwaiter(Channel &ch) : ch_(ch) {}
+
+        RecvAwaiter(const RecvAwaiter &) = delete;
+        RecvAwaiter(RecvAwaiter &&) = delete;
+        RecvAwaiter &operator=(const RecvAwaiter &) = delete;
+        RecvAwaiter &operator=(RecvAwaiter &&) = delete;
+
+        bool await_ready() const noexcept { return !ch_.items_.empty(); }
+
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            awaiting_ = h;
+            if (ch_.tail_)
+                ch_.tail_->next_ = this;
+            else
+                ch_.head_ = this;
+            ch_.tail_ = this;
+        }
+
+        T
+        await_resume()
+        {
+            if (item_)
+                return std::move(*item_);
+            T item = std::move(ch_.items_.front());
+            ch_.items_.pop_front();
+            return item;
+        }
+
+      private:
+        friend class Channel;
+
+        Channel &ch_;
+        RecvAwaiter *next_ = nullptr;
+        std::coroutine_handle<> awaiting_;
+        std::optional<T> item_; //!< handed over by send() while parked
+    };
+
+    /** Hand @p item to the oldest parked receiver, or queue it. */
     void
     send(T item)
     {
-        items_.push_back(std::move(item));
-        cond_.notifyAll();
+        detail::publish(this);
+        RecvAwaiter *w = head_;
+        if (!w) {
+            items_.push_back(std::move(item));
+            return;
+        }
+        head_ = w->next_;
+        if (!head_)
+            tail_ = nullptr;
+        w->item_.emplace(std::move(item));
+        detail::resumeSoon(queue_, w->awaiting_);
     }
 
-    /** Dequeue the oldest item, waiting for one if the queue is empty. */
-    Task<T>
-    recv()
-    {
-        while (items_.empty())
-            co_await cond_.wait();
-        T item = std::move(items_.front());
-        items_.pop_front();
-        co_return item;
-    }
+    /** Take the oldest item, waiting for one if the queue is empty. */
+    RecvAwaiter recv() { return RecvAwaiter(*this); }
 
+    /** Items queued and not yet handed to a receiver. */
     bool empty() const { return items_.empty(); }
     std::size_t size() const { return items_.size(); }
 
   private:
+    EventQueue &queue_;
     std::deque<T> items_;
-    Condition cond_;
+    RecvAwaiter *head_ = nullptr; //!< parked receivers, oldest first
+    RecvAwaiter *tail_ = nullptr;
 };
 
 } // namespace shrimp::sim

@@ -628,7 +628,7 @@ TEST_F(CheckTest, VmmcExchangeRunsCleanUnderAbortMode)
 // Seeded contention through the real mesh with every compiled hook live
 // and abort mode on: conservation, misroute, hop-count, per-pair FIFO,
 // per-link per-source order, and the per-link Bus grant pairing must all
-// hold on the link ledger.
+// hold with hops claiming their link buses' ledgers.
 TEST_F(CheckTest, MeshSeededContentionRunsCleanUnderAbortMode)
 {
     checker().setAbortOnViolation(true);

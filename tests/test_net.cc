@@ -328,8 +328,9 @@ TEST(MeshIncast, LinkContentionSlowsButNeverDrops)
 // ---- pinned delivery streams -------------------------------------------
 // Each test digests the complete delivery stream — every ejection's
 // (tick, node, src, destAddr), in global simulation order — and pins it
-// to the value a router running one Bus::transfer per hop produced: the
-// link ledger must keep that schedule event for event (DESIGN.md §14).
+// to the value a router running one Bus::transfer per hop produced: hops
+// claiming the link Bus's ledger must keep that schedule event for event
+// (DESIGN.md §14).
 // Global order matters: within-tick ejections feed receiver wakeups, so
 // an ordering change would be observable downstream.
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the simulation core: event queue determinism, the
- * coroutine Task type, synchronization primitives, and the Bus resource.
+ * coroutine Task type, synchronization primitives, the occupancy ledger
+ * behind the CPU and the Bus, and the Bus resource.
  */
 
 #include <gtest/gtest.h>
@@ -9,8 +10,12 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <string>
+#include <tuple>
 
+#include "base/config.hh"
 #include "base/logging.hh"
+#include "node/cpu.hh"
 #include "sim/bus.hh"
 #include "sim/simulator.hh"
 #include "sim/sync.hh"
@@ -214,38 +219,85 @@ TEST(Condition, NotifyDoesNotWakeFutureWaiters)
     EXPECT_FALSE(late_woke);
 }
 
-TEST(Semaphore, CountingSemantics)
+// ---- the occupancy ledger and its frame-free awaiters -------------------
+
+TEST(Ledger, ContendingCpuUsesAreGrantedInFifoOrder)
 {
     Simulator s;
-    Semaphore sem(s.queue(), 2);
-    std::vector<int> order;
-    for (int i = 0; i < 4; ++i) {
-        s.spawn([](Simulator &s, Semaphore &sem, std::vector<int> &order,
+    MachineConfig cfg;
+    node::Cpu cpu(s.queue(), cfg, "ledger_cpu");
+    std::vector<std::pair<int, Tick>> done;
+    for (int i = 0; i < 3; ++i) {
+        s.spawn([](Simulator &s, node::Cpu &cpu,
+                   std::vector<std::pair<int, Tick>> &done,
                    int i) -> Task<> {
-            co_await sem.acquire();
-            order.push_back(i);
-            co_await Delay{s.queue(), 100};
-            sem.release();
-        }(s, sem, order, i));
+            co_await cpu.use(Tick(100 * (i + 1)));
+            done.push_back({i, s.now()});
+        }(s, cpu, done, i));
     }
     s.runAll();
-    // First two enter immediately; the others in FIFO order at t=100.
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(s.now(), 200u);
+    // Claims in spawn order, each held for its own span: 0 holds
+    // [0, 100), 1 [100, 300), 2 [300, 600).
+    EXPECT_EQ(done, (std::vector<std::pair<int, Tick>>{
+                        {0, 100}, {1, 300}, {2, 600}}));
+    EXPECT_EQ(cpu.busyTime(), 600u);
+    EXPECT_EQ(cpu.stats().get("uses"), 3u);
 }
 
-TEST(Semaphore, ReleaseWithoutWaitersIncrementsCount)
+TEST(Ledger, ContendingBusTransfersAreGrantedInFifoOrder)
 {
     Simulator s;
-    Semaphore sem(s.queue(), 0);
-    sem.release();
-    EXPECT_EQ(sem.available(), 1u);
-    s.spawn([](Semaphore &sem) -> Task<> {
-        co_await sem.acquire(); // immediate
-        co_return;
-    }(sem));
+    Bus bus(s.queue(), 100.0, "ledger_bus"); // 10 ns/byte
+    std::vector<std::pair<int, Tick>> done;
+    for (int i = 0; i < 3; ++i) {
+        s.spawn([](Simulator &s, Bus &bus,
+                   std::vector<std::pair<int, Tick>> &done,
+                   int i) -> Task<> {
+            co_await bus.transfer(std::size_t(100 * (3 - i)), 5);
+            done.push_back({i, s.now()});
+        }(s, bus, done, i));
+    }
     s.runAll();
-    EXPECT_EQ(sem.available(), 0u);
+    // 3005, 2005 and 1005 ns back to back, in claim order.
+    EXPECT_EQ(done, (std::vector<std::pair<int, Tick>>{
+                        {0, 3005}, {1, 5010}, {2, 6015}}));
+    EXPECT_EQ(bus.busyTime(), 6015u);
+    EXPECT_EQ(bus.transactions(), 3u);
+    EXPECT_EQ(bus.bytesMoved(), 600u);
+}
+
+TEST(Ledger, ContendedHandoffRunsAfterEventsQueuedForTheSameTick)
+{
+    EventQueue q;
+    Ledger ledger(q);
+    std::vector<std::string> log;
+    struct Claim : Ledger::Waiter
+    {
+        std::vector<std::string> *log;
+        EventQueue *q;
+    };
+    Claim first{{[](Ledger::Waiter &) {}}, &log, &q};
+    Claim second{{[](Ledger::Waiter &w) {
+                     auto &c = static_cast<Claim &>(w);
+                     c.log->push_back("granted@" +
+                                      std::to_string(c.q->now()));
+                 }},
+                 &log, &q};
+    ASSERT_TRUE(ledger.claim(first)); // idle: held at once
+    EXPECT_FALSE(ledger.claim(second)); // busy: parked
+    q.schedule(100, [&] {
+        log.push_back("release");
+        ledger.release();
+        // The holder's continuation: anything it schedules now comes
+        // after the handoff.
+        q.scheduleIn(0, [&] { log.push_back("continuation"); });
+    });
+    q.schedule(100, [&] { log.push_back("queued"); });
+    q.run();
+    EXPECT_EQ(log, (std::vector<std::string>{
+                       "release", "queued", "granted@100", "continuation"}));
+    ledger.release(); // the second claim's: no waiter, so idle again
+    EXPECT_TRUE(ledger.claim(first));
 }
 
 TEST(Channel, DeliversInFifoOrder)
@@ -276,6 +328,28 @@ TEST(Channel, RecvBlocksUntilSend)
     s.queue().scheduleIn(777, [&] { ch.send(9); });
     s.runAll();
     EXPECT_EQ(when, 777u);
+}
+
+TEST(Channel, TwoWaitingReceiversEachGetOneItemOldestFirst)
+{
+    Simulator s;
+    Channel<int> ch(s.queue());
+    std::vector<std::tuple<int, int, Tick>> got; // receiver, item, tick
+    for (int r = 0; r < 2; ++r) {
+        s.spawn([](Simulator &s, Channel<int> &ch,
+                   std::vector<std::tuple<int, int, Tick>> &got,
+                   int r) -> Task<> {
+            int v = co_await ch.recv();
+            got.push_back({r, v, s.now()});
+        }(s, ch, got, r));
+    }
+    s.queue().scheduleIn(10, [&] { ch.send(7); });
+    s.queue().scheduleIn(20, [&] { ch.send(8); });
+    s.runAll();
+    // One send wakes one receiver, the one that waited longest.
+    EXPECT_EQ(got, (std::vector<std::tuple<int, int, Tick>>{
+                       {0, 7, 10}, {1, 8, 20}}));
+    EXPECT_TRUE(ch.empty());
 }
 
 TEST(Bus, TransferTakesSetupPlusSerialization)
@@ -521,6 +595,47 @@ TEST(FrameArena, RecyclesCoroutineFrames)
     // arena serves every frame from a free list.
     EXPECT_GE(after.reused - before.reused, 50u);
     EXPECT_LE(after.carved - before.carved, 4u);
+}
+
+TEST(FrameArena, LedgerAndChannelAwaitsAllocateNoFrames)
+{
+    Simulator s;
+    MachineConfig cfg;
+    node::Cpu cpu(s.queue(), cfg, "frames_cpu");
+    Bus bus(s.queue(), 100.0, "frames_bus");
+    Channel<int> ch(s.queue());
+    constexpr int n = 1000;
+    // Half the items are queued before the receives start (taken
+    // without suspending), half arrive while the receiver waits
+    // (handed over by send()).
+    for (int i = 0; i < n / 2; ++i)
+        ch.send(i);
+    for (int i = n / 2; i < n; ++i)
+        s.queue().schedule(Tick(10'000'000 + 10 * i), [&ch, i] {
+            ch.send(i);
+        });
+    auto worker = [](node::Cpu &cpu, Bus &bus, Channel<int> *ch,
+                     int &received) -> Task<> {
+        for (int i = 0; i < n; ++i)
+            co_await cpu.use(10);
+        for (int i = 0; i < n; ++i)
+            co_await bus.transfer(64);
+        for (int i = 0; ch && i < n; ++i)
+            received += (co_await ch->recv()) == i;
+    };
+    // Two workers, so the CPU and bus claims park as well as go through.
+    int received = 0, unused = 0;
+    s.spawn(worker(cpu, bus, &ch, received));
+    s.spawn(worker(cpu, bus, nullptr, unused));
+    auto before = detail::FrameArena::stats();
+    s.runAll();
+    auto after = detail::FrameArena::stats();
+    EXPECT_EQ(received, n);
+    EXPECT_EQ(cpu.stats().get("uses"), std::uint64_t(2 * n));
+    EXPECT_EQ(bus.transactions(), std::uint64_t(2 * n));
+    EXPECT_EQ(after.carved, before.carved);
+    EXPECT_EQ(after.reused, before.reused);
+    EXPECT_EQ(after.oversize, before.oversize);
 }
 
 // ---- address-range-keyed wakeups ---------------------------------------

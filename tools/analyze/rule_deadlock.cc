@@ -11,8 +11,8 @@
  *     that participates in a cycle, so both halves show up.
  *     [fingerprint: order/A->B]
  *   - re-acquire: acquiring a lock the function (or a transitive
- *     caller in the same body walk) already holds — the project's
- *     Semaphore is not reentrant, so the second acquire() never
+ *     caller in the same body walk) already holds — an acquire()-style
+ *     lock is not reentrant, so the second acquire() never
  *     completes. Includes the interprocedural form where the nested
  *     acquire happens inside an awaited callee.
  *     [fingerprint: reacquire/Fn/lock]

@@ -2,17 +2,18 @@
  * @file
  * suspend-under-exclusion: a `co_await` between `<lock>.acquire()` and
  * `<lock>.release()` in the same function body. Between those two
- * calls the code owns a mutual-exclusion resource (a Semaphore guarding
- * a Bus or the CPU); suspending there lets arbitrarily much simulated
- * activity interleave while the resource is held, which reorders
- * occupancy accounting relative to the modeled hardware.
+ * calls the code owns a mutual-exclusion resource; suspending there
+ * lets arbitrarily much simulated activity interleave while the
+ * resource is held, which reorders occupancy accounting relative to the
+ * modeled hardware.
  *
  * The scan is linear over the body (path-insensitive): acquire adds
  * the awaited lock expression to the held set, release removes it, and
- * any other co_await while the set is non-empty is a finding. The two
- * intentional sites in the tree (Bus::transfer and Cpu::use, where the
- * awaited Delay IS the modeled occupancy) carry
- * `// analyze: allow(suspend-under-exclusion)` annotations.
+ * any other co_await while the set is non-empty is a finding. A site
+ * where the suspension is itself the modeled occupancy can carry a
+ * `// analyze: allow(suspend-under-exclusion)` annotation; the tree has
+ * none, since the CPU and the buses hold their ledgers through
+ * frame-free awaiters (sim::Hold) rather than acquire/release pairs.
  */
 
 #include <algorithm>
