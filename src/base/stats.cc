@@ -121,8 +121,8 @@ Group::reset()
 StatRegistry &
 StatRegistry::global()
 {
-    // analyze: shared(deliberate machine-wide singleton; the sharded
-    // simulator gives each shard a registry slice merged at dump time)
+    // analyze: allow(shared-mutable-static) — deliberate process-wide
+    // registry: every Machine's stats land in one dump
     static StatRegistry registry;
     return registry;
 }

@@ -20,8 +20,8 @@ bool gEnabled = false;
 Tracer &
 Tracer::instance()
 {
-    // analyze: shared(one trace stream per process; shards must funnel
-    // events through the cross-shard merge order before emitting)
+    // analyze: allow(shared-mutable-static) — one trace stream per
+    // process, shared by every Machine it runs
     static Tracer tracer;
     return tracer;
 }
@@ -222,8 +222,8 @@ atExitDump()
 void
 installAtExit()
 {
-    // analyze: shared(std::atexit registration latch, per-process by
-    // nature)
+    // analyze: allow(shared-mutable-static) — std::atexit registration
+    // latch, per-process by nature
     static bool installed = false;
     if (!installed) {
         installed = true;

@@ -23,8 +23,8 @@ setEnabled(bool enabled)
 SimChecker &
 SimChecker::instance()
 {
-    // analyze: shared(the invariant oracle is deliberately machine-wide:
-    // it cross-checks events from every node)
+    // analyze: allow(shared-mutable-static) — the invariant oracle is
+    // deliberately process-wide: it cross-checks events from every node
     static SimChecker checker;
     return checker;
 }
@@ -95,6 +95,15 @@ SimChecker::onEventRun(const void *queue, Tick when, std::uint64_t seq,
             (unsigned long long)when, (unsigned long long)seq,
             (unsigned long long)st.lastSeq));
         return;
+    }
+    st.sameTickRun = st.any && when == st.lastWhen ? st.sameTickRun + 1 : 1;
+    if (st.sameTickRun == zeroDelayRunLimit + 1) {
+        violation(logging::format("zero-delay cycle: more than %llu "
+                                  "consecutive events ran at %llu ns "
+                                  "without advancing time; ",
+                                  (unsigned long long)zeroDelayRunLimit,
+                                  (unsigned long long)when) +
+                  describeActiveTasks());
     }
     st.any = true;
     st.lastWhen = when;

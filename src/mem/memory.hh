@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "base/ownership.hh"
 #include "base/types.hh"
 #include "mem/zero_region.hh"
 #include "sim/sync.hh"
@@ -30,8 +29,6 @@ namespace shrimp::mem
 
 class Memory
 {
-    SHRIMP_SHARD_OWNED;
-
   public:
     Memory(sim::EventQueue &queue, std::size_t bytes, std::size_t page_bytes,
            std::string name = "mem");

@@ -26,15 +26,11 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "base/ownership.hh"
-
 namespace shrimp::mem
 {
 
 class ZeroRegion
 {
-    SHRIMP_SHARD_OWNED;
-
   public:
     explicit ZeroRegion(std::size_t bytes);
     ~ZeroRegion();

@@ -112,8 +112,6 @@ Mesh::hops(NodeId a, NodeId b) const
     return hopsTbl_[std::size_t(a) * numNodes() + b];
 }
 
-// analyze: lookahead-entry(mesh) — the single fabric ingress; every
-// hop is charged before the packet becomes visible off-node.
 void
 Mesh::inject(Packet pkt)
 {
@@ -132,10 +130,8 @@ Mesh::inject(Packet pkt)
     Flight *f = allocFlight();
     f->pkt = std::move(pkt);
     f->cur = f->pkt.src;
-    // analyze: lookahead-charge(mesh) — per-hop occupancy: the hop-done
-    // event fires no earlier than hopLatency + wire time.
+    // Each hop holds its link for the hop latency plus the wire time.
     f->occ = hopLatency_ + units::transferTime(f->pkt.wireBytes(), linkBps_);
-    // analyze: lookahead(self-delivery stays on-node: src == dst)
     if (f->cur == f->pkt.dst)
         ejectFlight(f);
     else

@@ -52,7 +52,6 @@ DeliberateUpdateEngine::send(const OptEntry &dst, std::size_t dst_off,
                                       to_page_end});
 
         // DMA-read the source data over the EISA bus.
-        // analyze: lookahead-charge(vmmc-du) — DMA read setup per chunk.
         co_await eisa_.transfer(chunk, cfg_.dmaReadSetup);
         sim::profile::retag(sim::profile::Subsys::Du);
 

@@ -40,8 +40,6 @@ ShrimpNic::start()
     sim_.spawnDaemon(incoming_.loop());
 }
 
-// analyze: lookahead-entry(vmmc-au) — automatic-update egress pump:
-// snooped frames pay the forward cost before reaching the fabric.
 sim::Task<>
 ShrimpNic::pumpLoop()
 {
@@ -49,7 +47,6 @@ ShrimpNic::pumpLoop()
         net::Packet pkt = co_await outFifo_.recv();
         sim::profile::retag(sim::profile::Subsys::Nic);
         // Arbiter + NIC processor port + packet-header formation.
-        // analyze: lookahead-charge(vmmc-au) — arbiter + header cost.
         co_await sim::Delay{sim_.queue(),
                             cfg_.nicForwardCost + cfg_.snoopPacketizeCost};
         if (!inject_)

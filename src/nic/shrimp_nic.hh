@@ -16,7 +16,6 @@
 #include <functional>
 
 #include "base/config.hh"
-#include "base/ownership.hh"
 #include "base/span.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
@@ -35,8 +34,6 @@ namespace shrimp::nic
 
 class ShrimpNic
 {
-    SHRIMP_SHARD_OWNED;
-
   public:
     /**
      * @param input the router eject queue feeding the incoming engine

@@ -13,8 +13,6 @@ EtherNet::EtherNet(sim::Simulator &sim, const MachineConfig &cfg,
 {
 }
 
-// analyze: lookahead-entry(ether) — the daemon side channel; every
-// frame pays the shared-segment transfer before delivery.
 void
 EtherNet::send(NodeId from, std::uint16_t from_port, NodeId to,
                std::uint16_t port, std::vector<std::uint8_t> data)
@@ -30,12 +28,8 @@ EtherNet::deliver(NodeId to, std::uint16_t port, EtherFrame frame)
 {
     // One shared 10 Mb/s segment: serialization plus protocol-stack
     // latency per frame.
-    // analyze: lookahead-charge(ether) — stack latency lower-bounds
-    // every frame's charge.
     co_await segment_.transfer(frame.data.size() + 64, cfg_.etherLatency);
     ++delivered_;
-    // analyze: lookahead-effect(deliver) — the frame lands in the
-    // target node's receive queue.
     rxQueue(to, port).send(std::move(frame));
 }
 

@@ -94,8 +94,6 @@ NxProc::resolveMode(VAddr buf, std::size_t len) const
 
 // ---- send paths -------------------------------------------------------
 
-// analyze: lookahead-entry(nx) — NX blocking send: library overhead
-// is charged before any packet is formed.
 sim::Task<>
 NxProc::csend(long type, VAddr buf, std::size_t len, int dest)
 {
@@ -107,7 +105,6 @@ NxProc::csend(long type, VAddr buf, std::size_t len, int dest)
     statCsends_ += 1;
     statSentBytes_ += len;
     statCsendBytes_.sample(double(len));
-    // analyze: lookahead-charge(nx) — library call + buffer management.
     co_await proc.compute(proc.config().libCallCost + nxSendOverhead);
     co_await progress();
     if (dest == rank_)

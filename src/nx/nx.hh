@@ -33,7 +33,6 @@
 #include <optional>
 #include <vector>
 
-#include "base/ownership.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
 #include "nx/connection.hh"
@@ -63,8 +62,6 @@ struct RecvInfo
 
 class NxProc
 {
-    SHRIMP_SHARD_OWNED;
-
   public:
     NxProc(vmmc::Endpoint &ep, int rank, NxSystem &system);
 
@@ -301,9 +298,6 @@ class NxProc
  */
 class NxSystem
 {
-    SHRIMP_SHARD_SHARED(
-        "rank-to-process wiring for the whole machine");
-
   public:
     /** @param nprocs number of NX processes (<= one per node by default
      *  placement; more than one per node is allowed). */

@@ -55,8 +55,8 @@ class VrpcTransport
     vmmc::Endpoint &ep_;
     std::size_t queueBytes_;
     std::unique_ptr<sock::ByteStream> stream_;
-    // analyze: shared(process-wide key namespace; sharding must carve
-    // per-shard key ranges out of this counter first)
+    // analyze: allow(shared-mutable-static) — one process-wide key
+    // namespace, so stream keys never collide across Machines
     static std::uint32_t keyCounter_;
 };
 

@@ -16,7 +16,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "base/ownership.hh"
 #include "sim/event_queue.hh"
 #include "sim/task.hh"
 
@@ -25,10 +24,6 @@ namespace shrimp::sim
 
 class Simulator
 {
-    SHRIMP_SHARD_SHARED(
-        "one event queue serializes every node today; the sharded "
-        "simulator gives each shard its own Simulator slice");
-
   public:
     Simulator() = default;
 

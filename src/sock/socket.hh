@@ -24,7 +24,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/ownership.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
 #include "sock/ring.hh"
@@ -40,8 +39,6 @@ struct SockOptions
 
 class SocketLib
 {
-    SHRIMP_SHARD_OWNED;
-
   public:
     explicit SocketLib(vmmc::Endpoint &ep, SockOptions opt = SockOptions{});
 

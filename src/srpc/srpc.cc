@@ -194,8 +194,6 @@ SrpcClient::bind(NodeId server, std::uint16_t port)
     co_return bs == vmmc::Status::Ok;
 }
 
-// analyze: lookahead-entry(srpc) — specialized RPC: the client stub's
-// checks are charged before the argument stores propagate.
 sim::Task<>
 SrpcClient::call(std::uint32_t proc, std::vector<Param> params)
 {
@@ -230,7 +228,6 @@ SrpcClient::call(std::uint32_t proc, std::vector<Param> params)
 
     // The specialized stub's software overhead is tiny (paper: under
     // 1 us): a couple of checks and the marshal below.
-    // analyze: lookahead-charge(srpc) — stub check + marshal cost.
     co_await p.compute(2 * p.config().cpuOpCost);
     // Call origin: staged just before the marshaled stores, so the
     // combined argument packet claims the id.

@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "base/ownership.hh"
 #include "node/ether.hh"
 #include "vmmc/vmmc.hh"
 
@@ -128,8 +127,6 @@ inout(void *p, std::size_t n)
 
 class SrpcClient
 {
-    SHRIMP_SHARD_OWNED;
-
   public:
     SrpcClient(vmmc::Endpoint &ep, const Interface &iface);
 
@@ -187,8 +184,6 @@ class ServerCall
 
 class SrpcServer
 {
-    SHRIMP_SHARD_OWNED;
-
   public:
     SrpcServer(vmmc::Endpoint &ep, const Interface &iface,
                std::uint16_t port);

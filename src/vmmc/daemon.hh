@@ -19,7 +19,6 @@
 #include <map>
 #include <vector>
 
-#include "base/ownership.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
 #include "node/ether.hh"
@@ -56,8 +55,6 @@ struct DaemonMsg
 
 class Daemon
 {
-    SHRIMP_SHARD_OWNED;
-
   public:
     Daemon(node::Node &node, node::EtherNet &ether);
 

@@ -138,8 +138,6 @@ Endpoint::unimport(int handle)
 
 // ---- data transfer ----------------------------------------------------
 
-// analyze: lookahead-entry(vmmc-du) — deliberate-update origin: the
-// two-PIO initiation is charged before the NIC engine ever runs.
 sim::Task<Status>
 Endpoint::send(int handle, std::size_t dst_off, VAddr src, std::size_t len,
                bool notify)
@@ -172,7 +170,6 @@ Endpoint::send(int handle, std::size_t dst_off, VAddr src, std::size_t len,
     stats_.distribution("sendBytes").sample(double(len));
     // The two-access transfer-initiation sequence: programmed I/O to
     // addresses decoded by the network interface on the EISA bus.
-    // analyze: lookahead-charge(vmmc-du) — two EISA PIO accesses.
     co_await proc_.compute(2 * cfg.eisaPioCost);
     // The PIO initiation orders the engine after the CPU's buffer fill.
     SHRIMP_CHECK_HOOK(check::RaceDetector::instance().handoff(

@@ -24,7 +24,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/ownership.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
 #include "node/machine.hh"
@@ -38,8 +37,6 @@ namespace shrimp::vmmc
 
 class Endpoint
 {
-    SHRIMP_SHARD_OWNED;
-
   public:
     Endpoint(node::Process &proc, Daemon &daemon);
 
@@ -167,9 +164,6 @@ class Endpoint
  */
 class System
 {
-    SHRIMP_SHARD_SHARED(
-        "connection broker spanning every node's daemon");
-
   public:
     explicit System(MachineConfig cfg = MachineConfig{});
 

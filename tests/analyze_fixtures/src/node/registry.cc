@@ -1,7 +1,6 @@
 // shared-mutable-static fixtures: an unannotated function-local
 // static (finding), an allowlisted singleton and a const static
 // (negatives).
-#include "node/shard.hh"
 
 namespace fix
 {
@@ -14,14 +13,15 @@ struct Reg
 Reg &
 global()
 {
-    static Reg reg; // every shard would share this registry
+    static Reg reg; // every Machine in the process would share this
     return reg;
 }
 
 Reg &
 allowedGlobal()
 {
-    // analyze: shared(deliberate machine-wide registry used by tests)
+    // analyze: allow(shared-mutable-static) — deliberate process-wide
+    // registry used by tests
     static Reg allowed;
     return allowed;
 }

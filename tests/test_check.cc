@@ -5,8 +5,9 @@
  * (the checker object is compiled in every build), asserting that the
  * violation is caught and that clean sequences pass. Builds configured
  * with -DSHRIMP_CHECK=ON additionally exercise the compiled-in hook
- * sites: a real deadlock report naming the stuck task, and a full VMMC
- * exchange running violation-free under abort mode. The determinism
+ * sites: a real deadlock report naming the stuck task, a zero-delay
+ * cycle reported with its tick and task, and a full VMMC exchange
+ * running violation-free under abort mode. The determinism
  * verifier's trace-hash primitive is tested pass and fail.
  */
 
@@ -95,6 +96,27 @@ TEST_F(CheckTest, SameTickSeqOrderViolationCaught)
     checker().onEventRun(&q, 10, 7, 0);
     checker().onEventRun(&q, 10, 5, 10); // same tick, lower seq
     EXPECT_TRUE(sawViolation("out of schedule order"));
+}
+
+TEST_F(CheckTest, SameTickRunPastTheLimitCaughtOnce)
+{
+    constexpr std::uint64_t limit = check::SimChecker::zeroDelayRunLimit;
+    int q = 0;
+    checker().onQueueCreated(&q);
+    // A run of exactly the limit passes, and a new tick restarts the
+    // count.
+    std::uint64_t seq = 0;
+    for (std::uint64_t i = 0; i < limit; ++i)
+        checker().onEventRun(&q, 10, ++seq, 10);
+    for (std::uint64_t i = 0; i < limit; ++i)
+        checker().onEventRun(&q, 20, ++seq, 20);
+    EXPECT_TRUE(checker().violations().empty());
+    // One more at the same tick is a zero-delay cycle, reported once.
+    checker().onEventRun(&q, 20, ++seq, 20);
+    checker().onEventRun(&q, 20, ++seq, 20);
+    ASSERT_EQ(checker().violations().size(), 1u);
+    EXPECT_TRUE(sawViolation("zero-delay cycle"));
+    EXPECT_TRUE(sawViolation("at 20 ns"));
 }
 
 TEST_F(CheckTest, QueueStateResetsWhenAddressReused)
@@ -588,6 +610,27 @@ TEST_F(CheckTest, DeadlockReportNamesStuckTask)
                   std::string::npos)
             << "deadlock report: " << e.what();
     }
+}
+
+TEST_F(CheckTest, ZeroDelayCycleReportNamesTickAndTask)
+{
+    // A task that keeps re-awaiting a zero delay never lets simulated
+    // time advance. It stops itself a few events past the limit so the
+    // collect-mode run ends; the guard must have reported it by then.
+    sim::Simulator s;
+    s.spawn(
+        [](sim::EventQueue &q) -> sim::Task<> {
+            co_await sim::Delay{q, 5};
+            for (std::uint64_t i = 0;
+                 i < check::SimChecker::zeroDelayRunLimit + 8; ++i)
+                co_await sim::Delay{q, 0};
+        }(s.queue()),
+        "zero-delay-spinner");
+    s.runAll();
+    ASSERT_EQ(checker().violations().size(), 1u);
+    EXPECT_TRUE(sawViolation("zero-delay cycle"));
+    EXPECT_TRUE(sawViolation("at 5 ns"));
+    EXPECT_TRUE(sawViolation("zero-delay-spinner"));
 }
 
 TEST_F(CheckTest, VmmcExchangeRunsCleanUnderAbortMode)

@@ -1,20 +1,13 @@
 #include "analyzer.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <set>
 #include <sstream>
-#include <thread>
 
-#include "cache.hh"
 #include "dataflow.hh"
 #include "lexer.hh"
-#include "lookahead.hh"
-#include "ownership.hh"
 #include "parse.hh"
 #include "rules.hh"
 #include "types.hh"
@@ -44,46 +37,23 @@ skipDirName(const std::string &name)
            (!name.empty() && name[0] == '.');
 }
 
-/** One file scheduled for loading. Collected up front in sorted order
- *  so the parallel workers fill pre-assigned slots and the merged
- *  Project is byte-identical for any --jobs value. */
-struct WorkItem
-{
-    fs::path abs;
-    std::string rel;   //!< label-prefixed path ("tools/report/main.cc")
-    std::string plain; //!< root-relative path (cache key source)
-};
-
-/** Lex/parse/extract one file, via the facts cache when possible. */
+/** Lex/parse/extract the file at @p abs, labeled @p rel. */
 void
-loadOne(const WorkItem &w, const std::string &cacheDir, SourceFile &f)
+loadOne(const fs::path &abs, const std::string &rel, SourceFile &f)
 {
-    std::ifstream in(w.abs);
+    std::ifstream in(abs);
     std::stringstream ss;
     ss << in.rdbuf();
-    const std::string text = ss.str();
 
-    f.rel = w.rel;
-    const std::size_t slash = f.rel.find('/');
-    f.dir = slash == std::string::npos ? "" : f.rel.substr(0, slash);
-    f.isHeader =
-        w.plain.size() > 3 &&
-        (w.plain.compare(w.plain.size() - 3, 3, ".hh") == 0 ||
-         w.plain.compare(w.plain.size() - 4, 4, ".hpp") == 0);
+    f.rel = rel;
+    const std::size_t slash = rel.find('/');
+    f.dir = slash == std::string::npos ? "" : rel.substr(0, slash);
+    const std::string ext = abs.extension().string();
+    f.isHeader = ext == ".hh" || ext == ".hpp";
 
-    const std::string hash = contentHash(text);
-    std::string cachePath;
-    if (!cacheDir.empty())
-        cachePath =
-            (fs::path(cacheDir) / cacheEntryName(f.rel)).generic_string();
-
-    if (cachePath.empty() || !loadCachedFile(cachePath, hash, f)) {
-        lexFile(text, f);
-        parseFile(f);
-        extractTypes(f);
-        if (!cachePath.empty())
-            storeCachedFile(cachePath, hash, f);
-    }
+    lexFile(ss.str(), f);
+    parseFile(f);
+    extractTypes(f);
 }
 
 /** Canonicalize include directives against the loaded file set so the
@@ -122,15 +92,10 @@ canonicalizeIncludes(Project &p, const std::vector<std::string> &labels)
 } // namespace
 
 Project
-loadProject(const std::vector<std::string> &roots,
-            const std::string &cacheDir, int jobs)
+loadProject(const std::vector<std::string> &roots)
 {
     Project p;
-    if (!cacheDir.empty())
-        fs::create_directories(cacheDir);
-
     std::vector<std::string> labels; // secondary-root path prefixes
-    std::vector<WorkItem> items;
     for (std::size_t r = 0; r < roots.size(); ++r) {
         const std::string &root = roots[r];
         const std::string label =
@@ -157,68 +122,19 @@ loadProject(const std::vector<std::string> &roots,
         }
         std::sort(rels.begin(), rels.end()); // host dir order varies
 
-        for (const std::string &rel : rels)
-            items.push_back({fs::path(root) / rel,
-                             label.empty() ? rel : label + "/" + rel,
-                             rel});
-    }
-
-    p.files.resize(items.size());
-    std::size_t n = jobs <= 0
-                        ? std::max(1u,
-                                   std::thread::hardware_concurrency())
-                        : std::size_t(jobs);
-    n = std::min(n, items.size() == 0 ? std::size_t(1) : items.size());
-
-    if (n <= 1) {
-        for (std::size_t i = 0; i < items.size(); ++i)
-            loadOne(items[i], cacheDir, p.files[i]);
-    } else {
-        // Workers pull indices from a shared counter and write into
-        // their item's pre-assigned slot; cache entries are per-file
-        // paths, so writes never collide. The merged order is the
-        // collection order above regardless of scheduling.
-        std::atomic<std::size_t> next{0};
-        std::exception_ptr firstError;
-        std::mutex errLock;
-        auto worker = [&]() {
-            for (;;) {
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= items.size())
-                    return;
-                try {
-                    loadOne(items[i], cacheDir, p.files[i]);
-                } catch (...) {
-                    const std::lock_guard<std::mutex> g(errLock);
-                    if (!firstError)
-                        firstError = std::current_exception();
-                }
-            }
-        };
-        std::vector<std::thread> pool;
-        pool.reserve(n);
-        for (std::size_t t = 0; t < n; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-        if (firstError)
-            std::rethrow_exception(firstError);
+        for (const std::string &rel : rels) {
+            p.files.emplace_back();
+            loadOne(fs::path(root) / rel,
+                    label.empty() ? rel : label + "/" + rel,
+                    p.files.back());
+        }
     }
 
     canonicalizeIncludes(p, labels);
     buildTaskIndex(p);
     buildTypeIndex(p);
     buildSummaries(p);
-    buildOwnership(p);
-    buildLookahead(p);
     return p;
-}
-
-Project
-loadProject(const std::string &includeRoot)
-{
-    return loadProject(std::vector<std::string>{includeRoot}, "", 1);
 }
 
 std::vector<Finding>
@@ -226,18 +142,11 @@ runRules(const Project &p)
 {
     std::vector<Finding> out;
     ruleDroppedTask(p, out);
-    ruleSuspendUnderExclusion(p, out);
     ruleDeterminism(p, out);
     ruleLayering(p, out);
     ruleChargedTime(p, out);
-    ruleDeadlock(p, out);
     ruleTaint(p, out);
     ruleSharedMutableStatic(p, out);
-    ruleCrossNodeEscape(p, out);
-    ruleEventCaptureEscape(p, out);
-    ruleZeroLookaheadPath(p, out);
-    ruleZeroDelayCycle(p, out);
-    ruleCrossNodeWakeUncharged(p, out);
     std::sort(out.begin(), out.end(),
               [](const Finding &a, const Finding &b) {
                   if (a.file != b.file)
@@ -252,18 +161,9 @@ runRules(const Project &p)
 }
 
 std::vector<Finding>
-analyzeTree(const std::string &includeRoot)
+analyzeTrees(const std::vector<std::string> &roots)
 {
-    const Project p = loadProject(includeRoot);
-    return runRules(p);
-}
-
-std::vector<Finding>
-analyzeTrees(const std::vector<std::string> &roots,
-             const std::string &cacheDir, int jobs)
-{
-    const Project p = loadProject(roots, cacheDir, jobs);
-    return runRules(p);
+    return runRules(loadProject(roots));
 }
 
 std::string

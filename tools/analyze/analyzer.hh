@@ -1,11 +1,10 @@
 /**
  * @file
  * Top-level driver for shrimp_analyze: walk one or more scan roots,
- * lex/parse/type-extract every .hh/.cc under them (per-file facts come
- * from the cache when the content hash matches), build the cross-file
- * indexes (Task index, typed symbol index, interprocedural summaries)
- * and run all rules, returning deterministically ordered findings.
- * Linked by both the CLI (main.cc) and tests/test_analyze.cc.
+ * lex/parse/type-extract every .hh/.cc under them, build the
+ * cross-file indexes (Task index, typed symbol index, interprocedural
+ * summaries) and run all rules, returning deterministically ordered
+ * findings. Linked by both the CLI (main.cc) and tests/test_analyze.cc.
  *
  * Path scheme: files under the first root keep root-relative paths
  * ("sim/bus.cc" — also the include-resolution scheme, mirroring the
@@ -28,30 +27,16 @@ namespace shrimp::analyze
 {
 
 /** Lex + parse + index every C++ file under @p roots (first root
- *  unprefixed, later roots label-prefixed). @p cacheDir, when
- *  non-empty, holds per-file facts keyed by content hash; it is
- *  created if missing. @p jobs parallelizes the per-file
- *  lex/parse/extract stage (<=0 means hardware concurrency); the file
- *  list is collected and sorted before any worker starts, and each
- *  worker fills its file's pre-assigned slot, so results are
- *  byte-identical for every jobs value. Directories named `build*` or
- *  starting with `.` are never scanned. */
-Project loadProject(const std::vector<std::string> &roots,
-                    const std::string &cacheDir = "", int jobs = 1);
-
-/** Single-root convenience overload. */
-Project loadProject(const std::string &includeRoot);
+ *  unprefixed, later roots label-prefixed), in sorted path order.
+ *  Directories named `build*` or starting with `.` are never
+ *  scanned. */
+Project loadProject(const std::vector<std::string> &roots);
 
 /** Run all rules; findings sorted by (file, line, rule, fingerprint). */
 std::vector<Finding> runRules(const Project &p);
 
 /** loadProject + runRules. */
-std::vector<Finding> analyzeTree(const std::string &includeRoot);
-
-/** Multi-root + cache + jobs variant of analyzeTree. */
-std::vector<Finding> analyzeTrees(const std::vector<std::string> &roots,
-                                  const std::string &cacheDir = "",
-                                  int jobs = 1);
+std::vector<Finding> analyzeTrees(const std::vector<std::string> &roots);
 
 /** `file:line: [rule] message` */
 std::string formatFinding(const Finding &f);

@@ -83,6 +83,11 @@ splitArgs(const Tokens &toks, std::size_t argsBegin, std::size_t argsEnd)
     return out;
 }
 
+namespace
+{
+
+/** Resolve the class of the receiver chain ending just before token
+ *  @p dotIdx (a `.`/`->`/`::`); "" when unknown. */
 std::string
 resolveReceiver(const Project &p, const SourceFile &f, const FnDef &fn,
                 std::size_t dotIdx)
@@ -188,6 +193,8 @@ resolveReceiver(const Project &p, const SourceFile &f, const FnDef &fn,
     return cls;
 }
 
+} // namespace
+
 std::vector<CallSite>
 callSites(const Project &p, const SourceFile &f, const FnDef &fn)
 {
@@ -198,11 +205,7 @@ callSites(const Project &p, const SourceFile &f, const FnDef &fn)
     // paren depth 0, `{`, `}`.
     std::size_t stmt = fn.bodyBegin + 1;
     int paren = 0;
-    std::vector<std::size_t> openCalls; // nameIdx of calls whose parens
-                                        // are currently open
-
     std::size_t stmtEnd = stmt;
-    bool stmtFlag = false;
     bool stmtRet = false;
     auto refreshStmt = [&](std::size_t k) {
         if (k < stmtEnd)
@@ -218,14 +221,11 @@ callSites(const Project &p, const SourceFile &f, const FnDef &fn)
             else if ((t.is(";") && depth <= 0) || t.is("{") || t.is("}"))
                 break;
         }
-        stmtFlag = false;
         stmtRet = false;
         for (std::size_t q = stmt; q < e; ++q) {
             const Token &tq = toks[q];
             if (tq.is("return") || tq.is("co_return"))
-                stmtFlag = stmtRet = true;
-            else if (tq.is("co_await") || tq.is("co_yield"))
-                stmtFlag = true;
+                stmtRet = true;
         }
         stmtEnd = e + 1;
     };
@@ -238,33 +238,23 @@ callSites(const Project &p, const SourceFile &f, const FnDef &fn)
         }
         if (t.is(")") || t.is("]")) {
             --paren;
-            while (!openCalls.empty() &&
-                   paren <= out[openCalls.back()].parenDepth)
-                openCalls.pop_back();
             continue;
         }
         if (t.is("{") || t.is("}")) {
             // Inside an open argument list a brace opens a lambda body
-            // or a braced initializer, not a new statement: the
-            // enclosing call must stay open so calls inside the lambda
-            // keep their parent link (scheduleIn(0, [this] { run(); })).
+            // or a braced initializer, not a new statement.
             if (paren > 0) {
                 paren += t.is("{") ? 1 : -1;
-                while (!openCalls.empty() &&
-                       paren <= out[openCalls.back()].parenDepth)
-                    openCalls.pop_back();
                 continue;
             }
             stmt = k + 1;
             stmtEnd = stmt;
-            openCalls.clear();
             paren = 0; // resync if the stream was unbalanced
             continue;
         }
         if (t.is(";") && paren == 0) {
             stmt = k + 1;
             stmtEnd = stmt;
-            openCalls.clear();
             continue;
         }
         if (!isCallableName(t) || k + 1 >= fn.bodyEnd ||
@@ -279,51 +269,25 @@ callSites(const Project &p, const SourceFile &f, const FnDef &fn)
         cs.nameIdx = k;
         cs.argsBegin = k + 2;
         cs.argsEnd = skipBalanced(toks, k + 1) - 1;
-        cs.parenDepth = paren;
-        cs.stmtConsumed = stmtFlag;
         cs.stmtReturns = stmtRet;
-
-        if (!openCalls.empty()) {
-            const CallSite &parent = out[openCalls.back()];
-            cs.parentNameIdx = parent.nameIdx;
-            int arg = 0;
-            int depth = 0;
-            for (std::size_t q = parent.argsBegin;
-                 q < k && q < parent.argsEnd; ++q) {
-                const Token &a = toks[q];
-                if (a.is("(") || a.is("[") || a.is("{"))
-                    ++depth;
-                else if (a.is(")") || a.is("]") || a.is("}"))
-                    --depth;
-                else if (a.is(",") && depth == 0)
-                    ++arg;
-            }
-            cs.argIndexInParent = arg;
-        }
 
         // Receiver and key.
         if (k >= 1 && (toks[k - 1].is(".") || toks[k - 1].is("->"))) {
-            cs.recvChain = "member";
-            cs.resolvedClass = resolveReceiver(p, f, fn, k - 1);
-            if (!cs.resolvedClass.empty())
-                cs.key = cs.resolvedClass + "::" + cs.callee;
+            const std::string cls = resolveReceiver(p, f, fn, k - 1);
+            if (!cls.empty())
+                cs.key = cls + "::" + cs.callee;
         } else if (k >= 2 && toks[k - 1].is("::") && toks[k - 2].ident()) {
-            cs.recvChain = toks[k - 2].text + "::";
             const std::string &cls = toks[k - 2].text;
             if (p.types.methods.count(cls) != 0 &&
-                p.types.methods.at(cls).count(cs.callee) != 0) {
-                cs.resolvedClass = cls;
+                p.types.methods.at(cls).count(cs.callee) != 0)
                 cs.key = cls + "::" + cs.callee;
-            }
         } else {
             // Unqualified: enclosing class first, then free functions.
             if (!fn.className.empty()) {
                 auto cit = p.types.methods.find(fn.className);
                 if (cit != p.types.methods.end() &&
-                    cit->second.count(cs.callee) != 0) {
-                    cs.resolvedClass = fn.className;
+                    cit->second.count(cs.callee) != 0)
                     cs.key = fn.className + "::" + cs.callee;
-                }
             }
             if (cs.key.empty() &&
                 (p.types.freeFns.count(cs.callee) != 0 ||
@@ -331,7 +295,6 @@ callSites(const Project &p, const SourceFile &f, const FnDef &fn)
                 cs.key = cs.callee;
         }
 
-        openCalls.push_back(out.size());
         out.push_back(cs);
         ++paren; // account for the call's own `(` which we now step over
         ++k;     // skip the `(` token itself

@@ -7,19 +7,15 @@
  *
  *  - the receiver chain (`bus_.`, `node->nic().`, `this->`) resolved
  *    through the typed symbol index (locals -> parameters -> fields of
- *    the enclosing class, then field/method hops), giving the class
- *    the call dispatches to,
- *  - a summary key ("Class::method" or bare "name") that matches the
- *    keys dataflow.cc computes interprocedural FnSummaries under, or
- *    "" when the callee cannot be resolved (std:: members, externs),
- *  - statement context: is the statement awaited/returned, is this
- *    call nested inside another call's argument list (and which
- *    argument position), the assignment target when the statement is
- *    `lhs = call(...)`.
+ *    the enclosing class, then field/method hops) to the class the
+ *    call dispatches to, giving a summary key ("Class::method" or
+ *    bare "name") that matches the keys dataflow.cc computes
+ *    interprocedural FnSummaries under, or "" when the callee cannot
+ *    be resolved (std:: members, externs),
+ *  - whether its statement returns the call's value.
  *
  * The scan is linear and allocation-light; rules call it per function
- * at analysis time (call sites are not cached — they derive entirely
- * from cached facts).
+ * at analysis time.
  */
 
 #ifndef SHRIMP_TOOLS_ANALYZE_CALLGRAPH_HH
@@ -33,28 +29,17 @@ namespace shrimp::analyze
 struct CallSite
 {
     std::string callee;        //!< name as written
-    std::string recvChain;     //!< rendered receiver ("bus_", "a.b", "")
-    std::string resolvedClass; //!< class the call dispatches to, or ""
     std::string key;           //!< summary key, or "" when unresolved
     int line = 0;
     std::size_t nameIdx = 0;   //!< token index of the callee identifier
     std::size_t argsBegin = 0; //!< first token inside the parens
     std::size_t argsEnd = 0;   //!< one past the last token inside
-    int parenDepth = 0;        //!< 0 = top-level expression of its stmt
-    int argIndexInParent = -1; //!< argument position when nested
-    std::size_t parentNameIdx = 0; //!< enclosing call's ident token
-    bool stmtConsumed = false; //!< stmt has co_await/return/co_yield
-    bool stmtReturns = false;  //!< stmt has return/co_return specifically
+    bool stmtReturns = false;  //!< stmt has return/co_return
 };
 
 /** All call expressions in @p fn's body, resolved against @p p. */
 std::vector<CallSite> callSites(const Project &p, const SourceFile &f,
                                 const FnDef &fn);
-
-/** Resolve the class of the receiver chain ending just before token
- *  @p dotIdx (a `.`/`->`/`::`); "" when unknown. */
-std::string resolveReceiver(const Project &p, const SourceFile &f,
-                            const FnDef &fn, std::size_t dotIdx);
 
 /** The summary key for a definition: "Class::name" or bare "name". */
 std::string fnKey(const FnDef &fn);

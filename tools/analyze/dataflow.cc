@@ -12,12 +12,6 @@ namespace shrimp::analyze
 namespace
 {
 
-/** Primitives that charge simulated time when called/awaited (kept in
- *  sync with rule_charged.cc). */
-const std::set<std::string> chargePrims = {
-    "Delay", "use", "transfer", "chargeOp", "compute", "copy",
-};
-
 const std::set<std::string> nondetSources = {
     "rand",         "srand",         "drand48",
     "random",       "random_device", "mt19937",
@@ -30,39 +24,13 @@ const std::set<std::string> scheduleSinks = {
     "schedule", "scheduleIn", "scheduleAt", "Delay",
 };
 
-/** The raw identifier chain (a, a.b, a->b) ending just before @p i,
- *  used as a last-resort lock identity when types cannot resolve it. */
-std::string
-rawChain(const Tokens &toks, std::size_t i)
-{
-    std::string s;
-    std::size_t k = i;
-    while (k > 0) {
-        const Token &t = toks[k - 1];
-        if (t.is("co_await") || t.is("return") || t.is("co_return"))
-            break;
-        if (t.ident() || t.is(".") || t.is("->") || t.is("::")) {
-            s = t.text + s;
-            --k;
-            continue;
-        }
-        break;
-    }
-    return s;
-}
-
 /** Everything buildSummaries() needs from one function body, gathered
  *  once so the fixpoint iterations are pure bit-flipping. */
 struct Facts
 {
     std::string key;
-    bool coAwait = false;
-    bool charge = false;
     bool directTaint = false;              //!< return stmt touches a source
     std::vector<std::string> retCallees;   //!< keys called in return stmts
-    std::vector<std::string> callKeys;     //!< all resolved callee keys
-    std::set<std::string> ownAcquires;
-    std::set<std::string> ownReleases;
     std::set<int> taskParams;              //!< Task/Task-container params
     std::set<int> directConsumed;
     std::set<int> directSink;
@@ -84,60 +52,6 @@ isScheduleSink(const std::string &name)
     return scheduleSinks.count(name) != 0;
 }
 
-std::vector<LockOp>
-lockOps(const Project &p, const SourceFile &f, const FnDef &fn)
-{
-    const Tokens &toks = f.toks;
-    std::vector<LockOp> out;
-    for (std::size_t k = fn.bodyBegin + 2; k + 1 < fn.bodyEnd; ++k) {
-        const Token &t = toks[k];
-        if (!t.ident() || (t.text != "acquire" && t.text != "release"))
-            continue;
-        if (!toks[k + 1].is("(") ||
-            (!toks[k - 1].is(".") && !toks[k - 1].is("->")))
-            continue;
-
-        LockOp op;
-        op.isAcquire = t.text == "acquire";
-        op.line = t.line;
-        op.tokIdx = k;
-
-        // The lock object is the last chain segment before the dot.
-        if (toks[k - 2].ident()) {
-            const std::string &name = toks[k - 2].text;
-            if (k >= 4 &&
-                (toks[k - 3].is(".") || toks[k - 3].is("->"))) {
-                // `obj.field.acquire()`: the field belongs to obj's class.
-                const std::string cls = resolveReceiver(p, f, fn, k - 3);
-                op.id = cls.empty() ? rawChain(toks, k - 1)
-                                    : cls + "::" + name;
-            } else if (k >= 3 && toks[k - 3].is("::")) {
-                op.id = rawChain(toks, k - 1);
-            } else {
-                bool isLocal = false;
-                for (const Local &l : fn.locals)
-                    if (l.name == name)
-                        isLocal = true;
-                for (const Param &pa : fn.params)
-                    if (pa.name == name)
-                        isLocal = true;
-                if (isLocal)
-                    op.id = fnKey(fn) + "/" + name;
-                else if (!fn.className.empty())
-                    op.id = fn.className + "::" + name;
-                else
-                    op.id = name;
-            }
-        } else {
-            op.id = rawChain(toks, k - 1);
-        }
-        if (op.id.empty())
-            continue;
-        out.push_back(op);
-    }
-    return out;
-}
-
 void
 buildSummaries(Project &p)
 {
@@ -157,35 +71,13 @@ buildSummaries(Project &p)
             fa.key = fnKey(fn);
 
             const Tokens &toks = f.toks;
-            for (std::size_t k = fn.bodyBegin + 1; k < fn.bodyEnd; ++k) {
-                const Token &t = toks[k];
-                if (t.is("co_await"))
-                    fa.coAwait = true;
-                else if (t.ident() && chargePrims.count(t.text) != 0 &&
-                         k + 1 < fn.bodyEnd &&
-                         (toks[k + 1].is("(") || toks[k + 1].is("{")))
-                    fa.charge = true;
-            }
-
-            for (const LockOp &op : lockOps(p, f, fn)) {
-                if (op.isAcquire)
-                    fa.ownAcquires.insert(op.id);
-                else
-                    fa.ownReleases.insert(op.id);
-            }
-
             const std::vector<CallSite> calls = callSites(p, f, fn);
-            for (const CallSite &cs : calls) {
-                if (!cs.key.empty()) {
-                    fa.callKeys.push_back(cs.key);
-                    if (cs.stmtReturns)
-                        fa.retCallees.push_back(cs.key);
-                }
-            }
+            for (const CallSite &cs : calls)
+                if (!cs.key.empty() && cs.stmtReturns)
+                    fa.retCallees.push_back(cs.key);
 
             // Direct taint: a return statement mentioning a source.
             {
-                std::size_t stmt = fn.bodyBegin + 1;
                 int paren = 0;
                 bool hasRet = false, hasSrc = false;
                 for (std::size_t k = fn.bodyBegin + 1; k < fn.bodyEnd;
@@ -199,7 +91,6 @@ buildSummaries(Project &p)
                              t.is("}")) {
                         if (hasRet && hasSrc)
                             fa.directTaint = true;
-                        stmt = k + 1;
                         paren = 0;
                         hasRet = hasSrc = false;
                     } else if (t.is("return") || t.is("co_return"))
@@ -208,7 +99,6 @@ buildSummaries(Project &p)
                              nondetSources.count(t.text) != 0)
                         hasSrc = true;
                 }
-                (void)stmt;
             }
 
             // Parameter flows. Task-typed params get consumption
@@ -303,27 +193,6 @@ buildSummaries(Project &p)
                 return it == p.summaries.end() ? nullptr : &it->second;
             };
 
-            if (!s.suspends) {
-                bool v = fa.coAwait;
-                for (const std::string &k : fa.callKeys)
-                    if (const FnSummary *cs = callee(k);
-                        cs && cs->suspends)
-                        v = true;
-                if (v) {
-                    s.suspends = true;
-                    changed = true;
-                }
-            }
-            if (!s.charges) {
-                bool v = fa.charge;
-                for (const std::string &k : fa.callKeys)
-                    if (const FnSummary *cs = callee(k); cs && cs->charges)
-                        v = true;
-                if (v) {
-                    s.charges = true;
-                    changed = true;
-                }
-            }
             if (!s.returnsTaint) {
                 bool v = fa.directTaint;
                 for (const std::string &k : fa.retCallees)
@@ -334,23 +203,6 @@ buildSummaries(Project &p)
                     s.returnsTaint = true;
                     changed = true;
                 }
-            }
-            {
-                std::set<std::string> acq = fa.ownAcquires;
-                std::set<std::string> rel = fa.ownReleases;
-                for (const std::string &k : fa.callKeys)
-                    if (const FnSummary *cs = callee(k)) {
-                        acq.insert(cs->acquires.begin(),
-                                   cs->acquires.end());
-                        rel.insert(cs->releases.begin(),
-                                   cs->releases.end());
-                    }
-                for (const std::string &a : acq)
-                    if (s.acquires.insert(a).second)
-                        changed = true;
-                for (const std::string &r : rel)
-                    if (s.releases.insert(r).second)
-                        changed = true;
             }
             for (int i : fa.taskParams) {
                 if (s.taskParams.insert(i).second)
@@ -394,18 +246,6 @@ buildSummaries(Project &p)
                     changed = true;
         }
     }
-}
-
-const FnSummary *
-Project::summary(const std::string &cls, const std::string &name) const
-{
-    if (!cls.empty()) {
-        auto it = summaries.find(cls + "::" + name);
-        if (it != summaries.end())
-            return &it->second;
-    }
-    auto it = summaries.find(name);
-    return it == summaries.end() ? nullptr : &it->second;
 }
 
 } // namespace shrimp::analyze

@@ -6,9 +6,6 @@
  *
  * Per function (keyed "Class::name" / bare "name"):
  *
- *   suspends          body (or any resolved callee) reaches co_await
- *   charges           body (or any callee) reaches a charge primitive
- *   acquires          lock identities reachable from the body
  *   returnsTaint      a return statement carries a host-nondeterminism
  *                     source, directly or via a tainted callee
  *   consumesTaskParam Task/Task-container parameters the function
@@ -19,11 +16,6 @@
  *   paramToSink       parameters that flow into event scheduling
  *                     (schedule/scheduleIn/scheduleAt/Delay), directly
  *                     or transitively
- *
- * Lock identities name the owning scope, not the expression: a field
- * resolves to "Class::field" whichever receiver chain reaches it, a
- * function-local to "Fn/name". lockOps() is also used directly by the
- * deadlock rule for intra-body ordering.
  */
 
 #ifndef SHRIMP_TOOLS_ANALYZE_DATAFLOW_HH
@@ -33,19 +25,6 @@
 
 namespace shrimp::analyze
 {
-
-/** One `<lock>.acquire()` / `<lock>.release()` site in a body. */
-struct LockOp
-{
-    bool isAcquire = false;
-    std::string id; //!< resolved identity ("Bus::lock_", "fn/sem")
-    int line = 0;
-    std::size_t tokIdx = 0; //!< token index of the acquire/release ident
-};
-
-/** All lock operations in @p fn, in body order. */
-std::vector<LockOp> lockOps(const Project &p, const SourceFile &f,
-                            const FnDef &fn);
 
 /** Compute Project::summaries (seeds + fixpoint). Requires parsed
  *  files, extractTypes() and buildTypeIndex() to have run. */

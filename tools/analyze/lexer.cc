@@ -30,26 +30,11 @@ identChar(char c)
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
-/** Mine a comment for `analyze: allow(rule)` / `analyze: free` /
- *  `analyze: shared(reason)` / `analyze: lookahead*(...)` annotations
- *  (several may appear in one comment). `shared` allowlists a
- *  deliberate machine-wide singleton for the shared-mutable-static
- *  rule. The lookahead family (lookahead.hh) keeps its parenthesized
- *  argument: edge-class names for lookahead-entry/-charge, the effect
- *  kind for lookahead-effect, the justification for a bare
- *  lookahead(reason). */
+/** Mine a comment for `analyze: allow(rule)` / `analyze: free`
+ *  annotations (several may appear in one comment). */
 void
 mineComment(const std::string &text, int line, SourceFile &out)
 {
-    const auto parenArg = [&text](std::size_t p) -> std::string {
-        std::size_t open = text.find('(', p);
-        std::size_t close =
-            open == std::string::npos ? open : text.find(')', open);
-        if (close == std::string::npos)
-            return "";
-        return text.substr(open + 1, close - open - 1);
-    };
-
     std::size_t at = 0;
     while ((at = text.find("analyze:", at)) != std::string::npos) {
         // Attribute the annotation to the comment line it is written
@@ -61,24 +46,14 @@ mineComment(const std::string &text, int line, SourceFile &out)
         while (p < text.size() && text[p] == ' ')
             ++p;
         if (text.compare(p, 4, "free") == 0) {
-            out.annotations.push_back({atLine, "charged-time", ""});
-        } else if (text.compare(p, 6, "shared") == 0) {
-            out.annotations.push_back({atLine, "shared", ""});
-        } else if (text.compare(p, 15, "lookahead-entry") == 0) {
-            out.annotations.push_back(
-                {atLine, "lookahead-entry", parenArg(p)});
-        } else if (text.compare(p, 16, "lookahead-charge") == 0) {
-            out.annotations.push_back(
-                {atLine, "lookahead-charge", parenArg(p)});
-        } else if (text.compare(p, 16, "lookahead-effect") == 0) {
-            out.annotations.push_back(
-                {atLine, "lookahead-effect", parenArg(p)});
-        } else if (text.compare(p, 9, "lookahead") == 0) {
-            out.annotations.push_back({atLine, "lookahead", parenArg(p)});
+            out.annotations.push_back({atLine, "charged-time"});
         } else if (text.compare(p, 5, "allow") == 0) {
-            const std::string rule = parenArg(p);
-            if (!rule.empty())
-                out.annotations.push_back({atLine, rule, ""});
+            const std::size_t open = text.find('(', p);
+            const std::size_t close =
+                open == std::string::npos ? open : text.find(')', open);
+            if (close != std::string::npos && close > open + 1)
+                out.annotations.push_back(
+                    {atLine, text.substr(open + 1, close - open - 1)});
         }
         at = p;
     }

@@ -20,30 +20,10 @@
  *     --sarif=FILE         write all findings (baselined included —
  *                          scanning backends do their own tracking via
  *                          partialFingerprints) as SARIF 2.1.0
- *     --cache=DIR          per-file facts cache keyed by content hash;
- *                          created if missing. Cold and warm runs
- *                          produce identical findings.
- *     --jobs=N             parallel per-file lexing/parsing workers
- *                          (0 = hardware concurrency, the default).
- *                          Findings and reports are byte-identical
- *                          for every N.
- *     --ownership-report=FILE
- *                          write the shard-ownership JSON (per-class
- *                          lattice verdicts + escape edges) — the
- *                          partition plan for ROADMAP item 2.
- *     --lookahead-report=FILE
- *                          write the lookahead JSON (per-edge-class
- *                          proven minimum simulated-time charge) —
- *                          the null-message synchronizer's input.
- *     --lookahead-pin=CLASS:NS
- *                          (repeatable) fail unless edge class CLASS
- *                          is proven positive with a bound of at
- *                          least NS nanoseconds — the CI gate that
- *                          catches a refactor silently shrinking
- *                          lookahead.
  *
- * Exit status: 0 clean (all findings baselined), 1 fresh findings or
- * a failed lookahead pin, 2 usage or I/O error.
+ * Exit status: 0 clean (all findings baselined), 1 fresh findings,
+ * 2 usage or I/O error (an output FILE that cannot be written
+ * included).
  */
 
 #include <filesystem>
@@ -56,14 +36,25 @@
 
 #include "analyzer.hh"
 #include "baseline.hh"
-#include "lookahead.hh"
-#include "ownership.hh"
 #include "sarif.hh"
 
 namespace
 {
 
 using namespace shrimp::analyze;
+
+/** Write @p text to @p path; false (after saying so) when the file
+ *  cannot be created or the write fails. */
+bool
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream out(path);
+    out << text << std::flush;
+    if (out)
+        return true;
+    std::cerr << "shrimp_analyze: cannot write " << path << "\n";
+    return false;
+}
 
 int
 run(int argc, char **argv)
@@ -72,11 +63,6 @@ run(int argc, char **argv)
     std::string baselinePath;
     std::string reportPath;
     std::string sarifPath;
-    std::string cacheDir;
-    std::string ownershipPath;
-    std::string lookaheadPath;
-    std::vector<std::string> lookaheadPins;
-    int jobs = 0; // 0 = hardware concurrency
     bool updateBaseline = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -89,23 +75,7 @@ run(int argc, char **argv)
             reportPath = arg.substr(9);
         else if (arg.rfind("--sarif=", 0) == 0)
             sarifPath = arg.substr(8);
-        else if (arg.rfind("--cache=", 0) == 0)
-            cacheDir = arg.substr(8);
-        else if (arg.rfind("--ownership-report=", 0) == 0)
-            ownershipPath = arg.substr(19);
-        else if (arg.rfind("--lookahead-report=", 0) == 0)
-            lookaheadPath = arg.substr(19);
-        else if (arg.rfind("--lookahead-pin=", 0) == 0)
-            lookaheadPins.push_back(arg.substr(16));
-        else if (arg.rfind("--jobs=", 0) == 0) {
-            try {
-                jobs = std::stoi(arg.substr(7));
-            } catch (const std::exception &) {
-                std::cerr << "shrimp_analyze: bad --jobs value: " << arg
-                          << "\n";
-                return 2;
-            }
-        } else if (arg.rfind("--", 0) == 0) {
+        else if (arg.rfind("--", 0) == 0) {
             std::cerr << "shrimp_analyze: unknown option " << arg << "\n";
             return 2;
         } else
@@ -129,37 +99,7 @@ run(int argc, char **argv)
             baselinePath = guess.string();
     }
 
-    const Project proj = loadProject(roots, cacheDir, jobs);
-    const std::vector<Finding> findings = runRules(proj);
-
-    if (!ownershipPath.empty()) {
-        std::ofstream out(ownershipPath);
-        if (!out) {
-            std::cerr << "shrimp_analyze: cannot write "
-                      << ownershipPath << "\n";
-            return 2;
-        }
-        out << ownershipJson(proj);
-    }
-
-    if (!lookaheadPath.empty()) {
-        std::ofstream out(lookaheadPath);
-        if (!out) {
-            std::cerr << "shrimp_analyze: cannot write "
-                      << lookaheadPath << "\n";
-            return 2;
-        }
-        out << lookaheadJson(proj);
-    }
-
-    bool pinsOk = true;
-    {
-        std::string pinErr;
-        if (!checkLookaheadPins(proj, lookaheadPins, pinErr)) {
-            std::cerr << "shrimp_analyze: " << pinErr << "\n";
-            pinsOk = false;
-        }
-    }
+    const std::vector<Finding> findings = analyzeTrees(roots);
 
     if (!sarifPath.empty()) {
         std::set<std::string> labeled;
@@ -171,13 +111,9 @@ run(int argc, char **argv)
             std::filesystem::path(roots.front())
                 .filename()
                 .generic_string();
-        std::ofstream out(sarifPath);
-        if (!out) {
-            std::cerr << "shrimp_analyze: cannot write " << sarifPath
-                      << "\n";
+        if (!writeFile(sarifPath,
+                       sarifReport(findings, srcLabel, labeled)))
             return 2;
-        }
-        out << sarifReport(findings, srcLabel, labeled);
     }
 
     if (updateBaseline) {
@@ -186,13 +122,15 @@ run(int argc, char **argv)
                          "--baseline=FILE\n";
             return 2;
         }
-        std::ofstream out(baselinePath);
-        out << "# shrimp_analyze baseline: accepted findings, pinned.\n"
-            << "# One `rule|file|fingerprint` per line. Regenerate with\n"
-            << "#   shrimp_analyze --baseline=THIS --update-baseline\n"
-            << "# only after deciding each new finding is intentional.\n";
+        std::ostringstream text;
+        text << "# shrimp_analyze baseline: accepted findings, pinned.\n"
+             << "# One `rule|file|fingerprint` per line. Regenerate with\n"
+             << "#   shrimp_analyze --baseline=THIS --update-baseline\n"
+             << "# only after deciding each new finding is intentional.\n";
         for (const Finding &f : findings)
-            out << baselineEntry(f) << "\n";
+            text << baselineEntry(f) << "\n";
+        if (!writeFile(baselinePath, text.str()))
+            return 2;
         std::cout << "shrimp_analyze: baseline updated ("
                   << findings.size() << " entries)\n";
         return 0;
@@ -220,11 +158,9 @@ run(int argc, char **argv)
         std::cerr << "shrimp_analyze: stale baseline entry (fix no "
                      "longer needed? remove it): "
                   << s << "\n";
-    if (!reportPath.empty()) {
-        std::ofstream out(reportPath);
-        out << report.str();
-    }
-    return r.fresh.empty() && pinsOk ? 0 : 1;
+    if (!reportPath.empty() && !writeFile(reportPath, report.str()))
+        return 2;
+    return r.fresh.empty() ? 0 : 1;
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * The thirteen shrimp_analyze rules. Each pass receives the fully parsed
+ * The six shrimp_analyze rules. Each pass receives the fully parsed
  * and summarized Project and appends Findings; suppression
  * (annotations aside) is the baseline's job, not the rules'.
  *
@@ -13,10 +13,6 @@
  *                            a simulated activity that silently never
  *                            runs. Catches the `auto t = f();` hole
  *                            [[nodiscard]] cannot see.
- *   suspend-under-exclusion  a co_await between a lock/bus `acquire()`
- *                            and its `release()` in the same body —
- *                            an interleaving point inside a region the
- *                            code treats as exclusively held.
  *   determinism              wall-clock/PRNG calls or iteration over
  *                            pointer-keyed containers in src/sim and
  *                            src/check — host-address-dependent order
@@ -29,11 +25,6 @@
  *                            nic/ or mem/ that never charges CPU/bus
  *                            time (directly or through its callees)
  *                            and is not annotated `analyze: free`.
- *   deadlock                 whole-program lock analysis on resolved
- *                            lock identities: lock-order cycles,
- *                            non-reentrant re-acquisition, and
- *                            co_await while a lock acquired by an
- *                            earlier callee is still held.
  *   determinism-taint        a wall-clock/PRNG value (or a call whose
  *                            summarized return carries one) flowing
  *                            into event scheduling — schedule(),
@@ -41,33 +32,13 @@
  *                            parameter that provably reaches one.
  *   shared-mutable-static    namespace/class/function-scope mutable
  *                            `static` data in the layered src dirs:
- *                            storage every future shard would share.
- *                            Deliberate singletons are allowlisted
- *                            with `analyze: shared(reason)`.
- *   cross-node-escape        the address of node-owned state stored
- *                            into a carrier (net::Packet) field,
- *                            into a foreign node-owned object reached
- *                            through a ref/pointer parameter, or
- *                            passed to such an object's methods.
- *   event-capture-escape     node-owned state captured by reference
- *                            (or `this`) into a lambda handed to an
- *                            event-scheduling sink — an event another
- *                            shard could run.
- *   zero-lookahead-path      a cross-node-visible effect reachable
- *                            from a datapath entry with 0 charged
- *                            simulated time, a lookahead-charge gate
- *                            whose expression folds to 0, or an edge
- *                            class with no gate at all (lookahead.hh).
- *   zero-delay-cycle         a provably-zero scheduleIn whose target
- *                            reaches the scheduler back through
- *                            zero-charge call edges — an event chain
- *                            that could livelock a time window.
- *   cross-node-wake-uncharged
- *                            waking a foreign node's Condition/
- *                            AddrCondition (wake-effect annotation, or
- *                            notifyAll/notifyRange/notifyWrite on a
- *                            parameter-rooted receiver) without
- *                            passing through a charged path.
+ *                            storage every Machine in a process
+ *                            shares. Deliberate singletons are
+ *                            allowlisted with `analyze:
+ *                            allow(shared-mutable-static) — reason`.
+ *
+ * A zero-delay event cycle is caught at run time instead, by the
+ * SimChecker guard in SHRIMP_CHECK builds (DESIGN.md §10).
  */
 
 #ifndef SHRIMP_TOOLS_ANALYZE_RULES_HH
@@ -79,19 +50,15 @@ namespace shrimp::analyze
 {
 
 void ruleDroppedTask(const Project &p, std::vector<Finding> &out);
-void ruleSuspendUnderExclusion(const Project &p, std::vector<Finding> &out);
 void ruleDeterminism(const Project &p, std::vector<Finding> &out);
 void ruleLayering(const Project &p, std::vector<Finding> &out);
 void ruleChargedTime(const Project &p, std::vector<Finding> &out);
-void ruleDeadlock(const Project &p, std::vector<Finding> &out);
 void ruleTaint(const Project &p, std::vector<Finding> &out);
 void ruleSharedMutableStatic(const Project &p, std::vector<Finding> &out);
-void ruleCrossNodeEscape(const Project &p, std::vector<Finding> &out);
-void ruleEventCaptureEscape(const Project &p, std::vector<Finding> &out);
-void ruleZeroLookaheadPath(const Project &p, std::vector<Finding> &out);
-void ruleZeroDelayCycle(const Project &p, std::vector<Finding> &out);
-void ruleCrossNodeWakeUncharged(const Project &p,
-                                std::vector<Finding> &out);
+
+/** Layer index of a layered src directory ("base" 0 ... "srpc" 6),
+ *  or -1 for any other directory (tools, bench). */
+int layerOf(const std::string &dir);
 
 } // namespace shrimp::analyze
 

@@ -52,38 +52,18 @@ const std::map<std::string, std::string> ruleDescs = {
     {"dropped-task",
      "Task-returning call whose lazy coroutine is never awaited, "
      "spawned, returned or drained"},
-    {"suspend-under-exclusion",
-     "co_await between acquire() and release() in the same body"},
     {"determinism",
      "wall-clock/PRNG source or pointer-keyed iteration in the "
      "simulator core"},
     {"layering", "include-graph cycle or layer-order violation"},
     {"charged-time",
      "public datapath entry that never charges simulated time"},
-    {"deadlock",
-     "lock-order cycle, non-reentrant re-acquire, or co_await while a "
-     "callee-held lock is outstanding"},
     {"determinism-taint",
      "host-nondeterministic value flowing into event scheduling"},
     {"shared-mutable-static",
-     "namespace/class-scope mutable static without an `analyze: "
-     "shared(reason)` allowlist — storage every shard would share"},
-    {"cross-node-escape",
-     "address of node-owned state stored into a carrier field or a "
-     "foreign node's object"},
-    {"event-capture-escape",
-     "node-owned state captured by reference into a scheduled "
-     "callable another shard could run"},
-    {"zero-lookahead-path",
-     "cross-node-visible effect reachable with 0 charged simulated "
-     "time, a lookahead-charge gate folding to 0, or an edge class "
-     "with no gate"},
-    {"zero-delay-cycle",
-     "provably-zero scheduleIn whose target reaches the scheduler "
-     "back through zero-charge edges — a time-window livelock"},
-    {"cross-node-wake-uncharged",
-     "foreign Condition/AddrCondition woken without passing through "
-     "a charged path"},
+     "mutable static in the layered src dirs without an `analyze: "
+     "allow(shared-mutable-static)` reason — storage every Machine in "
+     "the process shares"},
 };
 
 } // namespace

@@ -114,6 +114,32 @@ scanDecls(const Tokens &toks, std::size_t lo, std::size_t hi,
     }
 }
 
+/** Strip const/volatile qualifiers and reference/pointer decoration
+ *  from the edges of a normalized type string. */
+std::string
+stripCv(const std::string &type)
+{
+    std::string t = type;
+    auto stripPrefix = [&](const char *p) {
+        const std::size_t n = std::string(p).size();
+        if (t.compare(0, n, p) == 0)
+            t = t.substr(n);
+    };
+    for (int i = 0; i < 3; ++i) {
+        stripPrefix("const ");
+        stripPrefix("volatile ");
+        stripPrefix("static ");
+    }
+    while (!t.empty() &&
+           (t.back() == '&' || t.back() == '*' || t.back() == ' '))
+        t.pop_back();
+    // "const" glued to a trailing ref has already gone with the '&'.
+    if (t.size() > 5 && t.compare(t.size() - 5, 5, "const") == 0 &&
+        t[t.size() - 6] == ' ')
+        t = t.substr(0, t.size() - 6);
+    return t;
+}
+
 } // namespace
 
 void
@@ -193,30 +219,6 @@ buildTypeIndex(Project &p)
     for (const auto &[name, tv] : free)
         if (tv.second)
             ix.freeFns.emplace(name, tv.first);
-}
-
-std::string
-stripCv(const std::string &type)
-{
-    std::string t = type;
-    auto stripPrefix = [&](const char *p) {
-        const std::size_t n = std::string(p).size();
-        if (t.compare(0, n, p) == 0)
-            t = t.substr(n);
-    };
-    for (int i = 0; i < 3; ++i) {
-        stripPrefix("const ");
-        stripPrefix("volatile ");
-        stripPrefix("static ");
-    }
-    while (!t.empty() &&
-           (t.back() == '&' || t.back() == '*' || t.back() == ' '))
-        t.pop_back();
-    // "const" glued to a trailing ref has already gone with the '&'.
-    if (t.size() > 5 && t.compare(t.size() - 5, 5, "const") == 0 &&
-        t[t.size() - 6] == ' ')
-        t = t.substr(0, t.size() - 6);
-    return t;
 }
 
 namespace

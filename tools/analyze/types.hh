@@ -7,7 +7,7 @@
  *  - Per-file extraction (extractTypes): class data members (FieldDecl)
  *    and function-body local declarations (FnDef::locals), recognized
  *    by statement shape from the token stream. Runs right after
- *    parseFile() and is cached with the file's other facts.
+ *    parseFile().
  *  - Project-wide index (buildTypeIndex): merges aliases (`using X =
  *    Y;`, resolved transitively), class field types, method return
  *    types and unambiguous free-function return types into
@@ -32,10 +32,6 @@ void extractTypes(SourceFile &f);
 
 /** Merge every file's aliases/fields/members into @p p.types. */
 void buildTypeIndex(Project &p);
-
-/** Strip const/volatile qualifiers and reference/pointer decoration
- *  from the edges of a normalized type string. */
-std::string stripCv(const std::string &type);
 
 /** Is @p type (after alias resolution) `Task<...>` / `sim::Task<...>`? */
 bool typeIsTask(const TypeIndex &ix, const std::string &type);
