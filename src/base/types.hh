@@ -58,19 +58,25 @@ bytesPerSec(double mbPerSec)
  * Ticks needed to move @p bytes at @p bps bytes per second.
  *
  * Rounding rule (the only one in the simulator): a transfer occupies
- * ceil(bytes * 10^9 / bps) integer nanoseconds, computed exactly in
- * 128-bit arithmetic. Rounding up means a transfer never finishes
- * early, and the error is bounded by 1 ns per transaction no matter
- * how transfers are split or batched.
+ * ceil(bytes * 10^9 / bps) integer nanoseconds, computed exactly: in
+ * 64 bits when bytes * 10^9 + bps - 1 fits (every transfer the
+ * simulator makes), else in 128 bits. Rounding up means a transfer
+ * never finishes early, and the error is bounded by 1 ns per
+ * transaction no matter how transfers are split or batched.
  */
 constexpr Tick
 transferTime(std::size_t bytes, std::uint64_t bps)
 {
     if (bytes == 0 || bps == 0)
         return 0;
-    unsigned __int128 num =
+    std::uint64_t num;
+    if (!__builtin_mul_overflow(std::uint64_t(bytes),
+                                std::uint64_t(1'000'000'000u), &num) &&
+        !__builtin_add_overflow(num, bps - 1, &num)) [[likely]]
+        return num / bps;
+    unsigned __int128 wide =
         (unsigned __int128)bytes * 1'000'000'000u + (bps - 1);
-    return Tick(num / bps);
+    return Tick(wide / bps);
 }
 
 /** Convenience overload for rates held as MB/s config doubles. */

@@ -21,7 +21,7 @@ AddressSpace::alloc(std::size_t bytes, CacheMode mode)
     std::size_t npages = (bytes + page - 1) / page;
     PAddr frame = mem_.allocFrames(npages);
     VAddr base = nextVAddr_;
-    PageNum first = base / page;
+    PageNum first = vpnOf(base);
     if (first + npages > pages_.size())
         pages_.resize(first + npages, PageEntry{0, CacheMode::WriteBack,
                                                 false});
@@ -44,10 +44,8 @@ AddressSpace::faultUnmapped(VAddr addr) const
 bool
 AddressSpace::mapped(VAddr addr, std::size_t len) const
 {
-    if (len == 0)
-        len = 1;
-    PageNum first = addr / pageBytes();
-    PageNum last = PageNum((std::uint64_t(addr) + len - 1) / pageBytes());
+    PageNum first = vpnOf(addr);
+    PageNum last = lastVpnOf(addr, len);
     if (last >= pages_.size())
         return false;
     for (PageNum vpn = first; vpn <= last; ++vpn) {
@@ -66,9 +64,8 @@ AddressSpace::translateRange(VAddr addr, std::size_t len) const
     PAddr base = translate(addr);
     // Verify physical contiguity across the range (holds by construction
     // for single allocations; catches accidental cross-allocation use).
-    PageNum first = addr / pageBytes();
-    PageNum last = PageNum((std::uint64_t(addr) + (len ? len : 1) - 1) /
-                           pageBytes());
+    PageNum first = vpnOf(addr);
+    PageNum last = lastVpnOf(addr, len);
     for (PageNum vpn = first; vpn + 1 <= last; ++vpn) {
         PAddr a = pages_[vpn].frame;
         PAddr b = pages_[vpn + 1].frame;
@@ -83,9 +80,8 @@ AddressSpace::setCacheMode(VAddr addr, std::size_t len, CacheMode mode)
 {
     if (!mapped(addr, len))
         panic("setCacheMode on unmapped range");
-    PageNum first = addr / pageBytes();
-    PageNum last = PageNum((std::uint64_t(addr) + (len ? len : 1) - 1) /
-                           pageBytes());
+    PageNum first = vpnOf(addr);
+    PageNum last = lastVpnOf(addr, len);
     for (PageNum vpn = first; vpn <= last; ++vpn) {
         pages_[vpn].mode = mode;
         SHRIMP_CHECK_HOOK(check::RaceDetector::instance().onCacheMode(

@@ -41,7 +41,7 @@ class AddressSpace
     PAddr
     translate(VAddr addr) const
     {
-        return entry(addr).frame + PAddr(addr % pageBytes());
+        return entry(addr).frame + PAddr(addr & (pageBytes() - 1));
     }
 
     /**
@@ -82,10 +82,24 @@ class AddressSpace
     const PageEntry &
     entry(VAddr addr) const
     {
-        PageNum vpn = addr / pageBytes();
+        PageNum vpn = vpnOf(addr);
         if (vpn >= pages_.size() || !pages_[vpn].valid) [[unlikely]]
             faultUnmapped(addr);
         return pages_[vpn];
+    }
+
+    /** Virtual page of byte @p addr (64-bit so range ends can't wrap). */
+    PageNum
+    vpnOf(std::uint64_t addr) const
+    {
+        return PageNum(addr >> mem_.pageShift());
+    }
+
+    /** Virtual page of the last byte of [addr, addr+len), len 0 as 1. */
+    PageNum
+    lastVpnOf(VAddr addr, std::size_t len) const
+    {
+        return vpnOf(std::uint64_t(addr) + (len ? len : 1) - 1);
     }
 
     [[noreturn]] void faultUnmapped(VAddr addr) const;

@@ -28,6 +28,19 @@ Memory::~Memory()
 {
     SHRIMP_CHECK_HOOK(check::RaceDetector::instance().onMemoryDestroyed(
         this));
+    // Hand the region back clean: re-zero each run of stamped pages.
+    const std::size_t pages = pageSeq_.size();
+    for (std::size_t p = 0; p < pages;) {
+        if (pageSeq_[p] == 0) {
+            ++p;
+            continue;
+        }
+        std::size_t end = p + 1;
+        while (end < pages && pageSeq_[end] != 0)
+            ++end;
+        data_.rezero(p << pageShift_, (end - p) << pageShift_);
+        p = end;
+    }
 }
 
 void
@@ -47,7 +60,6 @@ Memory::write(PAddr addr, const void *src, std::size_t n)
         this, addr, n, queue_.now()));
     if (n > 0)
         std::memcpy(data_.data() + addr, src, n);
-    data_.noteDirty(std::size_t(addr) + n);
     ++writeCount_;
     if (n > 0)
         stampPages(addr, n);

@@ -42,6 +42,9 @@ class Memory
 
     std::size_t size() const { return data_.size(); }
     std::size_t pageBytes() const { return pageBytes_; }
+    /** log2(pageBytes()): page sizes are powers of two, so page math
+     *  is shifts and masks. */
+    unsigned pageShift() const { return pageShift_; }
     PageNum pageOf(PAddr addr) const { return addr >> pageShift_; }
     std::size_t numPages() const { return data_.size() / pageBytes_; }
 
@@ -114,7 +117,9 @@ class Memory
 
     /** Stamp the pages of [addr, addr+n), n > 0, with writeCount_. The
      *  table grows to the highest page written, so memories whose
-     *  upper pages stay untouched pay nothing for them. */
+     *  upper pages stay untouched pay nothing for them. A nonzero stamp
+     *  is also the record that the page was written: the destructor
+     *  re-zeroes exactly those pages before the region is recycled. */
     void
     stampPages(PAddr addr, std::size_t n)
     {
@@ -142,7 +147,8 @@ class Memory
     sim::AddrCondition writeWaiters_;
     PAddr nextFrame_ = 0;
     std::uint64_t writeCount_ = 0;
-    std::vector<std::uint64_t> pageSeq_; //!< per page: last writeCount_
+    std::vector<std::uint64_t> pageSeq_; //!< per page: last writeCount_,
+                                         //!< 0 if never written
 };
 
 #ifndef SHRIMP_CHECK
@@ -169,7 +175,6 @@ Memory::write32(PAddr addr, std::uint32_t value)
     if (std::size_t(addr) + sizeof(value) > data_.size()) [[unlikely]]
         checkRange(addr, sizeof(value));
     std::memcpy(data_.data() + addr, &value, sizeof(value));
-    data_.noteDirty(std::size_t(addr) + sizeof(value));
     ++writeCount_;
     stampPages(addr, sizeof(value));
     notifyWrite(addr, sizeof(value));

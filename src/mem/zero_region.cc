@@ -2,10 +2,11 @@
 
 #include <cstring>
 #include <new>
-#include <vector>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
+#include <unistd.h>
 #define SHRIMP_ZERO_REGION_MMAP 1
 #endif
 
@@ -23,20 +24,35 @@ struct ParkedRegion
     std::uint8_t *ptr;
     std::size_t size;
     bool mapped;
+    std::vector<bool> touched;
+    std::size_t residentBytes;
 };
 
 // Process-wide recycling pool (single-threaded, like the simulator).
-// Bounded so a one-off giant configuration doesn't pin memory forever;
-// eviction is FIFO, so steady same-size churn always hits.
+// Bounded by the bytes its regions hold resident, so a one-off giant
+// configuration doesn't pin memory forever; regions are parked and
+// evicted in FIFO order.
 constexpr std::size_t poolCapBytes = 256 * 1024 * 1024;
 std::vector<ParkedRegion> pool;
-std::size_t poolBytes = 0;
+std::size_t poolResidentBytes = 0;
 
 // Lifetime counters (never reset; drainPool keeps them so a stats dump
 // after teardown still reflects the run).
 std::size_t poolReuses = 0;
 std::size_t poolFresh = 0;
 std::size_t poolRezeroed = 0;
+
+/** The unit in which a mapping becomes resident. */
+std::size_t
+hostPageBytes()
+{
+#ifdef SHRIMP_ZERO_REGION_MMAP
+    static const std::size_t bytes = std::size_t(::sysconf(_SC_PAGESIZE));
+    return bytes;
+#else
+    return 4096;
+#endif
+}
 
 void
 releaseBytes(std::uint8_t *ptr, std::size_t size, bool mapped)
@@ -57,16 +73,17 @@ ZeroRegion::ZeroRegion(std::size_t bytes) : size_(bytes)
 {
     if (bytes == 0)
         return;
-    // Newest-first search: steady churn reuses the region just parked,
-    // whose pages are still warm in the page tables and caches.
-    for (std::size_t i = pool.size(); i > 0; --i) {
-        ParkedRegion &r = pool[i - 1];
-        if (r.size != bytes)
+    // Oldest-first: a machine rebuilt in the order its predecessor was
+    // torn down gets each node's own region back.
+    for (auto it = pool.begin(); it != pool.end(); ++it) {
+        if (it->size != bytes)
             continue;
-        data_ = r.ptr;
-        mapped_ = r.mapped;
-        poolBytes -= r.size;
-        pool.erase(pool.begin() + long(i - 1));
+        data_ = it->ptr;
+        mapped_ = it->mapped;
+        touched_ = std::move(it->touched);
+        residentBytes_ = it->residentBytes;
+        poolResidentBytes -= residentBytes_;
+        pool.erase(it);
         ++poolReuses;
         return;
     }
@@ -77,40 +94,50 @@ ZeroRegion::ZeroRegion(std::size_t bytes) : size_(bytes)
     if (p != MAP_FAILED) {
         data_ = static_cast<std::uint8_t *>(p);
         mapped_ = true;
+        touched_.resize((bytes + hostPageBytes() - 1) / hostPageBytes());
         return;
     }
 #endif
     data_ = new std::uint8_t[bytes];
     std::memset(data_, 0, bytes);
+    residentBytes_ = bytes;
+}
+
+void
+ZeroRegion::rezero(std::size_t offset, std::size_t n)
+{
+    if (n == 0)
+        return;
+    std::memset(data_ + offset, 0, n);
+    poolRezeroed += n;
+    if (!mapped_)
+        return;
+    const std::size_t page = hostPageBytes();
+    for (std::size_t p = offset / page; p <= (offset + n - 1) / page; ++p) {
+        if (!touched_[p]) {
+            touched_[p] = true;
+            residentBytes_ += page;
+        }
+    }
 }
 
 ZeroRegion::~ZeroRegion()
 {
     if (!data_)
         return;
-    // Park for reuse: re-zero the written prefix (bytes beyond it were
-    // never written and are still zero), evict oldest past the cap.
-    if (size_ <= poolCapBytes) {
-        const std::size_t rezero = dirty_ < size_ ? dirty_ : size_;
-        std::memset(data_, 0, rezero);
-        poolRezeroed += rezero;
-        while (poolBytes + size_ > poolCapBytes && !pool.empty()) {
-            ParkedRegion victim = pool.front();
-            pool.erase(pool.begin());
-            poolBytes -= victim.size;
-            releaseBytes(victim.ptr, victim.size, victim.mapped);
-        }
-        pool.push_back(ParkedRegion{data_, size_, mapped_});
-        poolBytes += size_;
+    if (residentBytes_ > poolCapBytes) {
+        releaseBytes(data_, size_, mapped_);
         return;
     }
-    releaseBytes(data_, size_, mapped_);
-}
-
-std::size_t
-ZeroRegion::pooledBytes()
-{
-    return poolBytes;
+    while (poolResidentBytes + residentBytes_ > poolCapBytes) {
+        ParkedRegion &victim = pool.front();
+        poolResidentBytes -= victim.residentBytes;
+        releaseBytes(victim.ptr, victim.size, victim.mapped);
+        pool.erase(pool.begin());
+    }
+    poolResidentBytes += residentBytes_;
+    pool.push_back(ParkedRegion{data_, size_, mapped_, std::move(touched_),
+                                residentBytes_});
 }
 
 std::size_t
@@ -137,7 +164,7 @@ ZeroRegion::drainPool()
     for (const ParkedRegion &r : pool)
         releaseBytes(r.ptr, r.size, r.mapped);
     pool.clear();
-    poolBytes = 0;
+    poolResidentBytes = 0;
 }
 
 } // namespace shrimp::mem

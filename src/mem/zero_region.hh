@@ -13,11 +13,17 @@
  * a recycled mapping keeps its page tables, so a harness constructing
  * machines in a loop (host_perf, the ablation benches, the test suite)
  * faults each page once, not once per machine. Correctness relies on
- * the owner reporting its written extent via noteDirty(): only that
- * prefix is re-zeroed on release; pages beyond it were never written
- * and still read as zero. The pool is not thread-safe (the simulator
- * is single-threaded); it falls back to an eagerly-zeroed heap block
- * where mmap is unavailable.
+ * the owner passing every range it wrote to rezero() before the region
+ * is destroyed (Memory passes exactly the pages its write stamps mark);
+ * bytes it never wrote still read as zero. Re-zeroing touches only
+ * written pages, so a parked region holds resident what its owners
+ * wrote and nothing more. The pool caps those resident bytes, not the
+ * mapping sizes, and hands same-size regions back oldest-first: a
+ * machine builds and tears down its nodes in the same order, so a
+ * rebuilt machine gets each node's previous region back and a region's
+ * resident pages keep one node's layout. The pool
+ * is not thread-safe (the simulator is single-threaded); it falls back
+ * to an eagerly-zeroed heap block where mmap is unavailable.
  */
 
 #ifndef SHRIMP_MEM_ZERO_REGION_HH
@@ -25,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace shrimp::mem
 {
@@ -42,24 +49,16 @@ class ZeroRegion
     const std::uint8_t *data() const { return data_; }
     std::size_t size() const { return size_; }
 
-    /** Record that bytes of [0, bytes) may have been written. The
-     *  destructor re-zeroes exactly this prefix before recycling the
-     *  mapping; an owner that skips the call for some write path would
-     *  leak its bytes into the region's next life. */
-    void
-    noteDirty(std::size_t bytes)
-    {
-        if (bytes > dirty_)
-            dirty_ = bytes;
-    }
-
-    /** Pooled mappings held for reuse (tests). */
-    static std::size_t pooledBytes();
+    /** Zero the @p n bytes at @p offset, which the owner wrote. The
+     *  destructor parks the region as it stands, so an owner that
+     *  skips a written range leaks its bytes into the region's next
+     *  life. */
+    void rezero(std::size_t offset, std::size_t n);
 
     /** Process-lifetime pool counters (surfaced in Machine stats as
      *  mem.zeropool.reuse / .fresh / .bytesRezeroed): constructions
      *  served from the pool, constructions that allocated fresh
-     *  backing, and bytes re-zeroed when parking dirty regions. */
+     *  backing, and bytes passed to rezero(). */
     static std::size_t poolReuseCount();
     static std::size_t poolFreshCount();
     static std::size_t poolBytesRezeroed();
@@ -70,8 +69,11 @@ class ZeroRegion
   private:
     std::uint8_t *data_ = nullptr;
     std::size_t size_ = 0;
-    std::size_t dirty_ = 0;
     bool mapped_ = false;
+    /** Host pages of the mapping ever re-zeroed, in any life: the
+     *  pages a parked region holds resident. */
+    std::vector<bool> touched_;
+    std::size_t residentBytes_ = 0;
 };
 
 } // namespace shrimp::mem

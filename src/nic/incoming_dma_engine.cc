@@ -139,18 +139,19 @@ IncomingDmaEngine::unfreeze(FreezeAction action)
 void
 IncomingDmaEngine::noteInflight(PAddr addr)
 {
-    ++inflight_[mem_.pageOf(addr)];
+    PageNum page = mem_.pageOf(addr);
+    if (page >= inflight_.size()) [[unlikely]]
+        inflight_.resize(std::size_t(page) + 1, 0);
+    ++inflight_[page];
 }
 
 void
 IncomingDmaEngine::noteDone(PAddr addr)
 {
     PageNum page = mem_.pageOf(addr);
-    auto it = inflight_.find(page);
-    if (it == inflight_.end() || it->second == 0)
+    if (page >= inflight_.size() || inflight_[page] == 0)
         panic("in-flight packet accounting underflow");
-    if (--it->second == 0)
-        inflight_.erase(it);
+    --inflight_[page];
     drainCond_.notifyAll();
 }
 
@@ -158,8 +159,11 @@ sim::Task<>
 IncomingDmaEngine::waitDrain(PageNum first, PageNum last)
 {
     auto busy = [this, first, last] {
-        auto it = inflight_.lower_bound(first);
-        return it != inflight_.end() && it->first <= last;
+        for (std::size_t p = first; p <= last && p < inflight_.size(); ++p) {
+            if (inflight_[p] != 0)
+                return true;
+        }
+        return false;
     };
     while (busy())
         co_await drainCond_.wait();

@@ -19,7 +19,7 @@
 #define SHRIMP_NIC_INCOMING_DMA_ENGINE_HH
 
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "base/config.hh"
 #include "base/stats.hh"
@@ -104,7 +104,9 @@ class IncomingDmaEngine
     FreezeAction freezeAction_ = FreezeAction::Retry;
     sim::Condition unfreezeCond_;
 
-    std::map<PageNum, std::uint32_t> inflight_;
+    /** Packets in flight per destination page, grown to the highest
+     *  page noted (like Memory's write stamps). */
+    std::vector<std::uint32_t> inflight_;
     sim::Condition drainCond_;
     std::uint32_t raceActor_ = 0xffffffffu; // check::noActor
 

@@ -9,7 +9,7 @@ EtherNet::EtherNet(sim::Simulator &sim, const MachineConfig &cfg,
                    int num_nodes)
     : sim_(sim), cfg_(cfg), numNodes_(num_nodes),
       segment_(sim.queue(), cfg.etherBw, "ether"),
-      nextPort_(num_nodes, 1024)
+      nextPort_(num_nodes, firstEphemeralPort)
 {
 }
 
@@ -36,17 +36,34 @@ EtherNet::deliver(NodeId to, std::uint16_t port, EtherFrame frame)
 sim::Channel<EtherFrame> &
 EtherNet::rxQueue(NodeId node, std::uint16_t port)
 {
-    std::uint64_t key = (std::uint64_t(node) << 16) | port;
-    auto &q = rx_[key];
+    auto &q = rx_[queueKey(node, port)];
     if (!q)
         q = std::make_unique<sim::Channel<EtherFrame>>(sim_.queue());
     return *q;
 }
 
+sim::Task<EtherFrame>
+EtherNet::recvOnce(NodeId node, std::uint16_t port)
+{
+    EtherFrame frame = co_await rxQueue(node, port).recv();
+    rx_.erase(queueKey(node, port));
+    co_return frame;
+}
+
 std::uint16_t
 EtherNet::allocPort(NodeId node)
 {
-    return nextPort_.at(node)++;
+    // Round-robin over the ephemeral range, skipping ports still in use
+    // (listeners, replies not yet taken).
+    std::uint16_t &next = nextPort_.at(node);
+    for (unsigned tries = 0; tries <= 0xffffu - firstEphemeralPort;
+         ++tries) {
+        std::uint16_t port = next;
+        next = next == 0xffff ? firstEphemeralPort : std::uint16_t(next + 1);
+        if (!rx_.contains(queueKey(node, port)))
+            return port;
+    }
+    fatal(logging::format("node %d: no free Ethernet port", int(node)));
 }
 
 } // namespace shrimp::node

@@ -7,7 +7,8 @@
  * slow (milliseconds) and never on the data critical path.
  *
  * Frames are addressed to a (node, port) pair; each pair has a FIFO
- * receive queue created on demand.
+ * receive queue created on demand. A one-shot request's reply port
+ * (allocPort) lives only until recvOnce() takes its reply.
  */
 
 #ifndef SHRIMP_NODE_ETHER_HH
@@ -49,12 +50,28 @@ class EtherNet
     /** The receive queue for (node, port); created on demand. */
     sim::Channel<EtherFrame> &rxQueue(NodeId node, std::uint16_t port);
 
-    /** Allocate a fresh ephemeral port number for @p node. */
+    /** Take the next frame on (node, port), then drop the port's queue:
+     *  the reply wait of a one-shot request on an allocPort() port. */
+    sim::Task<EtherFrame> recvOnce(NodeId node, std::uint16_t port);
+
+    /** Allocate an ephemeral port number (>= 1024) for @p node that has
+     *  no live receive queue; fatal when every one does. */
     std::uint16_t allocPort(NodeId node);
+
+    /** Receive queues currently allocated, on all nodes. */
+    std::size_t liveQueues() const { return rx_.size(); }
 
     std::uint64_t framesDelivered() const { return delivered_; }
 
   private:
+    static constexpr std::uint16_t firstEphemeralPort = 1024;
+
+    static std::uint64_t
+    queueKey(NodeId node, std::uint16_t port)
+    {
+        return (std::uint64_t(node) << 16) | port;
+    }
+
     sim::Task<> deliver(NodeId to, std::uint16_t port, EtherFrame frame);
 
     sim::Simulator &sim_;

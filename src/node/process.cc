@@ -77,6 +77,7 @@ sim::Task<>
 Process::write(VAddr dst, const void *src, std::size_t n)
 {
     const MachineConfig &cfg = config();
+    mem::Memory &memory = node_.memory();
     const auto *p = static_cast<const std::uint8_t *>(src);
 
     co_await node_.cpu().use(cfg.copyCallOverhead);
@@ -84,7 +85,8 @@ Process::write(VAddr dst, const void *src, std::size_t n)
     while (done < n) {
         VAddr va = dst + VAddr(done);
         PAddr pa = as_.translate(va);
-        std::size_t to_page = cfg.pageBytes - (pa % cfg.pageBytes);
+        std::size_t to_page =
+            memory.pageBytes() - (pa & (memory.pageBytes() - 1));
         std::size_t chunk =
             std::min({n - done, to_page, cfg.auCombineLimit});
         CacheMode mode = as_.cacheMode(va);
@@ -92,7 +94,7 @@ Process::write(VAddr dst, const void *src, std::size_t n)
         {
             // Scope covers store + snoop but no co_await.
             SHRIMP_RACE_SCOPE(raceActor_);
-            node_.memory().write(pa, p + done, chunk);
+            memory.write(pa, p + done, chunk);
             node_.nic().snoopWrite(pa, p + done, chunk);
         }
         done += chunk;

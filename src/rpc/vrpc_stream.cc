@@ -61,7 +61,7 @@ VrpcTransport::connect(NodeId server, std::uint16_t port)
     ether.send(ep_.nodeId(), reply_port, server, port, packHello(hello));
 
     node::EtherFrame frame =
-        co_await ether.rxQueue(ep_.nodeId(), reply_port).recv();
+        co_await ether.recvOnce(ep_.nodeId(), reply_port);
     Hello ack = unpackHello(frame.data);
     if (ack.magic != helloMagic)
         co_return false;

@@ -143,7 +143,7 @@ SocketLib::connect(int fd, NodeId node, std::uint16_t port)
     ether.send(ep_.nodeId(), reply_port, node, port, pack(syn));
 
     node::EtherFrame frame =
-        co_await ether.rxQueue(ep_.nodeId(), reply_port).recv();
+        co_await ether.recvOnce(ep_.nodeId(), reply_port);
     SynAck ack = unpack<SynAck>(frame.data);
     if (ack.magic != synAckMagic || !ack.ok)
         co_return -1;

@@ -179,7 +179,7 @@ SrpcClient::bind(NodeId server, std::uint16_t port)
     SrpcHello hello{srpcMagic, key, reply_port, 0};
     ether.send(ep_.nodeId(), reply_port, server, port, pack(hello));
     node::EtherFrame frame =
-        co_await ether.rxQueue(ep_.nodeId(), reply_port).recv();
+        co_await ether.recvOnce(ep_.nodeId(), reply_port);
     SrpcHello ack = unpack<SrpcHello>(frame.data);
     if (ack.magic != srpcMagic)
         co_return false;

@@ -83,7 +83,7 @@ Daemon::request(NodeId remote, DaemonMsg m)
     m.reqId = nextReq_++;
     m.replyPort = port;
     ether_.send(id(), port, remote, node::EtherNet::daemonPort, packMsg(m));
-    node::EtherFrame frame = co_await ether_.rxQueue(id(), port).recv();
+    node::EtherFrame frame = co_await ether_.recvOnce(id(), port);
     DaemonMsg r = unpackMsg(frame.data);
     if (r.reqId != m.reqId)
         panic("daemon reply/request id mismatch");

@@ -4,6 +4,8 @@
  * machine configuration.
  */
 
+#include <random>
+
 #include <gtest/gtest.h>
 
 #include "base/config.hh"
@@ -146,6 +148,51 @@ TEST(Units, TransferTimePinsTheRoundingRule)
               48762u); // 48761.90..
     EXPECT_EQ(units::transferTime(std::size_t(1024), cfg.copyBwUncached),
               40960u); // exact
+}
+
+/** The rounding rule evaluated in 128 bits throughout. */
+Tick
+wideTransferTime(std::uint64_t bytes, std::uint64_t bps)
+{
+    if (bytes == 0 || bps == 0)
+        return 0;
+    unsigned __int128 num =
+        (unsigned __int128)bytes * 1'000'000'000u + (bps - 1);
+    return Tick(num / bps);
+}
+
+TEST(Units, TransferTimeFastPathMatchesTheWideFormula)
+{
+    static_assert(units::transferTime(std::size_t(49),
+                                      std::uint64_t(24'500'000)) == 2000);
+    // The overflow edge: for each rate, the largest byte count whose
+    // numerator bytes * 1e9 + bps - 1 fits in 64 bits, and its
+    // neighbours on both sides. At the largest rates the add overflows
+    // where the multiply alone would not.
+    const std::uint64_t rates[] = {1,           2,
+                                   999,         24'500'000,
+                                   175'000'000, 1'000'000'000,
+                                   1ull << 63,  ~0ull};
+    for (std::uint64_t bps : rates) {
+        const std::uint64_t edge = (~0ull - (bps - 1)) / 1'000'000'000u;
+        const unsigned __int128 top = ~0ull;
+        ASSERT_LE((unsigned __int128)edge * 1'000'000'000u + (bps - 1), top);
+        ASSERT_GT((unsigned __int128)(edge + 1) * 1'000'000'000u + (bps - 1),
+                  top);
+        for (std::uint64_t b = edge < 2 ? 0 : edge - 2; b <= edge + 2; ++b)
+            EXPECT_EQ(units::transferTime(std::size_t(b), bps),
+                      wideTransferTime(b, bps))
+                << b << " bytes at " << bps << " B/s";
+    }
+    // Seeded random points at every magnitude of bytes and rate.
+    std::mt19937_64 rng(20);
+    for (int i = 0; i < 100'000; ++i) {
+        std::uint64_t bytes = rng() >> (rng() % 64);
+        std::uint64_t bps = rng() >> (rng() % 64);
+        ASSERT_EQ(units::transferTime(std::size_t(bytes), bps),
+                  wideTransferTime(bytes, bps))
+            << bytes << " bytes at " << bps << " B/s";
+    }
 }
 
 TEST(Config, DefaultValidates)

@@ -299,6 +299,60 @@ TEST(Integration, MeshStatsAreConsistentWithNicCounts)
     }(a, b, sys));
 }
 
+TEST(Integration, OneShotRepliesLeaveNoEtherQueueBehind)
+{
+    // Daemon imports, socket connects and VRPC and SRPC binds each wait
+    // for their reply on a fresh Ethernet port. Once the replies are
+    // taken, only the daemons' and listeners' queues may remain.
+    vmmc::System sys;
+    node::EtherNet &ether = sys.machine().ether();
+    vmmc::Endpoint &server = sys.createEndpoint(1);
+    vmmc::Endpoint &client = sys.createEndpoint(0);
+    rpc::VrpcServer vrpc(server, 7400);
+    vrpc.start();
+    srpc::Interface iface;
+    iface.defineProc("nop", {{srpc::Dir::In, 4}});
+    srpc::SrpcServer srpcServer(sys.createEndpoint(2), iface, 7500);
+    srpcServer.start();
+
+    constexpr int conns = 3, imports = 8;
+    sock::SocketLib serverLib(server), clientLib(client);
+    test::runTask(sys.sim(), [](vmmc::Endpoint &ep,
+                                sock::SocketLib &lib) -> sim::Task<> {
+        for (std::uint32_t key = 80; key < 80 + imports; ++key) {
+            VAddr buf = ep.proc().alloc(4096);
+            EXPECT_EQ(co_await ep.exportBuffer(key, buf, 4096),
+                      vmmc::Status::Ok);
+        }
+        int ls = co_await lib.socket();
+        co_await lib.listen(ls, 7600);
+        // The acceptor parks on the listener's queue.
+        ep.proc().sim().spawnDaemon(
+            [](sock::SocketLib &lib, int ls) -> sim::Task<> {
+                for (int i = 0; i < conns; ++i)
+                    EXPECT_GE(co_await lib.accept(ls), 0);
+            }(lib, ls));
+    }(server, serverLib));
+    const std::size_t live0 = ether.liveQueues();
+
+    rpc::VrpcClient vrpcClient(client);
+    srpc::SrpcClient srpcClient(client, iface);
+    test::runTask(sys.sim(), [](vmmc::Endpoint &ep, sock::SocketLib &lib,
+                                rpc::VrpcClient &vc,
+                                srpc::SrpcClient &sc) -> sim::Task<> {
+        for (std::uint32_t key = 80; key < 80 + imports; ++key)
+            EXPECT_EQ((co_await ep.import(1, key)).status, vmmc::Status::Ok);
+        for (int i = 0; i < conns; ++i) {
+            int fd = co_await lib.socket();
+            EXPECT_EQ(co_await lib.connect(fd, 1, 7600), 0);
+        }
+        EXPECT_TRUE(co_await vc.connect(1, 7400, 7, 1));
+        EXPECT_TRUE(co_await sc.bind(2, 7500));
+    }(client, clientLib, vrpcClient, srpcClient));
+    EXPECT_GT(ether.framesDelivered(), std::uint64_t(2 * imports));
+    EXPECT_EQ(ether.liveQueues(), live0);
+}
+
 TEST(Integration, EightByEightMeshStillRoutes)
 {
     MachineConfig cfg;

@@ -4,11 +4,15 @@
  * watchpoints and per-process address spaces / page tables.
  */
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "base/logging.hh"
 #include "mem/address_space.hh"
 #include "mem/memory.hh"
+#include "mem/zero_region.hh"
 #include "sim/simulator.hh"
 
 namespace shrimp::mem
@@ -223,6 +227,37 @@ TEST(Memory, RejectsPageSizeThatIsNotAPowerOfTwo)
 {
     sim::Simulator s;
     EXPECT_THROW(Memory(s.queue(), 4 * 3000, 3000), FatalError);
+}
+
+TEST(Memory, RecycledRegionReadsZeroAfterRezeroingExactlyTheWrittenPages)
+{
+    // Write through every write path, destroy the memory and build a
+    // same-size one: it is served from the pool, every byte reads zero,
+    // and only the stamped pages were re-zeroed.
+    constexpr std::size_t kBytes = 40 * kPage;
+    sim::Simulator s;
+    ZeroRegion::drainPool();
+    std::size_t rezeroed0 = 0;
+    {
+        Memory m(s.queue(), kBytes, kPage);
+        std::uint8_t buf[16];
+        std::fill(std::begin(buf), std::end(buf), 0xa5);
+        m.write(100, buf, sizeof(buf));       // page 0
+        m.write32(5 * kPage + 8, 0xdeadbeef); // page 5
+        m.write(9 * kPage - 3, buf, 8);       // pages 8 and 9
+        m.write(kBytes - 1, buf, 1);          // page 39, the last byte
+        m.write(20 * kPage, buf, 0);          // writes nothing
+        rezeroed0 = ZeroRegion::poolBytesRezeroed();
+    }
+    EXPECT_EQ(ZeroRegion::poolBytesRezeroed() - rezeroed0, 5 * kPage);
+
+    const std::size_t reuse0 = ZeroRegion::poolReuseCount();
+    Memory m(s.queue(), kBytes, kPage);
+    EXPECT_EQ(ZeroRegion::poolReuseCount(), reuse0 + 1);
+    std::vector<std::uint8_t> all(kBytes, 0xff);
+    m.read(0, all.data(), all.size());
+    EXPECT_TRUE(std::all_of(all.begin(), all.end(),
+                            [](std::uint8_t b) { return b == 0; }));
 }
 
 class AddressSpaceTest : public ::testing::Test

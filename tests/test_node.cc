@@ -6,6 +6,7 @@
  */
 
 #include <map>
+#include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -254,6 +255,44 @@ TEST_F(NodeTest, EtherAllocPortIsUniquePerNode)
     EXPECT_EQ(a, c); // independent namespaces per node
 }
 
+TEST_F(NodeTest, EtherAllocPortWrapsPastReservedAndLivePorts)
+{
+    // 70,000 one-shot request cycles on one node (allocate a port, take
+    // the reply on it, which releases it) wrap the 64,512-port ephemeral
+    // range. No cycle may get a reserved port (< 1024) or a port whose
+    // queue is live: the listeners', or a reply still pending.
+    EtherNet &ether = machine_.ether();
+    const std::set<std::uint16_t> listeners{1024 + 7, 5000, 65535};
+    for (std::uint16_t port : listeners)
+        (void)ether.rxQueue(0, port);
+    const std::size_t live0 = ether.liveQueues();
+    std::set<std::uint16_t> used;
+    int bad = 0;
+    test::runTask(machine_.sim(), [](EtherNet &ether,
+                                     const std::set<std::uint16_t> &listeners,
+                                     std::set<std::uint16_t> &used,
+                                     int &bad) -> sim::Task<> {
+        std::uint16_t pending = ether.allocPort(0); // held across the loop
+        (void)ether.rxQueue(0, pending);
+        for (int i = 0; i < 70'000; ++i) {
+            std::uint16_t port = ether.allocPort(0);
+            if (port < 1024 || listeners.contains(port) || port == pending)
+                ++bad;
+            used.insert(port);
+            ether.send(1, 9, 0, port, {std::uint8_t(i)});
+            EtherFrame f = co_await ether.recvOnce(0, port);
+            if (f.data != std::vector<std::uint8_t>{std::uint8_t(i)})
+                ++bad;
+        }
+        ether.send(1, 9, 0, pending, {0});
+        (void)co_await ether.recvOnce(0, pending);
+    }(ether, listeners, used, bad));
+    EXPECT_EQ(bad, 0);
+    // Every free ephemeral port was handed out: the counter wrapped.
+    EXPECT_EQ(used.size(), 65536u - 1024u - listeners.size() - 1u);
+    EXPECT_EQ(ether.liveQueues(), live0);
+}
+
 TEST_F(NodeTest, ProcessesGetDistinctPids)
 {
     Process &a = machine_.spawnProcess(2);
@@ -346,20 +385,36 @@ TEST(MachineStats, DumpReflectsTrafficAndBalances)
 
 TEST(MachineStats, ZeroPoolReusesMappingsAcrossMachineLifetimes)
 {
-    // Park this configuration's node memories in the process-wide pool,
-    // then build the same machine again: the second lifetime must be
-    // served from the pool, not from fresh mappings.
-    { Machine park; }
+    // Park an 8x8 machine's 64 node memories (512 MB of mappings, each
+    // with a few pages written) in the process-wide pool, then build the
+    // same machine again: every memory of the second lifetime must be
+    // served from the pool, none from a fresh mapping.
+    MachineConfig cfg;
+    cfg.meshWidth = 8;
+    cfg.meshHeight = 8;
+    {
+        Machine park(cfg);
+        for (NodeId i = 0; i < NodeId(park.numNodes()); ++i) {
+            mem::Memory &memory = park.node(i).memory();
+            memory.write32(PAddr(i) * PAddr(memory.pageBytes()), i + 1);
+            memory.write32(PAddr(memory.size() - 4), i + 1);
+        }
+    }
     const std::size_t reuse0 = mem::ZeroRegion::poolReuseCount();
     const std::size_t fresh0 = mem::ZeroRegion::poolFreshCount();
 
-    Machine m;
-    EXPECT_GT(mem::ZeroRegion::poolReuseCount(), reuse0)
-        << "back-to-back machine lifetimes did not reuse parked "
-           "mappings";
+    Machine m(cfg);
+    EXPECT_EQ(mem::ZeroRegion::poolReuseCount(), reuse0 + 64)
+        << "back-to-back machine lifetimes did not reuse every parked "
+           "mapping";
     EXPECT_EQ(mem::ZeroRegion::poolFreshCount(), fresh0)
         << "an identically-sized region was allocated fresh despite "
            "the pool";
+    for (NodeId i = 0; i < NodeId(m.numNodes()); ++i) {
+        mem::Memory &memory = m.node(i).memory();
+        EXPECT_EQ(memory.read32(PAddr(i) * PAddr(memory.pageBytes())), 0u);
+        EXPECT_EQ(memory.read32(PAddr(memory.size() - 4)), 0u);
+    }
 
     // The counters surface in every stats dump.
     std::ostringstream os;
