@@ -28,7 +28,7 @@
 
 #include "bench_util.hh"
 #include "net/mesh.hh"
-#include "nx/nx.hh"
+#include "scenarios.hh"
 #include "sim/simulator.hh"
 #include "vmmc/vmmc.hh"
 
@@ -75,36 +75,13 @@ auLatencyUs(NodeId dst, std::size_t size)
 double
 allPairsMs(int nprocs)
 {
-    MachineConfig cfg;
-    cfg.meshWidth = nprocs > 4 ? 4 : 2;
-    cfg.meshHeight = nprocs > 4 ? 4 : 2;
-    cfg.nodeMemBytes = 2 * units::MiB;
-    vmmc::System sys(cfg);
-    nx::NxSystem nxs(sys, nprocs);
-    sys.sim().spawn(nxs.init());
-    sys.sim().runAll();
-
-    Tick t0 = sys.sim().now();
-    for (int r = 0; r < nprocs; ++r) {
-        sys.sim().spawn([](nx::NxSystem &nxs, int r,
-                           int n) -> sim::Task<> {
-            auto &p = nxs.proc(r);
-            auto &proc = p.endpoint().proc();
-            VAddr buf = proc.alloc(4096);
-            // Everyone sends 1 KB to everyone (ring-shifted schedule).
-            for (int k = 1; k < n; ++k) {
-                int to = (r + k) % n;
-                co_await p.csend(long(100 + r), buf, 1024, to);
-            }
-            for (int k = 1; k < n; ++k) {
-                int from = (r - k + n) % n;
-                co_await p.crecv(long(100 + from), buf, 4096);
-            }
-            co_await p.gsync();
-        }(nxs, r, nprocs));
-    }
-    sys.sim().runAll();
-    return double(sys.sim().now() - t0) / 1e6;
+    // Everyone sends 1 KB to everyone (ring-shifted schedule), once.
+    bench::Params p{.size = 1024, .warmup = 0, .iters = 1};
+    p.cfg.meshWidth = nprocs > 4 ? 4 : 2;
+    p.cfg.meshHeight = nprocs > 4 ? 4 : 2;
+    p.cfg.nodeMemBytes = 2 * units::MiB;
+    bench::Run r = bench::nxAllPairs(p);
+    return double(r.t1 - r.t0) / 1e6;
 }
 
 /** Ring strides of the panel for an n-node mesh of width w: nearest

@@ -8,6 +8,7 @@
 #include "base/span.hh"
 #include "base/timeseries.hh"
 #include "base/trace.hh"
+#include "scenarios.hh"
 #include "sim/profile.hh"
 
 namespace shrimp::bench
@@ -89,6 +90,34 @@ bool
 checkDeterminismRequested()
 {
     return gCheckDeterminism;
+}
+
+std::vector<Curve>
+sweep(const std::vector<std::string> &names,
+      const std::vector<std::size_t> &lat_sizes,
+      const std::vector<std::size_t> &bw_sizes, const MeasureFn &seconds,
+      bool round_trip)
+{
+    const int iters = Params{}.iters;
+    std::vector<Curve> curves;
+    for (const std::string &name : names) {
+        Curve c;
+        c.name = name;
+        for (const auto *sizes : {&lat_sizes, &bw_sizes}) {
+            for (std::size_t s : *sizes) {
+                double secs = seconds(name, s);
+                // One-way: an iteration is two messages. Round trip: the
+                // argument and the result each carry s bytes.
+                double ns = secs * 1e9 / (round_trip ? iters : 2.0 * iters);
+                double bytes = round_trip ? 2.0 * double(s) : double(s);
+                Point &p = c.points[s];
+                p.latencyUs = ns / 1000.0;
+                p.bandwidthMBs = ns > 0.0 ? bytes * 1000.0 / ns : 0.0;
+            }
+        }
+        curves.push_back(std::move(c));
+    }
+    return curves;
 }
 
 void

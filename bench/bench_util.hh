@@ -1,9 +1,10 @@
 /**
  * @file
- * Shared helpers for the figure-reproduction benchmarks: table printing
- * in the shape of the paper's figures (one latency table for small
- * messages, one bandwidth table for large messages), ping-pong
- * bookkeeping, and google-benchmark registration glue.
+ * Shared helpers for the figure-reproduction benchmarks: the figures'
+ * size lists and per-curve sweep, table printing in the shape of the
+ * paper's figures (one latency table for small messages, one bandwidth
+ * table for large messages), and google-benchmark registration glue.
+ * The measurement loops themselves live in scenarios.hh.
  *
  * Every bench binary prints its figure's series as labelled rows and
  * then runs the registered google-benchmark entries (simulated time is
@@ -39,6 +40,17 @@ struct Curve
     std::string name;
     std::map<std::size_t, Point> points;
 };
+
+/** Latency-table rows of figures 3, 4, 5 and 7. */
+inline const std::vector<std::size_t> kLatSizes{4, 8, 16, 32, 48, 64};
+
+/** Bandwidth-table rows of figures 3, 4, 5 and 7. */
+inline const std::vector<std::size_t> kBwSizes{256,  512,  1024,
+                                               2048, 3072, 4096,
+                                               6144, 8192, 10240};
+
+/** The google-benchmark entries (and golden rows) of those figures. */
+inline const std::vector<std::size_t> kGbSizes{4, 1024, 10240};
 
 /** Print a figure banner. */
 void printBanner(const std::string &figure, const std::string &title,
@@ -95,8 +107,23 @@ void parseBenchFlags(int &argc, char **argv);
 /** Whether --check-determinism was requested. */
 bool checkDeterminismRequested();
 
+/** A registered measurement: the simulated seconds of the timed
+ *  window of @p curve at @p size. */
 using MeasureFn = std::function<double(const std::string &curve,
                                        std::size_t size)>;
+
+/**
+ * The figures' per-curve sweep: measure every curve of @p names at each
+ * size of @p lat_sizes and then of @p bw_sizes, where @p seconds times
+ * a scenario's default Params{}.iters iterations. Each iteration is a
+ * ping-pong of two one-way messages, or with @p round_trip one call
+ * whose bandwidth counts the argument and the result.
+ */
+std::vector<Curve> sweep(const std::vector<std::string> &names,
+                         const std::vector<std::size_t> &lat_sizes,
+                         const std::vector<std::size_t> &bw_sizes,
+                         const MeasureFn &seconds,
+                         bool round_trip = false);
 
 /**
  * Determinism verifier: run every (curve, size) measurement twice with
@@ -120,17 +147,6 @@ int runGoogleBenchmarks(int argc, char **argv,
                         const std::vector<Curve> &curves,
                         const std::vector<std::size_t> &sizes,
                         MeasureFn measure_seconds);
-
-/** Compute ping-pong results: @p one_way_ns per message of @p size. */
-inline Point
-pointFrom(double one_way_ns, std::size_t size)
-{
-    Point p;
-    p.latencyUs = one_way_ns / 1000.0;
-    p.bandwidthMBs =
-        one_way_ns > 0.0 ? double(size) * 1000.0 / one_way_ns : 0.0;
-    return p;
-}
 
 } // namespace shrimp::bench
 

@@ -17,12 +17,14 @@
  *            (-> receive call returns)
  *
  * The boundaries are extracted from the tick-accurate trace (base/trace)
- * recorded while replaying the exact measurement loops of the fig3 (raw
- * VMMC), fig4 (NX), and fig5 (VRPC) benchmarks. Each message window is
+ * recorded while the fig3 (raw VMMC), fig4 (NX) and fig5 (VRPC)
+ * scenarios of scenarios.hh run, with a done-mark callback that drops
+ * each message's marks on a "bench" track. Each message window is
  * [previous done-mark, done-mark] and the stage boundaries telescope
  * (each is clamped into the window and found at-or-before the next), so
- * the stage sums equal the measured end-to-end time *exactly*; the
- * printed diff%% column is the proof.
+ * the stage sums equal the measured end-to-end time *exactly*. The
+ * binary exits 1 when any row's stage sum differs from its end-to-end
+ * time by even one tick; the printed diff% column reads 0.00.
  */
 
 #include <algorithm>
@@ -33,17 +35,13 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "nx/nx.hh"
-#include "rpc/server.hh"
-#include "vmmc/vmmc.hh"
+#include "scenarios.hh"
 
 namespace
 {
 
 using namespace shrimp;
-
-constexpr int kWarmup = 2;
-constexpr int kIters = 10;
+using namespace shrimp::bench;
 
 // ---- trace extraction --------------------------------------------------
 
@@ -86,10 +84,10 @@ class EventIndex
 
 struct StageTotals
 {
-    double lib = 0, nicOut = 0, mesh = 0, dmaIn = 0, detect = 0;
+    Tick lib = 0, nicOut = 0, mesh = 0, dmaIn = 0, detect = 0;
     int msgs = 0;
 
-    double sum() const { return lib + nicOut + mesh + dmaIn + detect; }
+    Tick sum() const { return lib + nicOut + mesh + dmaIn + detect; }
 };
 
 /**
@@ -111,11 +109,11 @@ accumulateLeg(const EventIndex &idx, NodeId src, NodeId dst, Tick lo,
         idx.series("node" + s + ".nic", "pkt.injected"), dd, lo);
     Tick b = EventIndex::lastAtOrBefore(
         idx.series("node" + s + ".nic.out", "pkt.formed"), c, lo);
-    tot.lib += double(b - lo);
-    tot.nicOut += double(c - b);
-    tot.mesh += double(dd - c);
-    tot.dmaIn += double(e - dd);
-    tot.detect += double(hi - e);
+    tot.lib += b - lo;
+    tot.nicOut += c - b;
+    tot.mesh += dd - c;
+    tot.dmaIn += e - dd;
+    tot.detect += hi - e;
 }
 
 /** Bench-side marker track (one row in the trace viewer). */
@@ -159,325 +157,112 @@ beginTracedRun()
     trace::Tracer::instance().clear();
 }
 
-// ---- raw VMMC (the fig3 measurement loop, with done-marks) -------------
-
-enum class RawVariant
+/** One traced scenario run: its stage totals and its timed window. */
+struct Breakdown
 {
-    Au1copy,
-    Au2copy,
-    Du0copy,
-    Du1copy,
+    StageTotals tot;
+    Tick endToEnd = 0;
 };
 
-RawVariant
-rawVariantByName(const std::string &name)
+/** Run @p layer's scenario (raw, nx or vrpc) for @p curve at @p size
+ *  with done-marks on, and attribute every timed message to the
+ *  stages. */
+Breakdown
+measure(const std::string &layer, const std::string &curve,
+        std::size_t size)
 {
-    if (name == "AU-1copy")
-        return RawVariant::Au1copy;
-    if (name == "AU-2copy")
-        return RawVariant::Au2copy;
-    if (name == "DU-0copy")
-        return RawVariant::Du0copy;
-    return RawVariant::Du1copy;
-}
-
-struct RawSide
-{
-    vmmc::Endpoint *ep;
-    VAddr user = 0;
-    VAddr recv = 0;
-    VAddr au = 0;
-    int handle = -1;
-};
-
-sim::Task<>
-rawExportSide(RawSide &s, std::uint32_t key, std::size_t bufsz)
-{
-    node::Process &proc = s.ep->proc();
-    s.user = proc.alloc(bufsz);
-    s.recv = proc.alloc(bufsz, CacheMode::WriteThrough);
-    vmmc::Status st = co_await s.ep->exportBuffer(key, s.recv, bufsz);
-    SHRIMP_ASSERT(st == vmmc::Status::Ok, "export");
-}
-
-sim::Task<>
-rawImportSide(RawSide &s, RawSide &peer, std::uint32_t peer_key,
-              std::size_t bufsz, RawVariant v)
-{
-    node::Process &proc = s.ep->proc();
-    auto r = co_await s.ep->import(peer.ep->nodeId(), peer_key);
-    SHRIMP_ASSERT(r.status == vmmc::Status::Ok, "import");
-    s.handle = r.handle;
-    if (v == RawVariant::Au1copy || v == RawVariant::Au2copy) {
-        s.au = proc.alloc(bufsz);
-        vmmc::Status st = co_await s.ep->bindAu(s.au, bufsz, s.handle, 0);
-        SHRIMP_ASSERT(st == vmmc::Status::Ok, "bindAu");
-    }
-}
-
-sim::Task<>
-rawSendMsg(RawSide &s, std::size_t size, std::uint32_t tag, RawVariant v)
-{
-    node::Process &proc = s.ep->proc();
-    proc.poke32(VAddr(s.user + size - 4), tag);
-    switch (v) {
-      case RawVariant::Au1copy:
-      case RawVariant::Au2copy:
-        co_await proc.copy(s.au, s.user, size);
-        break;
-      case RawVariant::Du0copy:
-      case RawVariant::Du1copy:
-        co_await s.ep->send(s.handle, 0, s.user, size);
-        break;
-    }
-}
-
-sim::Task<>
-rawRecvMsg(RawSide &s, std::size_t size, std::uint32_t tag, RawVariant v)
-{
-    node::Process &proc = s.ep->proc();
-    co_await proc.waitWord32Eq(VAddr(s.recv + size - 4), tag);
-    if (v == RawVariant::Au2copy || v == RawVariant::Du1copy)
-        co_await proc.copy(s.user, s.recv, size);
-}
-
-/** One measured run; fills the stage totals and the end-to-end time. */
-void
-measureRaw(const std::string &curve, std::size_t size, StageTotals &tot,
-           double &end_to_end_ns)
-{
-    RawVariant v = rawVariantByName(curve);
     beginTracedRun();
-    vmmc::System sys;
-    auto &a = sys.createEndpoint(0);
-    auto &b = sys.createEndpoint(1);
-    RawSide sa{&a}, sb{&b};
-    Tick t0 = 0, t1 = 0;
-
-    sys.sim().spawn([](vmmc::System &sys, RawSide &sa, RawSide &sb,
-                       std::size_t size, RawVariant v, Tick &t0,
-                       Tick &t1) -> sim::Task<> {
-        std::size_t bufsz = (size + 4095) / 4096 * 4096 + 4096;
-        co_await rawExportSide(sa, 43, bufsz);
-        co_await rawExportSide(sb, 42, bufsz);
-        co_await rawImportSide(sa, sb, 42, bufsz, v);
-        co_await rawImportSide(sb, sa, 43, bufsz, v);
-        for (int i = 0; i < kWarmup + kIters; ++i) {
-            if (i == kWarmup)
-                t0 = sys.sim().now();
-            std::uint32_t tag = std::uint32_t(i + 1);
-            co_await rawSendMsg(sa, size, tag, v);
-            co_await rawRecvMsg(sb, size, tag, v);
-            mark("done.a2b", sys.sim().now());
-            co_await rawSendMsg(sb, size, tag, v);
-            co_await rawRecvMsg(sa, size, tag, v);
-            mark("done.b2a", sys.sim().now());
-        }
-        t1 = sys.sim().now();
-    }(sys, sa, sb, size, v, t0, t1));
-    sys.sim().runAll();
+    const Params p{.size = size, .mark = mark};
+    Run r = layer == "raw" ? rawPingPong(curve, p)
+            : layer == "nx" ? nxPingPong(curve, p)
+                            : vrpcNullCall(curve, p);
 
     EventIndex idx;
-    Tick prev = t0;
-    for (auto [tick, a2b] : doneMarks("done.a2b", "done.b2a", t0, t1)) {
-        accumulateLeg(idx, a2b ? 0 : 1, a2b ? 1 : 0, prev, tick, tot);
-        ++tot.msgs;
-        prev = tick;
-    }
-    end_to_end_ns = double(t1 - t0);
-}
-
-// ---- NX (the fig4 measurement loop, with done-marks) -------------------
-
-struct NxVariantSpec
-{
-    nx::SendMode mode;
-    bool inPlaceRecv;
-};
-
-NxVariantSpec
-nxVariantByName(const std::string &name)
-{
-    if (name == "AU-1copy")
-        return {nx::SendMode::AuMarshal, true};
-    if (name == "AU-2copy")
-        return {nx::SendMode::AuMarshal, false};
-    if (name == "DU-0copy")
-        return {nx::SendMode::ZeroCopy, false};
-    if (name == "DU-1copy")
-        return {nx::SendMode::DuOneCopy, false};
-    return {nx::SendMode::DuTwoCopy, false};
-}
-
-void
-measureNx(const std::string &curve, std::size_t size, StageTotals &tot,
-          double &end_to_end_ns)
-{
-    NxVariantSpec spec = nxVariantByName(curve);
-    beginTracedRun();
-    vmmc::System sys;
-    nx::NxSystem nxs(sys, 2);
-    sys.sim().spawn(nxs.init());
-    sys.sim().runAll();
-
-    Tick t0 = 0, t1 = 0;
-    auto peer = [](nx::NxSystem &nxs, int rank, std::size_t size,
-                   NxVariantSpec spec, Tick &t0, Tick &t1) -> sim::Task<> {
-        auto &p = nxs.proc(rank);
-        p.setSendMode(spec.mode);
-        auto &proc = p.endpoint().proc();
-        std::size_t bufsz = std::max<std::size_t>(size, 4) + 64;
-        VAddr buf = proc.alloc(bufsz);
-        for (int i = 0; i < kWarmup + kIters; ++i) {
-            if (rank == 0 && i == kWarmup)
-                t0 = proc.sim().now();
-            if (rank == 0) {
-                co_await p.csend(1, buf, size, 1);
-                if (spec.inPlaceRecv)
-                    co_await p.crecvInPlace(2);
-                else
-                    co_await p.crecv(2, buf, bufsz);
-                mark("done.b2a", proc.sim().now());
-            } else {
-                if (spec.inPlaceRecv)
-                    co_await p.crecvInPlace(1);
-                else
-                    co_await p.crecv(1, buf, bufsz);
-                mark("done.a2b", proc.sim().now());
-                co_await p.csend(2, buf, size, 0);
-            }
+    Breakdown b;
+    Tick prev = r.t0;
+    if (layer == "vrpc") {
+        // Each call is two legs: request (client node 0 -> server node
+        // 1) up to the server-handler entry mark, and reply (1 -> 0)
+        // from there to the call-done mark. Stage sums still tile.
+        const auto &handles = idx.series("bench", "srv.handle");
+        for (auto [tick, _] :
+             doneMarks("call.done", "call.done", r.t0, r.t1)) {
+            Tick m = EventIndex::lastAtOrBefore(handles, tick, prev);
+            accumulateLeg(idx, 0, 1, prev, m, b.tot);
+            accumulateLeg(idx, 1, 0, m, tick, b.tot);
+            ++b.tot.msgs;
+            prev = tick;
         }
-        if (rank == 0)
-            t1 = proc.sim().now();
-    };
-    sys.sim().spawn(peer(nxs, 0, size, spec, t0, t1));
-    sys.sim().spawn(peer(nxs, 1, size, spec, t0, t1));
-    sys.sim().runAll();
-
-    EventIndex idx;
-    Tick prev = t0;
-    for (auto [tick, a2b] : doneMarks("done.a2b", "done.b2a", t0, t1)) {
-        accumulateLeg(idx, a2b ? 0 : 1, a2b ? 1 : 0, prev, tick, tot);
-        ++tot.msgs;
-        prev = tick;
-    }
-    // rank 0's final crecv completes after its done-mark bookkeeping;
-    // t1 is the same tick as the last mark, so the windows tile [t0,t1].
-    end_to_end_ns = double(t1 - t0);
-}
-
-// ---- VRPC (the fig5 measurement loop, with marks) ----------------------
-
-constexpr std::uint32_t kProg = 0x30000001;
-constexpr std::uint32_t kVers = 1;
-
-void
-measureVrpc(const std::string &curve, std::size_t size, StageTotals &tot,
-            double &end_to_end_ns)
-{
-    rpc::VrpcOptions opt;
-    opt.proto = curve == "DU-1copy" ? sock::StreamProto::DuTwoCopy
-                                    : sock::StreamProto::AuTwoCopy;
-    beginTracedRun();
-    vmmc::System sys;
-    auto &server_ep = sys.createEndpoint(1);
-    auto &client_ep = sys.createEndpoint(0);
-    rpc::VrpcServer server(server_ep, 5000, opt);
-    server.registerProc(
-        kProg, kVers, 1,
-        [&sys](rpc::XdrDecoder &dec)
-            -> sim::Task<rpc::VrpcServer::ServiceResult> {
-            mark("srv.handle", sys.sim().now());
-            auto data = co_await dec.getBytes(1 << 20);
-            rpc::VrpcServer::ServiceResult r;
-            r.results = [data](rpc::XdrEncoder &enc) -> sim::Task<> {
-                co_await enc.putBytes(data.data(), data.size());
-            };
-            co_return r;
-        });
-    server.start();
-
-    Tick t0 = 0, t1 = 0;
-    sys.sim().spawn([](vmmc::System &sys, vmmc::Endpoint &ep,
-                       rpc::VrpcOptions opt, std::size_t size, Tick &t0,
-                       Tick &t1) -> sim::Task<> {
-        rpc::VrpcClient client(ep, opt);
-        bool up = co_await client.connect(1, 5000, kProg, kVers);
-        SHRIMP_ASSERT(up, "connect");
-        std::vector<std::uint8_t> arg(size, 0x5A);
-        for (int i = 0; i < kWarmup + kIters; ++i) {
-            if (i == kWarmup)
-                t0 = sys.sim().now();
-            auto st = co_await client.call(
-                1,
-                [&arg](rpc::XdrEncoder &e) -> sim::Task<> {
-                    co_await e.putBytes(arg.data(), arg.size());
-                },
-                [](rpc::XdrDecoder &d) -> sim::Task<> {
-                    co_await d.getBytes(1 << 20);
-                });
-            SHRIMP_ASSERT(st == rpc::AcceptStat::Success, "call");
-            mark("call.done", sys.sim().now());
+    } else {
+        // In NX, rank 0's final crecv completes after its done-mark
+        // bookkeeping; t1 is the same tick as the last mark, so the
+        // windows tile [t0, t1] in both ping-pongs.
+        for (auto [tick, a2b] :
+             doneMarks("done.a2b", "done.b2a", r.t0, r.t1)) {
+            accumulateLeg(idx, a2b ? 0 : 1, a2b ? 1 : 0, prev, tick,
+                          b.tot);
+            ++b.tot.msgs;
+            prev = tick;
         }
-        t1 = sys.sim().now();
-    }(sys, client_ep, opt, size, t0, t1));
-    sys.sim().runAll();
-
-    // Each call is two legs: request (client node 0 -> server node 1)
-    // up to the server-handler entry mark, and reply (1 -> 0) from
-    // there to the call-done mark. Stage sums still tile exactly.
-    EventIndex idx;
-    const auto &handles = idx.series("bench", "srv.handle");
-    Tick prev = t0;
-    for (auto [tick, _] : doneMarks("call.done", "call.done", t0, t1)) {
-        Tick m = EventIndex::lastAtOrBefore(handles, tick, prev);
-        accumulateLeg(idx, 0, 1, prev, m, tot);
-        accumulateLeg(idx, 1, 0, m, tick, tot);
-        ++tot.msgs;
-        prev = tick;
     }
-    end_to_end_ns = double(t1 - t0);
+    b.endToEnd = r.t1 - r.t0;
+    return b;
 }
 
 // ---- table printing ----------------------------------------------------
 
-using MeasureBreakdown = void (*)(const std::string &, std::size_t,
-                                  StageTotals &, double &);
+struct Layer
+{
+    const char *name;   //!< curve prefix and measure()'s layer
+    const char *header; //!< table title
+    std::vector<std::string> curves;
+};
 
-void
-printBreakdown(const std::string &header, MeasureBreakdown measure,
-               const std::vector<std::string> &curves,
-               const std::vector<std::size_t> &sizes)
+/** Print @p layer's table. @return whether every row's stage sum equals
+ *  its end-to-end time to the tick. */
+bool
+printBreakdown(const Layer &layer, const std::vector<std::size_t> &sizes)
 {
     std::vector<std::string> rows;
     std::vector<std::vector<double>> values;
     bool all_ok = true;
-    for (const std::string &curve : curves) {
+    for (const std::string &curve : layer.curves) {
         for (std::size_t size : sizes) {
-            StageTotals tot;
-            double end_to_end = 0;
-            measure(curve, size, tot, end_to_end);
+            Breakdown b = measure(layer.name, curve, size);
+            const StageTotals &tot = b.tot;
+            rows.push_back(curve + "/" + std::to_string(size));
+            if (tot.sum() != b.endToEnd) {
+                all_ok = false;
+                std::fprintf(stderr,
+                             "breakdown_latency: %s %s: stages sum to "
+                             "%llu ticks, end-to-end is %llu\n",
+                             layer.name, rows.back().c_str(),
+                             (unsigned long long)tot.sum(),
+                             (unsigned long long)b.endToEnd);
+            }
             double per = tot.msgs ? 1.0 / (1000.0 * tot.msgs) : 0.0;
-            double sum_us = tot.sum() * per;
-            double e2e_us = end_to_end * per;
+            double sum_us = double(tot.sum()) * per;
+            double e2e_us = double(b.endToEnd) * per;
             double diff_pct =
                 e2e_us > 0 ? (sum_us - e2e_us) / e2e_us * 100.0 : 0.0;
-            if (diff_pct > 1.0 || diff_pct < -1.0)
-                all_ok = false;
-            rows.push_back(curve + "/" + std::to_string(size));
-            values.push_back({tot.lib * per, tot.nicOut * per,
-                              tot.mesh * per, tot.dmaIn * per,
-                              tot.detect * per, sum_us, e2e_us,
+            values.push_back({double(tot.lib) * per,
+                              double(tot.nicOut) * per,
+                              double(tot.mesh) * per,
+                              double(tot.dmaIn) * per,
+                              double(tot.detect) * per, sum_us, e2e_us,
                               diff_pct});
         }
     }
-    shrimp::bench::printTable(
-        header + " — per-message stage breakdown (us)", rows,
-        {"lib", "nic-out", "mesh", "dma-in", "detect", "sum", "end2end",
-         "diff%"},
-        values);
-    std::printf("stage sums %s end-to-end (|diff| <= 1%%)\n\n",
-                all_ok ? "MATCH" : "DO NOT MATCH");
+    printTable(std::string(layer.header) +
+                   " — per-message stage breakdown (us)",
+               rows,
+               {"lib", "nic-out", "mesh", "dma-in", "detect", "sum",
+                "end2end", "diff%"},
+               values);
+    std::printf("%s\n\n",
+                all_ok ? "stage sums MATCH end-to-end (|diff| <= 1%)"
+                       : "stage sums DO NOT MATCH end-to-end");
+    return all_ok;
 }
 
 } // namespace
@@ -485,61 +270,49 @@ printBreakdown(const std::string &header, MeasureBreakdown measure,
 int
 main(int argc, char **argv)
 {
-    using namespace shrimp::bench;
-    shrimp::bench::parseBenchFlags(argc, argv);
+    parseBenchFlags(argc, argv);
 
     printBanner("Latency breakdown",
                 "End-to-end message time attributed to datapath stages",
                 "library overhead -> OPT/packetizer -> mesh link -> "
                 "incoming DMA -> notification/poll (sections 3-5)");
 
+    const std::vector<Layer> layers{
+        {"raw", "raw VMMC (fig3 ping-pong, one-way)",
+         {"AU-1copy", "AU-2copy", "DU-0copy", "DU-1copy"}},
+        {"nx", "NX (fig4 ping-pong, one-way)",
+         {"AU-1copy", "AU-2copy", "DU-0copy", "DU-1copy", "DU-2copy"}},
+        {"vrpc", "VRPC (fig5 null call, round trip)",
+         {"AU-1copy", "DU-1copy"}}};
+    const std::vector<std::size_t> sizes{4, 1024};
     if (!checkDeterminismRequested()) {
-        printBreakdown("raw VMMC (fig3 ping-pong, one-way)", measureRaw,
-                       {"AU-1copy", "AU-2copy", "DU-0copy", "DU-1copy"},
-                       {4, 1024});
-        printBreakdown("NX (fig4 ping-pong, one-way)", measureNx,
-                       {"AU-1copy", "AU-2copy", "DU-0copy", "DU-1copy",
-                        "DU-2copy"},
-                       {4, 1024});
-        printBreakdown("VRPC (fig5 null call, round trip)", measureVrpc,
-                       {"AU-1copy", "DU-1copy"}, {4, 1024});
+        bool exact = true;
+        for (const Layer &layer : layers)
+            exact = printBreakdown(layer, sizes) && exact;
+        if (!exact)
+            return 1;
     }
 
-    // Register every measurement loop with the shared driver so
-    // --check-determinism (and plain google-benchmark runs) replay the
-    // exact traced loops. Curve names carry a layer prefix.
-    std::vector<std::size_t> sizes{4, 1024};
+    // Register every traced run with the shared driver so
+    // --check-determinism (and plain google-benchmark runs) repeat
+    // them exactly. Curve names carry a layer prefix.
     std::vector<Curve> curves;
-    auto addCurves = [&](const char *layer,
-                         std::initializer_list<const char *> names) {
-        for (const char *name : names) {
+    for (const Layer &layer : layers) {
+        for (const std::string &name : layer.curves) {
             Curve c;
-            c.name = std::string(layer) + "/" + name;
+            c.name = std::string(layer.name) + "/" + name;
             for (std::size_t s : sizes)
                 c.points[s] = Point{};
             curves.push_back(std::move(c));
         }
-    };
-    addCurves("raw", {"AU-1copy", "AU-2copy", "DU-0copy", "DU-1copy"});
-    addCurves("nx",
-              {"AU-1copy", "AU-2copy", "DU-0copy", "DU-1copy",
-               "DU-2copy"});
-    addCurves("vrpc", {"AU-1copy", "DU-1copy"});
-
+    }
     auto dispatch = [](const std::string &curve,
                        std::size_t size) -> double {
         std::size_t slash = curve.find('/');
-        std::string layer = curve.substr(0, slash);
-        std::string variant = curve.substr(slash + 1);
-        StageTotals tot;
-        double end_to_end_ns = 0;
-        if (layer == "raw")
-            measureRaw(variant, size, tot, end_to_end_ns);
-        else if (layer == "nx")
-            measureNx(variant, size, tot, end_to_end_ns);
-        else
-            measureVrpc(variant, size, tot, end_to_end_ns);
-        return end_to_end_ns / 1e9;
+        return double(measure(curve.substr(0, slash),
+                              curve.substr(slash + 1), size)
+                          .endToEnd) /
+               1e9;
     };
     return runGoogleBenchmarks(argc, argv, curves, sizes, dispatch);
 }

@@ -15,149 +15,14 @@
  * DU one-word latency 7.6 us, DU-0copy peak bandwidth almost 23 MB/s.
  */
 
-#include <cstdio>
-
 #include "bench_util.hh"
-#include "vmmc/vmmc.hh"
-
-namespace
-{
-
-using namespace shrimp;
-
-enum class Variant
-{
-    Au1copy,
-    Au2copy,
-    Du0copy,
-    Du1copy,
-};
-
-Variant
-variantByName(const std::string &name)
-{
-    if (name == "AU-1copy")
-        return Variant::Au1copy;
-    if (name == "AU-2copy")
-        return Variant::Au2copy;
-    if (name == "DU-0copy")
-        return Variant::Du0copy;
-    return Variant::Du1copy;
-}
-
-struct Side
-{
-    vmmc::Endpoint *ep;
-    VAddr user = 0;   //!< user message buffer
-    VAddr recv = 0;   //!< exported receive region
-    VAddr au = 0;     //!< AU-bound send area (AU variants)
-    int handle = -1;  //!< import of the peer's receive region
-};
-
-constexpr int kWarmup = 2;
-constexpr int kIters = 10;
-
-sim::Task<>
-exportSide(Side &s, std::uint32_t key, std::size_t bufsz)
-{
-    node::Process &proc = s.ep->proc();
-    s.user = proc.alloc(bufsz);
-    s.recv = proc.alloc(bufsz, CacheMode::WriteThrough);
-    vmmc::Status st = co_await s.ep->exportBuffer(key, s.recv, bufsz);
-    SHRIMP_ASSERT(st == vmmc::Status::Ok, "export");
-}
-
-sim::Task<>
-importSide(Side &s, Side &peer, std::uint32_t peer_key, std::size_t bufsz,
-           Variant v)
-{
-    node::Process &proc = s.ep->proc();
-    auto r = co_await s.ep->import(peer.ep->nodeId(), peer_key);
-    SHRIMP_ASSERT(r.status == vmmc::Status::Ok, "import");
-    s.handle = r.handle;
-    if (v == Variant::Au1copy || v == Variant::Au2copy) {
-        s.au = proc.alloc(bufsz);
-        vmmc::Status st = co_await s.ep->bindAu(s.au, bufsz, s.handle, 0);
-        SHRIMP_ASSERT(st == vmmc::Status::Ok, "bindAu");
-    }
-}
-
-/** One direction of the ping-pong: send the message tagged @p tag. */
-sim::Task<>
-sendMsg(Side &s, std::size_t size, std::uint32_t tag, Variant v)
-{
-    node::Process &proc = s.ep->proc();
-    proc.poke32(VAddr(s.user + size - 4), tag);
-    switch (v) {
-      case Variant::Au1copy:
-      case Variant::Au2copy:
-        // The copy into the bound buffer is the send.
-        co_await proc.copy(s.au, s.user, size);
-        break;
-      case Variant::Du0copy:
-      case Variant::Du1copy:
-        co_await s.ep->send(s.handle, 0, s.user, size);
-        break;
-    }
-}
-
-/** Wait for the message tagged @p tag and consume it per the variant. */
-sim::Task<>
-recvMsg(Side &s, std::size_t size, std::uint32_t tag, Variant v)
-{
-    node::Process &proc = s.ep->proc();
-    co_await proc.waitWord32Eq(VAddr(s.recv + size - 4), tag);
-    if (v == Variant::Au2copy || v == Variant::Du1copy)
-        co_await proc.copy(s.user, s.recv, size);
-}
-
-/** @return simulated seconds for kIters round trips (steady state). */
-double
-measureSeconds(const std::string &curve, std::size_t size)
-{
-    Variant v = variantByName(curve);
-    vmmc::System sys;
-    auto &a = sys.createEndpoint(0);
-    auto &b = sys.createEndpoint(1);
-    Side sa{&a}, sb{&b};
-    Tick t0 = 0, t1 = 0;
-
-    sys.sim().spawn([](vmmc::System &sys, Side &sa, Side &sb,
-                       std::size_t size, Variant v, Tick &t0,
-                       Tick &t1) -> sim::Task<> {
-        std::size_t bufsz = (size + 4095) / 4096 * 4096 + 4096;
-        co_await exportSide(sa, 43, bufsz);
-        co_await exportSide(sb, 42, bufsz);
-        co_await importSide(sa, sb, 42, bufsz, v);
-        co_await importSide(sb, sa, 43, bufsz, v);
-        for (int i = 0; i < kWarmup + kIters; ++i) {
-            if (i == kWarmup)
-                t0 = sys.sim().now();
-            std::uint32_t tag = std::uint32_t(i + 1);
-            co_await sendMsg(sa, size, tag, v);
-            co_await recvMsg(sb, size, tag, v);
-            co_await sendMsg(sb, size, tag, v);
-            co_await recvMsg(sa, size, tag, v);
-        }
-        t1 = sys.sim().now();
-    }(sys, sa, sb, size, v, t0, t1));
-    sys.sim().runAll();
-    return double(t1 - t0) / 1e9;
-}
-
-double
-oneWayNs(const std::string &curve, std::size_t size)
-{
-    return measureSeconds(curve, size) * 1e9 / (2.0 * kIters);
-}
-
-} // namespace
+#include "scenarios.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace shrimp::bench;
-    shrimp::bench::parseBenchFlags(argc, argv);
+    parseBenchFlags(argc, argv);
 
     printBanner("Figure 3",
                 "Latency and bandwidth delivered by the SHRIMP VMMC "
@@ -165,23 +30,13 @@ main(int argc, char **argv)
                 "AU 1-word 4.75 us; DU 1-word 7.6 us; DU-0copy peak "
                 "~23 MB/s; AU-1copy slightly below DU-0copy at 10 KB");
 
-    std::vector<std::size_t> lat_sizes{4, 8, 16, 32, 48, 64};
-    std::vector<std::size_t> bw_sizes{256,  512,  1024, 2048, 3072,
-                                      4096, 6144, 8192, 10240};
-    std::vector<Curve> curves;
-    for (const char *name :
-         {"AU-1copy", "AU-2copy", "DU-0copy", "DU-1copy"}) {
-        Curve c;
-        c.name = name;
-        for (std::size_t s : lat_sizes)
-            c.points[s] = pointFrom(oneWayNs(name, s), s);
-        for (std::size_t s : bw_sizes)
-            c.points[s] = pointFrom(oneWayNs(name, s), s);
-        curves.push_back(std::move(c));
-    }
-    printFigure(curves, lat_sizes, bw_sizes);
-
-    std::vector<std::size_t> gb_sizes{4, 1024, 10240};
-    return runGoogleBenchmarks(argc, argv, curves, gb_sizes,
+    auto measureSeconds = [](const std::string &curve, std::size_t size) {
+        return rawPingPong(curve, {.size = size}).seconds();
+    };
+    std::vector<Curve> curves =
+        sweep({"AU-1copy", "AU-2copy", "DU-0copy", "DU-1copy"}, kLatSizes,
+              kBwSizes, measureSeconds);
+    printFigure(curves, kLatSizes, kBwSizes);
+    return runGoogleBenchmarks(argc, argv, curves, kGbSizes,
                                measureSeconds);
 }

@@ -24,94 +24,13 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "nx/nx.hh"
-
-namespace
-{
-
-using namespace shrimp;
-
-struct VariantSpec
-{
-    nx::SendMode mode;
-    bool inPlaceRecv;
-};
-
-VariantSpec
-variantByName(const std::string &name)
-{
-    if (name == "AU-1copy")
-        return {nx::SendMode::AuMarshal, true};
-    if (name == "AU-2copy")
-        return {nx::SendMode::AuMarshal, false};
-    if (name == "DU-0copy")
-        return {nx::SendMode::ZeroCopy, false};
-    if (name == "DU-1copy")
-        return {nx::SendMode::DuOneCopy, false};
-    if (name == "DU-2copy")
-        return {nx::SendMode::DuTwoCopy, false};
-    return {nx::SendMode::Auto, false};
-}
-
-constexpr int kWarmup = 2;
-constexpr int kIters = 10;
-
-double
-measureSeconds(const std::string &curve, std::size_t size)
-{
-    VariantSpec spec = variantByName(curve);
-    vmmc::System sys;
-    nx::NxSystem nxs(sys, 2);
-    sys.sim().spawn(nxs.init());
-    sys.sim().runAll();
-
-    Tick t0 = 0, t1 = 0;
-    auto peer = [](nx::NxSystem &nxs, int rank, std::size_t size,
-                   VariantSpec spec, Tick &t0, Tick &t1) -> sim::Task<> {
-        auto &p = nxs.proc(rank);
-        p.setSendMode(spec.mode);
-        auto &proc = p.endpoint().proc();
-        std::size_t bufsz = std::max<std::size_t>(size, 4) + 64;
-        VAddr buf = proc.alloc(bufsz);
-        for (int i = 0; i < kWarmup + kIters; ++i) {
-            if (rank == 0 && i == kWarmup)
-                t0 = proc.sim().now();
-            if (rank == 0) {
-                co_await p.csend(1, buf, size, 1);
-                if (spec.inPlaceRecv)
-                    co_await p.crecvInPlace(2);
-                else
-                    co_await p.crecv(2, buf, bufsz);
-            } else {
-                if (spec.inPlaceRecv)
-                    co_await p.crecvInPlace(1);
-                else
-                    co_await p.crecv(1, buf, bufsz);
-                co_await p.csend(2, buf, size, 0);
-            }
-        }
-        if (rank == 0)
-            t1 = proc.sim().now();
-    };
-    sys.sim().spawn(peer(nxs, 0, size, spec, t0, t1));
-    sys.sim().spawn(peer(nxs, 1, size, spec, t0, t1));
-    sys.sim().runAll();
-    return double(t1 - t0) / 1e9;
-}
-
-double
-oneWayNs(const std::string &curve, std::size_t size)
-{
-    return measureSeconds(curve, size) * 1e9 / (2.0 * kIters);
-}
-
-} // namespace
+#include "scenarios.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace shrimp::bench;
-    shrimp::bench::parseBenchFlags(argc, argv);
+    parseBenchFlags(argc, argv);
 
     printBanner("Figure 4",
                 "NX latency and bandwidth (2-process ping-pong)",
@@ -119,37 +38,26 @@ main(int argc, char **argv)
                 "trade-off crossover; bump at the protocol switch; "
                 "large messages approach the raw hardware limit");
 
-    std::vector<std::size_t> lat_sizes{4, 8, 16, 32, 48, 64};
-    std::vector<std::size_t> bw_sizes{256,  512,  1024, 2048, 3072,
-                                      4096, 6144, 8192, 10240};
-    std::vector<Curve> curves;
-    for (const char *name : {"AU-1copy", "AU-2copy", "DU-0copy",
-                             "DU-1copy", "DU-2copy"}) {
-        Curve c;
-        c.name = name;
-        for (std::size_t s : lat_sizes)
-            c.points[s] = pointFrom(oneWayNs(name, s), s);
-        for (std::size_t s : bw_sizes)
-            c.points[s] = pointFrom(oneWayNs(name, s), s);
-        curves.push_back(std::move(c));
-    }
-    printFigure(curves, lat_sizes, bw_sizes);
+    auto measureSeconds = [](const std::string &curve, std::size_t size) {
+        return nxPingPong(curve, {.size = size}).seconds();
+    };
+    std::vector<Curve> curves =
+        sweep({"AU-1copy", "AU-2copy", "DU-0copy", "DU-1copy", "DU-2copy"},
+              kLatSizes, kBwSizes, measureSeconds);
+    printFigure(curves, kLatSizes, kBwSizes);
 
     // The "Auto" protocol the library ships with: shows the bump where
     // the small-message protocol hands over to the zero-copy protocol.
-    {
-        Curve c;
-        c.name = "Auto";
-        std::vector<std::size_t> sweep{256, 512, 768, 1024, 1280,
-                                       1536, 2048, 4096};
-        for (std::size_t s : sweep)
-            c.points[s] = pointFrom(oneWayNs("Auto", s), s);
-        std::printf("default protocol (small -> zero-copy switch at "
-                    "1 KB):\n");
-        printFigure({c}, {}, sweep);
-    }
+    const std::vector<std::size_t> auto_sizes{256,  512,  768,  1024,
+                                              1280, 1536, 2048, 4096};
+    std::vector<Curve> auto_curve =
+        sweep({"Auto"}, {}, auto_sizes, measureSeconds);
+    std::printf("default protocol (small -> zero-copy switch at "
+                "1 KB):\n");
+    printFigure(auto_curve, {}, auto_sizes);
 
-    std::vector<std::size_t> gb_sizes{4, 1024, 10240};
-    return runGoogleBenchmarks(argc, argv, curves, gb_sizes,
+    // Auto's golden rows straddle NxOptions::largeThreshold (1 KB).
+    curves.push_back(std::move(auto_curve.front()));
+    return runGoogleBenchmarks(argc, argv, curves, {4, 1024, 1280, 10240},
                                measureSeconds);
 }

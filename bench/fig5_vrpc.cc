@@ -13,114 +13,28 @@
  * for large arguments.
  */
 
-#include <cstdio>
-
 #include "bench_util.hh"
-#include "rpc/server.hh"
-
-namespace
-{
-
-using namespace shrimp;
-
-constexpr std::uint32_t kProg = 0x30000001;
-constexpr std::uint32_t kVers = 1;
-constexpr int kWarmup = 2;
-constexpr int kIters = 10;
-
-double
-measureSeconds(const std::string &curve, std::size_t size)
-{
-    rpc::VrpcOptions opt;
-    opt.proto = curve == "DU-1copy" ? sock::StreamProto::DuTwoCopy
-                                    : sock::StreamProto::AuTwoCopy;
-
-    vmmc::System sys;
-    auto &server_ep = sys.createEndpoint(1);
-    auto &client_ep = sys.createEndpoint(0);
-    rpc::VrpcServer server(server_ep, 5000, opt);
-    server.registerProc(
-        kProg, kVers, 1,
-        [](rpc::XdrDecoder &dec)
-            -> sim::Task<rpc::VrpcServer::ServiceResult> {
-            auto data = co_await dec.getBytes(1 << 20);
-            rpc::VrpcServer::ServiceResult r;
-            r.results = [data](rpc::XdrEncoder &enc) -> sim::Task<> {
-                co_await enc.putBytes(data.data(), data.size());
-            };
-            co_return r;
-        });
-    server.start();
-
-    Tick t0 = 0, t1 = 0;
-    sys.sim().spawn([](vmmc::System &sys, vmmc::Endpoint &ep,
-                       rpc::VrpcOptions opt, std::size_t size, Tick &t0,
-                       Tick &t1) -> sim::Task<> {
-        rpc::VrpcClient client(ep, opt);
-        bool up = co_await client.connect(1, 5000, kProg, kVers);
-        SHRIMP_ASSERT(up, "connect");
-        std::vector<std::uint8_t> arg(size, 0x5A);
-        for (int i = 0; i < kWarmup + kIters; ++i) {
-            if (i == kWarmup)
-                t0 = sys.sim().now();
-            auto st = co_await client.call(
-                1,
-                [&arg](rpc::XdrEncoder &e) -> sim::Task<> {
-                    co_await e.putBytes(arg.data(), arg.size());
-                },
-                [](rpc::XdrDecoder &d) -> sim::Task<> {
-                    co_await d.getBytes(1 << 20);
-                });
-            SHRIMP_ASSERT(st == rpc::AcceptStat::Success, "call");
-        }
-        t1 = sys.sim().now();
-    }(sys, client_ep, opt, size, t0, t1));
-    sys.sim().runAll();
-    return double(t1 - t0) / 1e9;
-}
-
-/** Round-trip latency per call; "bandwidth" counts the argument and
- *  the result (N bytes each way per call). */
-shrimp::bench::Point
-measurePoint(const std::string &curve, std::size_t size)
-{
-    double rt_ns = measureSeconds(curve, size) * 1e9 / kIters;
-    shrimp::bench::Point p;
-    p.latencyUs = rt_ns / 1000.0;
-    p.bandwidthMBs = rt_ns > 0 ? 2.0 * double(size) * 1000.0 / rt_ns : 0;
-    return p;
-}
-
-} // namespace
+#include "scenarios.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace shrimp::bench;
-    shrimp::bench::parseBenchFlags(argc, argv);
+    parseBenchFlags(argc, argv);
 
     printBanner("Figure 5",
                 "VRPC latency and bandwidth vs argument/result size",
                 "~29 us null round trip; bandwidth approaches the "
                 "one-copy limit for large arguments");
 
-    std::vector<std::size_t> lat_sizes{4, 8, 16, 32, 48, 64};
-    std::vector<std::size_t> bw_sizes{256,  512,  1024, 2048, 3072,
-                                      4096, 6144, 8192, 10240};
-    std::vector<Curve> curves;
-    for (const char *name : {"AU-1copy", "DU-1copy"}) {
-        Curve c;
-        c.name = name;
-        for (std::size_t s : lat_sizes)
-            c.points[s] = measurePoint(name, s);
-        for (std::size_t s : bw_sizes)
-            c.points[s] = measurePoint(name, s);
-        curves.push_back(std::move(c));
-    }
-    printFigure(curves, lat_sizes, bw_sizes,
-                "round-trip latency (us)");
-
-    std::vector<std::size_t> gb_sizes{4, 1024, 10240};
-    return runGoogleBenchmarks(argc, argv, curves, gb_sizes,
+    auto measureSeconds = [](const std::string &curve, std::size_t size) {
+        return vrpcNullCall(curve, {.size = size}).seconds();
+    };
+    // Round-trip latency per call; "bandwidth" counts the argument and
+    // the result (N bytes each way per call).
+    std::vector<Curve> curves = sweep({"AU-1copy", "DU-1copy"}, kLatSizes,
+                                      kBwSizes, measureSeconds, true);
+    printFigure(curves, kLatSizes, kBwSizes, "round-trip latency (us)");
+    return runGoogleBenchmarks(argc, argv, curves, kGbSizes,
                                measureSeconds);
 }

@@ -12,110 +12,27 @@
  * to the raw one-copy limit.
  */
 
-#include <cstdio>
-
 #include "bench_util.hh"
-#include "sock/socket.hh"
-
-namespace
-{
-
-using namespace shrimp;
-
-constexpr int kWarmup = 2;
-constexpr int kIters = 10;
-
-sock::StreamProto
-protoByName(const std::string &name)
-{
-    if (name == "AU-2copy")
-        return sock::StreamProto::AuTwoCopy;
-    if (name == "DU-1copy")
-        return sock::StreamProto::DuOneCopy;
-    return sock::StreamProto::DuTwoCopy;
-}
-
-double
-measureSeconds(const std::string &curve, std::size_t size)
-{
-    sock::SockOptions opt;
-    opt.proto = protoByName(curve);
-    // Keep the ring comfortably larger than one message.
-    opt.ringBytes =
-        std::max<std::size_t>(8192, (2 * size + 4095) / 4096 * 4096);
-
-    vmmc::System sys;
-    auto &server_ep = sys.createEndpoint(1);
-    auto &client_ep = sys.createEndpoint(0);
-    Tick t0 = 0, t1 = 0;
-
-    sys.sim().spawn([](vmmc::Endpoint &ep, sock::SockOptions opt,
-                       std::size_t size) -> sim::Task<> {
-        sock::SocketLib lib(ep, opt);
-        int ls = co_await lib.socket();
-        co_await lib.listen(ls, 4000);
-        int fd = co_await lib.accept(ls);
-        VAddr buf = ep.proc().alloc(size + 64);
-        for (int i = 0; i < kWarmup + kIters; ++i) {
-            co_await lib.recvAll(fd, buf, size);
-            co_await lib.send(fd, buf, size);
-        }
-    }(server_ep, opt, size));
-    sys.sim().spawn([](vmmc::Endpoint &ep, sock::SockOptions opt,
-                       std::size_t size, Tick &t0, Tick &t1)
-                        -> sim::Task<> {
-        sock::SocketLib lib(ep, opt);
-        int fd = co_await lib.socket();
-        int rc = co_await lib.connect(fd, 1, 4000);
-        SHRIMP_ASSERT(rc == 0, "connect");
-        VAddr buf = ep.proc().alloc(size + 64);
-        for (int i = 0; i < kWarmup + kIters; ++i) {
-            if (i == kWarmup)
-                t0 = ep.proc().sim().now();
-            co_await lib.send(fd, buf, size);
-            co_await lib.recvAll(fd, buf, size);
-        }
-        t1 = ep.proc().sim().now();
-    }(client_ep, opt, size, t0, t1));
-    sys.sim().runAll();
-    return double(t1 - t0) / 1e9;
-}
-
-double
-oneWayNs(const std::string &curve, std::size_t size)
-{
-    return measureSeconds(curve, size) * 1e9 / (2.0 * kIters);
-}
-
-} // namespace
+#include "scenarios.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace shrimp::bench;
-    shrimp::bench::parseBenchFlags(argc, argv);
+    parseBenchFlags(argc, argv);
 
     printBanner("Figure 7",
                 "Socket latency and bandwidth (stream ping-pong)",
                 "~13 us library overhead at small sizes; large "
                 "messages near the raw one-copy limit");
 
-    std::vector<std::size_t> lat_sizes{4, 8, 16, 32, 48, 64};
-    std::vector<std::size_t> bw_sizes{256,  512,  1024, 2048, 3072,
-                                      4096, 6144, 8192, 10240};
-    std::vector<Curve> curves;
-    for (const char *name : {"AU-2copy", "DU-1copy", "DU-2copy"}) {
-        Curve c;
-        c.name = name;
-        for (std::size_t s : lat_sizes)
-            c.points[s] = pointFrom(oneWayNs(name, s), s);
-        for (std::size_t s : bw_sizes)
-            c.points[s] = pointFrom(oneWayNs(name, s), s);
-        curves.push_back(std::move(c));
-    }
-    printFigure(curves, lat_sizes, bw_sizes);
-
-    std::vector<std::size_t> gb_sizes{4, 1024, 10240};
-    return runGoogleBenchmarks(argc, argv, curves, gb_sizes,
+    auto measureSeconds = [](const std::string &curve, std::size_t size) {
+        return sockPingPong(curve, {.size = size}).seconds();
+    };
+    std::vector<Curve> curves =
+        sweep({"AU-2copy", "DU-1copy", "DU-2copy"}, kLatSizes, kBwSizes,
+              measureSeconds);
+    printFigure(curves, kLatSizes, kBwSizes);
+    return runGoogleBenchmarks(argc, argv, curves, kGbSizes,
                                measureSeconds);
 }

@@ -15,137 +15,31 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "rpc/server.hh"
-#include "srpc/srpc.hh"
-
-namespace
-{
-
-using namespace shrimp;
-
-constexpr int kWarmup = 2;
-constexpr int kIters = 10;
-
-double
-measureCompatible(std::size_t size)
-{
-    vmmc::System sys;
-    auto &server_ep = sys.createEndpoint(1);
-    auto &client_ep = sys.createEndpoint(0);
-    rpc::VrpcServer server(server_ep, 5000);
-    server.registerProc(
-        0x400, 1, 1,
-        [](rpc::XdrDecoder &dec)
-            -> sim::Task<rpc::VrpcServer::ServiceResult> {
-            auto data = co_await dec.getBytes(1 << 20);
-            rpc::VrpcServer::ServiceResult r;
-            // INOUT: the argument is also the result.
-            r.results = [data](rpc::XdrEncoder &enc) -> sim::Task<> {
-                co_await enc.putBytes(data.data(), data.size());
-            };
-            co_return r;
-        });
-    server.start();
-
-    Tick t0 = 0, t1 = 0;
-    sys.sim().spawn([](vmmc::Endpoint &ep, std::size_t size, Tick &t0,
-                       Tick &t1) -> sim::Task<> {
-        rpc::VrpcClient client(ep);
-        bool up = co_await client.connect(1, 5000, 0x400, 1);
-        SHRIMP_ASSERT(up, "connect");
-        std::vector<std::uint8_t> arg(size, 1);
-        for (int i = 0; i < kWarmup + kIters; ++i) {
-            if (i == kWarmup)
-                t0 = ep.proc().sim().now();
-            co_await client.call(
-                1,
-                [&arg](rpc::XdrEncoder &e) -> sim::Task<> {
-                    co_await e.putBytes(arg.data(), arg.size());
-                },
-                [](rpc::XdrDecoder &d) -> sim::Task<> {
-                    co_await d.getBytes(1 << 20);
-                });
-        }
-        t1 = ep.proc().sim().now();
-    }(client_ep, size, t0, t1));
-    sys.sim().runAll();
-    return double(t1 - t0) / 1e9;
-}
-
-double
-measureNonCompatible(std::size_t size)
-{
-    vmmc::System sys;
-    auto &server_ep = sys.createEndpoint(1);
-    auto &client_ep = sys.createEndpoint(0);
-
-    srpc::Interface iface;
-    std::size_t param = std::max<std::size_t>(size, 4);
-    std::uint32_t proc_id =
-        iface.defineProc("nullinout", {{srpc::Dir::InOut, param}});
-    srpc::SrpcServer server(server_ep, iface, 6000);
-    // Null procedure: the INOUT values are returned untouched; whatever
-    // the procedure writes propagates via automatic update.
-    server.registerProc(proc_id, [](srpc::ServerCall &) -> sim::Task<> {
-        co_return;
-    });
-    server.start();
-
-    Tick t0 = 0, t1 = 0;
-    sys.sim().spawn([](vmmc::Endpoint &ep, const srpc::Interface &iface,
-                       std::uint32_t proc_id, std::size_t param, Tick &t0,
-                       Tick &t1) -> sim::Task<> {
-        srpc::SrpcClient client(ep, iface);
-        bool up = co_await client.bind(1, 6000);
-        SHRIMP_ASSERT(up, "bind");
-        std::vector<std::uint8_t> arg(param, 1);
-        for (int i = 0; i < kWarmup + kIters; ++i) {
-            if (i == kWarmup)
-                t0 = ep.proc().sim().now();
-            std::vector<srpc::Param> ps{srpc::inout(arg.data(), param)};
-            co_await client.call(proc_id, ps);
-        }
-        t1 = ep.proc().sim().now();
-    }(client_ep, iface, proc_id, param, t0, t1));
-    sys.sim().runAll();
-    return double(t1 - t0) / 1e9;
-}
-
-double
-measureSeconds(const std::string &curve, std::size_t size)
-{
-    return curve == "compatible" ? measureCompatible(size)
-                                 : measureNonCompatible(size);
-}
-
-} // namespace
+#include "scenarios.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace shrimp::bench;
-    shrimp::bench::parseBenchFlags(argc, argv);
+    parseBenchFlags(argc, argv);
 
     printBanner("Figure 8",
                 "Null RPC round trip, single INOUT argument: "
                 "SunRPC-compatible VRPC vs specialized SHRIMP RPC",
                 "9.5 us vs 29 us small (>3x); ~2x at 1000 bytes");
 
-    std::vector<std::size_t> sizes{4,   100, 200, 300, 400, 500,
-                                   600, 700, 800, 900, 1000};
-    std::vector<Curve> curves;
-    for (const char *name : {"compatible", "non-compat"}) {
-        Curve c;
-        c.name = name;
-        for (std::size_t s : sizes) {
-            double rt_ns = measureSeconds(name, s) * 1e9 / kIters;
-            Point p;
-            p.latencyUs = rt_ns / 1000.0;
-            p.bandwidthMBs = 2.0 * double(s) * 1000.0 / rt_ns;
-            c.points[s] = p;
-        }
-        curves.push_back(std::move(c));
-    }
+    // Both in their fastest configuration: VRPC over the AU stream, and
+    // SHRIMP RPC, whose INOUT values ride automatic update.
+    auto measureSeconds = [](const std::string &curve, std::size_t size) {
+        Params p{.size = size};
+        return (curve == "compatible" ? vrpcNullCall("AU-1copy", p)
+                                      : srpcNullCall(p))
+            .seconds();
+    };
+    const std::vector<std::size_t> sizes{4,   100, 200, 300, 400, 500,
+                                         600, 700, 800, 900, 1000};
+    std::vector<Curve> curves = sweep({"compatible", "non-compat"}, sizes,
+                                      {}, measureSeconds, true);
     printFigure(curves, sizes, {}, "round-trip time (us)");
 
     std::printf("speedup (compatible / non-compatible):\n");
@@ -156,7 +50,6 @@ main(int argc, char **argv)
     }
     std::printf("\n");
 
-    std::vector<std::size_t> gb_sizes{4, 1000};
-    return runGoogleBenchmarks(argc, argv, curves, gb_sizes,
+    return runGoogleBenchmarks(argc, argv, curves, {4, 1000},
                                measureSeconds);
 }

@@ -6,19 +6,20 @@
  * a mesh or workload the reproduction can explore (SimBricks-style:
  * host throughput is the scaling limit of full-stack simulation).
  *
- * Six representative workloads:
- *   vmmc_pingpong   fig3-style raw VMMC DU-0copy ping-pong, 4-byte
+ * Six representative workloads, five of them the figure benches' own
+ * scenarios (scenarios.hh) run without warm-up:
+ *   vmmc_pingpong   fig3's raw VMMC DU-0copy ping-pong, 4-byte
  *                   messages — flag-poll dominated (Memory watchpoints)
  *   poll_fanout     8 service tasks poll distinct flag words while a
- *                   4 KB AU stream lands on the same node — the
- *                   wakeup-storm workload targeted wakeups defuse
- *   au_stream       fig3-style AU-1copy ping-pong, 10 KB messages — the
- *                   wakeup-storm workload: each message arrives as ~20
- *                   packet writes while the receiver polls one word
- *   nx_exchange     fig4-style 2-rank NX csend/crecv ping-pong, 1 KB —
- *                   library poll loops + packetization
- *   sock_stream     ttcp-style one-way socket pump, 7 KB records —
- *                   ring flow control, AU combining
+ *                   4 KB AU stream lands on the same node — each poller
+ *                   sleeps on its own word, so the stream wakes none
+ *   au_stream       fig3's AU-1copy ping-pong, 10 KB messages — each
+ *                   message arrives as ~20 packet writes while the
+ *                   receiver polls one word
+ *   nx_exchange     fig4's 2-rank NX ping-pong (Auto), 1 KB — library
+ *                   poll loops + packetization
+ *   sock_stream     the ttcp one-way socket pump, 7 KB records — ring
+ *                   flow control, AU combining
  *   mesh_allpairs   ablate_mesh_scale's all-pairs 1 KB NX exchange on
  *                   16 ranks (4x4) — the scaling workload
  *
@@ -50,25 +51,20 @@
 #include <string>
 #include <vector>
 
-#include "nx/nx.hh"
-#include "sock/socket.hh"
+#include "scenarios.hh"
 #include "vmmc/vmmc.hh"
 
 namespace
 {
 
 using namespace shrimp;
+using bench::Run;
 
 // ---- workloads ------------------------------------------------------------
-// Each returns the number of events the simulator processed; simulated
-// results are identical every call (the determinism the figure benches
-// verify), so reps differ only in host time.
-
-struct WorkResult
-{
-    std::uint64_t events = 0;
-    Tick simulatedNs = 0;
-};
+// Each returns the number of events the simulator processed and the
+// tick at which it drained; simulated results are identical every call
+// (the determinism the figure benches verify), so reps differ only in
+// host time.
 
 /** Baseline 2x2 config with node memory trimmed to 2 MiB, so each
  *  rep's fixed setup (zeroing memory, sizing the NIC page tables)
@@ -82,102 +78,13 @@ fastCfg()
     return cfg;
 }
 
-/** fig3 DU-0copy ping-pong, 4-byte messages: the canonical
- *  flag-poll-dominated workload (every iteration sleeps on a memory
- *  watchpoint and wakes on the delivery DMA). */
-WorkResult
-vmmcPingpong(int iters)
-{
-    vmmc::System sys(fastCfg());
-    auto &a = sys.createEndpoint(0);
-    auto &b = sys.createEndpoint(1);
-    Tick t1 = 0;
-
-    sys.sim().spawn([](vmmc::System &sys, vmmc::Endpoint &a,
-                       vmmc::Endpoint &b, int iters,
-                       Tick &t1) -> sim::Task<> {
-        const std::size_t bufsz = 8192;
-        node::Process &pa = a.proc();
-        node::Process &pb = b.proc();
-        VAddr user_a = pa.alloc(bufsz);
-        VAddr recv_a = pa.alloc(bufsz, CacheMode::WriteThrough);
-        VAddr user_b = pb.alloc(bufsz);
-        VAddr recv_b = pb.alloc(bufsz, CacheMode::WriteThrough);
-        co_await a.exportBuffer(1, recv_a, bufsz);
-        co_await b.exportBuffer(2, recv_b, bufsz);
-        auto ra = co_await a.import(b.nodeId(), 2);
-        auto rb = co_await b.import(a.nodeId(), 1);
-        for (int i = 1; i <= iters; ++i) {
-            std::uint32_t tag = std::uint32_t(i);
-            pa.poke32(user_a, tag);
-            co_await a.send(ra.handle, 0, user_a, 4);
-            co_await pb.waitWord32Eq(recv_b, tag);
-            pb.poke32(user_b, tag);
-            co_await b.send(rb.handle, 0, user_b, 4);
-            co_await pa.waitWord32Eq(recv_a, tag);
-        }
-        t1 = sys.sim().now();
-    }(sys, a, b, iters, t1));
-    std::uint64_t n = sys.sim().runAll();
-    return {n, t1};
-}
-
-/** fig3 AU-1copy ping-pong, 10 KB messages: the sender's copy into the
- *  AU-bound buffer streams out as ~20 packets, each landing as a write
- *  to the receiver's memory while the receiver polls the tag word. */
-WorkResult
-auStream(int iters)
-{
-    vmmc::System sys(fastCfg());
-    auto &a = sys.createEndpoint(0);
-    auto &b = sys.createEndpoint(1);
-    Tick t1 = 0;
-
-    sys.sim().spawn([](vmmc::System &sys, vmmc::Endpoint &a,
-                       vmmc::Endpoint &b, int iters,
-                       Tick &t1) -> sim::Task<> {
-        const std::size_t size = 10240;
-        const std::size_t bufsz = 12288; // page-aligned (bindAu needs it)
-        node::Process &pa = a.proc();
-        node::Process &pb = b.proc();
-        VAddr user_a = pa.alloc(bufsz);
-        VAddr recv_a = pa.alloc(bufsz, CacheMode::WriteThrough);
-        VAddr user_b = pb.alloc(bufsz);
-        VAddr recv_b = pb.alloc(bufsz, CacheMode::WriteThrough);
-        vmmc::Status st = co_await a.exportBuffer(1, recv_a, bufsz);
-        SHRIMP_ASSERT(st == vmmc::Status::Ok, "export a");
-        st = co_await b.exportBuffer(2, recv_b, bufsz);
-        SHRIMP_ASSERT(st == vmmc::Status::Ok, "export b");
-        auto ra = co_await a.import(b.nodeId(), 2);
-        auto rb = co_await b.import(a.nodeId(), 1);
-        VAddr au_a = pa.alloc(bufsz);
-        VAddr au_b = pb.alloc(bufsz);
-        st = co_await a.bindAu(au_a, bufsz, ra.handle, 0);
-        SHRIMP_ASSERT(st == vmmc::Status::Ok, "bindAu a");
-        st = co_await b.bindAu(au_b, bufsz, rb.handle, 0);
-        SHRIMP_ASSERT(st == vmmc::Status::Ok, "bindAu b");
-        for (int i = 1; i <= iters; ++i) {
-            std::uint32_t tag = std::uint32_t(i);
-            pa.poke32(VAddr(user_a + size - 4), tag);
-            co_await pa.copy(au_a, user_a, size);
-            co_await pb.waitWord32Eq(VAddr(recv_b + size - 4), tag);
-            pb.poke32(VAddr(user_b + size - 4), tag);
-            co_await pb.copy(au_b, user_b, size);
-            co_await pa.waitWord32Eq(VAddr(recv_a + size - 4), tag);
-        }
-        t1 = sys.sim().now();
-    }(sys, a, b, iters, t1));
-    std::uint64_t n = sys.sim().runAll();
-    return {n, t1};
-}
-
 /** Wakeup-storm fan-out: 8 service tasks on node 1 each poll their own
  *  flag word while the peer streams 4 KB of AU data (~8 packet writes)
  *  into a bulk buffer on the same node every round, then taps each
  *  flag. Models a server polling many receive buffers (NX posted
  *  receives, multi-connection sockets). Each poller sleeps on its own
  *  flag word, so the bulk stream wakes nobody. */
-WorkResult
+Run
 pollFanout(int iters)
 {
     constexpr int pollers = 8;
@@ -226,112 +133,10 @@ pollFanout(int iters)
             }
         }
     }(sys, a, b, iters));
-    std::uint64_t n = sys.sim().runAll();
-    return {n, sys.sim().now()};
-}
-
-/** fig4-style 2-rank NX ping-pong, 1 KB messages. */
-WorkResult
-nxExchange(int iters)
-{
-    vmmc::System sys(fastCfg());
-    nx::NxSystem nxs(sys, 2);
-    sys.sim().spawn(nxs.init());
-    std::uint64_t n = sys.sim().runAll();
-
-    auto peer = [](nx::NxSystem &nxs, int rank, int iters) -> sim::Task<> {
-        auto &p = nxs.proc(rank);
-        auto &proc = p.endpoint().proc();
-        VAddr buf = proc.alloc(2048);
-        for (int i = 0; i < iters; ++i) {
-            if (rank == 0) {
-                co_await p.csend(1, buf, 1024, 1);
-                co_await p.crecv(2, buf, 2048);
-            } else {
-                co_await p.crecv(1, buf, 2048);
-                co_await p.csend(2, buf, 1024, 0);
-            }
-        }
-    };
-    sys.sim().spawn(peer(nxs, 0, iters));
-    sys.sim().spawn(peer(nxs, 1, iters));
-    n += sys.sim().runAll();
-    return {n, sys.sim().now()};
-}
-
-/** ttcp-style one-way socket pump: @p records x 7 KB. */
-WorkResult
-sockStream(int records)
-{
-    const std::size_t record = 7168;
-    const std::size_t total = std::size_t(records) * record;
-    vmmc::System sys(fastCfg());
-    auto &sink_ep = sys.createEndpoint(1);
-    auto &src_ep = sys.createEndpoint(0);
-
-    sys.sim().spawn([](vmmc::Endpoint &ep, std::size_t record,
-                       std::size_t total) -> sim::Task<> {
-        sock::SocketLib lib(ep);
-        int ls = co_await lib.socket();
-        co_await lib.listen(ls, 4000);
-        int fd = co_await lib.accept(ls);
-        VAddr buf = ep.proc().alloc(record + 64);
-        std::size_t got = 0;
-        while (got < total) {
-            long n = co_await lib.recv(fd, buf, record);
-            if (n <= 0)
-                break;
-            got += std::size_t(n);
-        }
-    }(sink_ep, record, total));
-    sys.sim().spawn([](vmmc::Endpoint &ep, std::size_t record,
-                       std::size_t total) -> sim::Task<> {
-        sock::SocketLib lib(ep);
-        int fd = co_await lib.socket();
-        co_await lib.connect(fd, 1, 4000);
-        VAddr buf = ep.proc().alloc(record + 64);
-        std::size_t sent = 0;
-        while (sent < total) {
-            co_await lib.send(fd, buf, record);
-            sent += record;
-        }
-        co_await lib.close(fd);
-    }(src_ep, record, total));
-    std::uint64_t n = sys.sim().runAll();
-    return {n, sys.sim().now()};
-}
-
-/** ablate_mesh_scale's all-pairs 1 KB exchange + barrier, 16 ranks. */
-WorkResult
-meshAllpairs(int nprocs)
-{
-    MachineConfig cfg = fastCfg();
-    cfg.meshWidth = nprocs > 4 ? 4 : 2;
-    cfg.meshHeight = nprocs > 4 ? 4 : 2;
-    cfg.nodeMemBytes = 2 * units::MiB;
-    vmmc::System sys(cfg);
-    nx::NxSystem nxs(sys, nprocs);
-    sys.sim().spawn(nxs.init());
-    std::uint64_t n = sys.sim().runAll();
-
-    for (int r = 0; r < nprocs; ++r) {
-        sys.sim().spawn([](nx::NxSystem &nxs, int r, int n) -> sim::Task<> {
-            auto &p = nxs.proc(r);
-            auto &proc = p.endpoint().proc();
-            VAddr buf = proc.alloc(4096);
-            for (int k = 1; k < n; ++k) {
-                int to = (r + k) % n;
-                co_await p.csend(long(100 + r), buf, 1024, to);
-            }
-            for (int k = 1; k < n; ++k) {
-                int from = (r - k + n) % n;
-                co_await p.crecv(long(100 + from), buf, 4096);
-            }
-            co_await p.gsync();
-        }(nxs, r, nprocs));
-    }
-    n += sys.sim().runAll();
-    return {n, sys.sim().now()};
+    Run r;
+    r.events = sys.sim().runAll();
+    r.end = sys.sim().now();
+    return r;
 }
 
 // ---- measurement ----------------------------------------------------------
@@ -362,9 +167,9 @@ measure(const std::string &name, double min_wall_ms, Fn &&run)
     Measurement m;
     m.name = name;
     // One untimed warm-up rep: page in code, warm allocator pools.
-    WorkResult w = run();
+    Run w = run();
     m.events = w.events;
-    m.simulatedNs = w.simulatedNs;
+    m.simulatedNs = w.end;
 
     double spent = 0.0;
     double best = 0.0;
@@ -540,12 +345,33 @@ main(int argc, char **argv)
     // Iteration counts are sized so per-rep System construction (zeroing
     // node memory, building NIC tables) is well under 10% of a rep: the
     // harness measures the event loop, not setup.
-    run("vmmc_pingpong", [] { return vmmcPingpong(1000); });
+    MachineConfig mesh4x4 = fastCfg();
+    mesh4x4.meshWidth = 4;
+    mesh4x4.meshHeight = 4;
+    run("vmmc_pingpong", [] {
+        return bench::rawPingPong(
+            "DU-0copy", {.size = 4, .warmup = 0, .iters = 1000,
+                         .cfg = fastCfg()});
+    });
     run("poll_fanout", [] { return pollFanout(300); });
-    run("au_stream", [] { return auStream(200); });
-    run("nx_exchange", [] { return nxExchange(400); });
-    run("sock_stream", [] { return sockStream(768); });
-    run("mesh_allpairs", [] { return meshAllpairs(16); });
+    run("au_stream", [] {
+        return bench::rawPingPong(
+            "AU-1copy", {.size = 10240, .warmup = 0, .iters = 200,
+                         .cfg = fastCfg()});
+    });
+    run("nx_exchange", [] {
+        return bench::nxPingPong(
+            "Auto", {.size = 1024, .warmup = 0, .iters = 400,
+                     .cfg = fastCfg()});
+    });
+    run("sock_stream", [] {
+        return bench::ttcpPump(
+            {.size = 7168, .warmup = 0, .iters = 768, .cfg = fastCfg()});
+    });
+    run("mesh_allpairs", [&mesh4x4] {
+        return bench::nxAllPairs(
+            {.size = 1024, .warmup = 0, .iters = 1, .cfg = mesh4x4});
+    });
 
     long rss_kb = peakRssKb();
     std::printf("\npeak RSS: %ld KB\n", rss_kb);

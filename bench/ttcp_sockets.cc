@@ -12,94 +12,41 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "sock/socket.hh"
-
-namespace
-{
-
-using namespace shrimp;
-
-double
-pumpSeconds(std::size_t record, std::size_t total_bytes)
-{
-    vmmc::System sys;
-    auto &sink_ep = sys.createEndpoint(1);
-    auto &src_ep = sys.createEndpoint(0);
-    Tick t0 = 0, t1 = 0;
-
-    sys.sim().spawn([](vmmc::Endpoint &ep, std::size_t record,
-                       std::size_t total) -> sim::Task<> {
-        sock::SocketLib lib(ep);
-        int ls = co_await lib.socket();
-        co_await lib.listen(ls, 4000);
-        int fd = co_await lib.accept(ls);
-        VAddr buf = ep.proc().alloc(record + 64);
-        std::size_t got = 0;
-        while (got < total) {
-            long n = co_await lib.recv(fd, buf, record);
-            if (n <= 0)
-                break;
-            got += std::size_t(n);
-        }
-    }(sink_ep, record, total_bytes));
-    sys.sim().spawn([](vmmc::Endpoint &ep, std::size_t record,
-                       std::size_t total, Tick &t0, Tick &t1)
-                        -> sim::Task<> {
-        sock::SocketLib lib(ep);
-        int fd = co_await lib.socket();
-        int rc = co_await lib.connect(fd, 1, 4000);
-        SHRIMP_ASSERT(rc == 0, "connect");
-        VAddr buf = ep.proc().alloc(record + 64);
-        t0 = ep.proc().sim().now();
-        std::size_t sent = 0;
-        while (sent < total) {
-            std::size_t n = std::min(record, total - sent);
-            co_await lib.send(fd, buf, n);
-            sent += n;
-        }
-        t1 = ep.proc().sim().now();
-        co_await lib.close(fd);
-    }(src_ep, record, total_bytes, t0, t1));
-    sys.sim().runAll();
-    return double(t1 - t0) / 1e9;
-}
-
-double
-measureSeconds(const std::string &, std::size_t record)
-{
-    return pumpSeconds(record, 64 * record);
-}
-
-} // namespace
+#include "scenarios.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace shrimp::bench;
-    shrimp::bench::parseBenchFlags(argc, argv);
+    parseBenchFlags(argc, argv);
 
     printBanner("ttcp (section 4.3)",
                 "one-way socket pump, ttcp v1.12 style",
                 "8.6 MB/s (ttcp) / 9.8 MB/s (microbenchmark) at 7 KB "
                 "records; 1.3 MB/s at 70-byte records");
 
+    // Each point pumps 64 records with no warm-up.
+    constexpr int kRecords = 64;
+    auto measureSeconds = [](const std::string &, std::size_t record) {
+        return ttcpPump({.size = record, .warmup = 0, .iters = kRecords})
+            .seconds();
+    };
     std::vector<std::size_t> records{70, 256, 1024, 4096, 7168, 8192};
     Curve c;
     c.name = "AU-2copy";
     std::printf("\n%10s %14s\n", "record", "MB/s (one-way)");
     for (std::size_t r : records) {
-        std::size_t total = 64 * r;
-        double secs = pumpSeconds(r, total);
+        std::size_t total = kRecords * r;
+        double secs = measureSeconds(c.name, r);
         double mbs = double(total) / 1e6 / secs;
         Point p;
         p.bandwidthMBs = mbs;
-        p.latencyUs = secs * 1e6 / 64.0;
+        p.latencyUs = secs * 1e6 / double(kRecords);
         c.points[r] = p;
         std::printf("%10zu %14.2f\n", r, mbs);
     }
     std::printf("\n");
 
-    std::vector<std::size_t> gb_sizes{70, 7168};
-    return runGoogleBenchmarks(argc, argv, {c}, gb_sizes,
+    return runGoogleBenchmarks(argc, argv, {c}, {70, 7168},
                                measureSeconds);
 }
