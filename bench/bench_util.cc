@@ -6,7 +6,6 @@
 
 #include "base/logging.hh"
 #include "base/span.hh"
-#include "base/timeseries.hh"
 #include "base/trace.hh"
 #include "scenarios.hh"
 #include "sim/profile.hh"
@@ -35,9 +34,6 @@ parseBenchFlags(int &argc, char **argv)
     gProgName = basenameOf(argv[0]);
     bool profile_requested = false;
     std::string profile_path = "profile.json";
-    bool ts_requested = false;
-    std::string ts_path = "timeseries.jsonl";
-    Tick ts_period = 0; // 0 = timeseries module's default period
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--check-determinism") == 0) {
@@ -56,15 +52,6 @@ parseBenchFlags(int &argc, char **argv)
         } else if (std::strncmp(argv[i], "--profile=", 10) == 0) {
             profile_requested = true;
             profile_path = argv[i] + 10;
-        } else if (std::strcmp(argv[i], "--timeseries") == 0) {
-            ts_requested = true;
-        } else if (std::strncmp(argv[i], "--timeseries=", 13) == 0) {
-            ts_requested = true;
-            ts_path = argv[i] + 13;
-        } else if (std::strncmp(argv[i], "--timeseries-period=", 20) ==
-                   0) {
-            ts_requested = true;
-            ts_period = Tick(std::strtoull(argv[i] + 20, nullptr, 10));
         } else {
             argv[out++] = argv[i];
         }
@@ -81,8 +68,6 @@ parseBenchFlags(int &argc, char **argv)
     }
     if (profile_requested)
         sim::profile::setOutputPath(profile_path);
-    if (ts_requested)
-        timeseries::configure(ts_path, ts_period);
     trace::parseCliFlags(argc, argv);
 }
 
@@ -350,8 +335,6 @@ runGoogleBenchmarks(int argc, char **argv,
                 ->Iterations(1);
         }
     }
-    // Strip --trace=/--stats before google-benchmark sees them.
-    trace::parseCliFlags(argc, argv);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

@@ -94,13 +94,11 @@ void printTable(const std::string &header,
  *                         (sim/profile.hh) and dump FILE (default
  *                         profile.json) at exit; ignored with a warning
  *                         under --check-determinism
- *   --timeseries[=FILE]   sample selected stat counters every
- *                         --timeseries-period=TICKS of simulated time
- *                         (default 10 us) into JSONL FILE (default
- *                         timeseries.jsonl)
  *
- * plus everything trace::parseCliFlags handles (--trace=, --stats).
- * Every bench main calls this before doing any work.
+ * plus everything trace::parseCliFlags handles (--trace=, --stats; a
+ * trace file also carries the sampled stat counters as counter
+ * tracks). Every bench main calls this before doing any work, so
+ * google-benchmark never sees these flags.
  */
 void parseBenchFlags(int &argc, char **argv);
 

@@ -82,7 +82,10 @@ Group::~Group()
 Counter &
 Group::counter(const std::string &stat_name)
 {
-    return counters_[stat_name];
+    auto [it, fresh] = counters_.try_emplace(stat_name);
+    if (fresh)
+        StatRegistry::global().bumpGeneration();
+    return it->second;
 }
 
 Distribution &
@@ -131,6 +134,7 @@ void
 StatRegistry::add(Group &g)
 {
     groups_.push_back(&g);
+    ++generation_;
 }
 
 void
@@ -138,6 +142,7 @@ StatRegistry::remove(Group &g)
 {
     groups_.erase(std::remove(groups_.begin(), groups_.end(), &g),
                   groups_.end());
+    ++generation_;
     Retired &r = retired_[g.name()];
     for (const auto &[k, c] : g.counters())
         r.counters[k] += c.value();

@@ -163,6 +163,11 @@ class StatRegistry
 
     const std::vector<Group *> &groups() const { return groups_; }
 
+    /** Moves whenever a group is added or removed or a group registers
+     *  a new counter, so a reader can cache counter addresses. */
+    std::uint64_t generation() const { return generation_; }
+    void bumpGeneration() { ++generation_; }
+
     /** gem5-style "group.stat value" lines for every live group, then
      *  the retired totals under "retired.". */
     void dumpAll(std::ostream &os) const;
@@ -184,6 +189,7 @@ class StatRegistry
 
     std::vector<Group *> groups_;
     std::map<std::string, Retired> retired_;
+    std::uint64_t generation_ = 0;
 };
 
 } // namespace shrimp::stats

@@ -15,6 +15,7 @@ namespace shrimp::trace
 namespace detail
 {
 bool gEnabled = false;
+bool gSampling = false;
 } // namespace detail
 
 Tracer &
@@ -35,10 +36,9 @@ Tracer::setEnabled(bool enabled)
 TrackId
 Tracer::track(const std::string &name)
 {
-    for (TrackId i = 0; i < TrackId(tracks_.size()); ++i) {
-        if (tracks_[i] == name)
-            return i;
-    }
+    auto [it, fresh] = trackIds_.try_emplace(name, TrackId(tracks_.size()));
+    if (!fresh)
+        return it->second;
     tracks_.push_back(name);
     std::uint64_t h = 14695981039346656037ull;
     for (std::size_t i = 0; i <= name.size(); ++i) { // includes the NUL
@@ -47,6 +47,61 @@ Tracer::track(const std::string &name)
     }
     trackHashes_.push_back(h);
     return TrackId(tracks_.size() - 1);
+}
+
+namespace
+{
+
+//! Bound on counter samples per process: 48 MB of samples, more than
+//! 100 MB of JSON.
+constexpr std::size_t maxSamples = 2'000'000;
+
+/** Substrings of the "group.stat" names sampleCounters() records: the
+ *  busy/occupancy, queue and drop counters that show pressure. */
+bool
+sampledCounter(const std::string &name)
+{
+    for (const char *sub : {"busyNs", "occupancy", "queued", "drop",
+                            "Dropped", "stall", "pending", "depth"}) {
+        if (name.find(sub) != std::string::npos)
+            return true;
+    }
+    return false;
+}
+
+} // namespace
+
+void
+Tracer::sampleCounters(Tick now, std::size_t pending)
+{
+    const stats::StatRegistry &reg = stats::StatRegistry::global();
+    if (sampledGeneration_ != reg.generation()) {
+        sampledGeneration_ = reg.generation();
+        sampled_.clear();
+        for (const stats::Group *g : reg.groups()) {
+            for (const auto &[stat, ctr] : g->counters()) {
+                std::string name = g->name() + "." + stat;
+                if (sampledCounter(name))
+                    sampled_.push_back(Sampled{&ctr, track(name), ~0ull});
+            }
+        }
+        pendingTrack_ = track("queue.pending");
+    }
+    if (samples_.size() + sampled_.size() >= maxSamples) {
+        if (!capWarned_)
+            warn("trace: counter sample cap reached; later samples dropped");
+        capWarned_ = true;
+        return;
+    }
+    // A counter track holds its value until the next event, so only
+    // changed values are written.
+    for (Sampled &c : sampled_) {
+        if (c.counter->value() != c.last) {
+            c.last = c.counter->value();
+            samples_.push_back(Sample{now, c.track, c.last});
+        }
+    }
+    samples_.push_back(Sample{now, pendingTrack_, pending});
 }
 
 std::uint64_t
@@ -179,6 +234,15 @@ Tracer::writeJson(std::ostream &os) const
         }
         os << '}';
     }
+    // Counter events carry no tid: Chrome counters belong to the
+    // process, and each name becomes one counter track.
+    for (const Sample &c : samples_) {
+        os << ",\n{\"ph\":\"C\",\"name\":";
+        writeJsonString(os, tracks_[c.track].c_str());
+        os << ",\"pid\":0,\"ts\":";
+        writeTs(os, c.tick);
+        os << ",\"args\":{\"value\":" << c.value << "}}";
+    }
     os << "\n]}\n";
 }
 
@@ -208,8 +272,11 @@ atExitDump()
 {
     if (!gOutputPath.empty()) {
         if (Tracer::instance().writeJsonFile(gOutputPath)) {
-            std::fprintf(stderr, "trace: wrote %zu events to %s\n",
+            std::fprintf(stderr,
+                         "trace: wrote %zu events and %zu counter "
+                         "samples to %s\n",
                          Tracer::instance().events().size(),
+                         Tracer::instance().samples().size(),
                          gOutputPath.c_str());
         }
     }
@@ -248,6 +315,7 @@ void
 setOutputPath(const std::string &path)
 {
     gOutputPath = path;
+    detail::gSampling = !path.empty();
     if (!path.empty()) {
         Tracer::instance().setEnabled(true);
         installAtExit();

@@ -16,6 +16,14 @@
  * parseCliFlags() (--trace=<file>), setEnabled(), or the SHRIMP_TRACE
  * environment variable (see applyEnvOverrides() in base/config.hh).
  *
+ * When a trace *file* is requested, each event queue also samples the
+ * busy/occupancy/queue/drop stat counters and its own pending count
+ * every samplePeriod of its simulated time (sampleCounters()). Changed
+ * values are written as Chrome counter events ("ph":"C"), which
+ * Perfetto draws as counter tracks under the spans. Sampling only
+ * reads state, so it never perturbs the simulation, and samples stay
+ * out of hash().
+ *
  * Determinism: events are stored in recording order and timestamps are
  * simulated ticks, so two identical runs emit byte-identical JSON (the
  * EventQueue's sequence-number tie-breaking fixes the order of events
@@ -28,9 +36,15 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "base/types.hh"
+
+namespace shrimp::stats
+{
+class Counter;
+} // namespace shrimp::stats
 
 namespace shrimp::trace
 {
@@ -40,10 +54,18 @@ using TrackId = std::uint32_t;
 namespace detail
 {
 extern bool gEnabled;
+extern bool gSampling;
 } // namespace detail
 
 /** Fast global check compiled into every recording call site. */
 inline bool on() { return detail::gEnabled; }
+
+/** Whether event queues sample counters: on exactly while a trace
+ *  file is requested (setOutputPath()). */
+inline bool sampling() { return detail::gSampling; }
+
+/** Simulated time between two counter samples of one event queue. */
+constexpr Tick samplePeriod = 10 * units::us;
 
 class Tracer
 {
@@ -68,6 +90,14 @@ class Tracer
         Phase phase;
         /** Flow id linking FlowStart/Step/End chains; 0 otherwise. */
         std::uint64_t id = 0;
+    };
+
+    /** One sampled counter value; the track names the counter. */
+    struct Sample
+    {
+        Tick tick;
+        TrackId track;
+        std::uint64_t value;
     };
 
     /** The process-wide tracer all instrumentation records into. */
@@ -111,7 +141,18 @@ class Tracer
         events_.push_back(Event{tick, t, name, phase, id});
     }
 
+    /**
+     * Record, at @p now, @p pending as "queue.pending" and the value of
+     * every live busy/occupancy/queue/drop stat counter ("group.stat")
+     * that changed since its last sample. Each counter's track is
+     * resolved when the stat registry changes, not on every sample.
+     * Past 2M values per process, later samples are dropped with one
+     * warning.
+     */
+    void sampleCounters(Tick now, std::size_t pending);
+
     const std::vector<Event> &events() const { return events_; }
+    const std::vector<Sample> &samples() const { return samples_; }
     const std::string &trackName(TrackId t) const { return tracks_.at(t); }
     std::size_t numTracks() const { return tracks_.size(); }
 
@@ -124,8 +165,8 @@ class Tracer
      */
     std::uint64_t hash() const;
 
-    /** Drop all recorded events (registered tracks are kept). */
-    void clear() { events_.clear(); }
+    /** Drop all recorded events and samples (tracks are kept). */
+    void clear() { events_.clear(); samples_.clear(); }
 
     /** Emit everything recorded so far as Chrome trace-event JSON. */
     void writeJson(std::ostream &os) const;
@@ -135,11 +176,27 @@ class Tracer
 
   private:
     std::vector<std::string> tracks_;
+    std::unordered_map<std::string, TrackId> trackIds_; //!< name -> id
     //! FNV-1a of each track's name (computed once at registration):
     //! hash() mixes this 8-byte digest instead of re-hashing the name
     //! string for every event on the track.
     std::vector<std::uint64_t> trackHashes_;
     std::vector<Event> events_;
+    std::vector<Sample> samples_;
+
+    //! A counter sampleCounters() reads, its track and the value it
+    //! last recorded (~0 before the first).
+    struct Sampled
+    {
+        const stats::Counter *counter;
+        TrackId track;
+        std::uint64_t last;
+    };
+    //! Rebuilt whenever the stat registry's generation moves.
+    std::vector<Sampled> sampled_;
+    std::uint64_t sampledGeneration_ = ~0ull;
+    TrackId pendingTrack_ = 0;
+    bool capWarned_ = false;
 };
 
 /** Record an instant event if tracing is enabled. */
@@ -205,7 +262,8 @@ class ScopedSpan
  */
 void parseCliFlags(int &argc, char **argv);
 
-/** Where --trace output goes ("" = tracing not requested via CLI/env). */
+/** Where --trace output goes ("" = tracing not requested via CLI/env).
+ *  A non-empty path also turns on counter sampling. */
 const std::string &outputPath();
 void setOutputPath(const std::string &path);
 

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "base/logging.hh"
-#include "base/timeseries.hh"
+#include "base/trace.hh"
 #include "check/check.hh"
 #include "check/race.hh"
 #include "sim/profile.hh"
@@ -185,7 +185,12 @@ EventQueue::runOne()
     } else {
         n->invoke(*n);
     }
-    timeseries::maybeSample(now_, size_);
+    // Counter tracks: sample on the first event at or after each period
+    // of this queue's own clock, so every machine starts at its tick 0.
+    if (trace::sampling() && now_ >= nextSample_) {
+        trace::Tracer::instance().sampleCounters(now_, size_);
+        nextSample_ = now_ + trace::samplePeriod;
+    }
     return true;
 }
 

@@ -193,6 +193,8 @@ class EventQueue
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::size_t size_ = 0;
+    //! When runOne() next samples counters (base/trace.hh sampling()).
+    Tick nextSample_ = 0;
 
     // Radix heap (see the file comment). Bit b-1 of occupied_ is set iff
     // bucket b (1..64) is non-empty; bucket 0 is tested by its head. A

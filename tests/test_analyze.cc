@@ -60,6 +60,8 @@ TEST(Analyze, FixtureCorpusYieldsExactlyTheSeededViolations)
         "determinism-taint|jitters/scheduleIn/delay",
         "determinism-taint|schedulesHost/scheduleIn/t",
         "determinism-taint|waitsNoisy/Delay/span",
+        "dropped-task|bracedArgs/pump",
+        "dropped-task|bracedArgs/tick",
         "dropped-task|dropsViaCall/tick/passed",
         "dropped-task|handsOff/container/work",
         "dropped-task|runsNothing/pump/stored",
@@ -70,6 +72,19 @@ TEST(Analyze, FixtureCorpusYieldsExactlyTheSeededViolations)
         "shared-mutable-static|static/global/reg",
     };
     EXPECT_EQ(keys(findings), want) << dump(findings);
+}
+
+TEST(Analyze, BracedArgumentsDoNotMergeStatements)
+{
+    // `table(1, {{"a", 2}});` must not merge the spawn after it with
+    // the bare call below: only the bare call (line 24) and the call in
+    // the lambda body (line 26) are findings, not the spawn (line 23).
+    std::vector<int> lines;
+    for (const Finding &f : analyzeTrees({SHRIMP_ANALYZE_FIXTURES})) {
+        if (f.file == "sim/braced.cc")
+            lines.push_back(f.line);
+    }
+    EXPECT_EQ(lines, (std::vector<int>{24, 26}));
 }
 
 TEST(Analyze, FixtureCorpusCoversEveryRule)

@@ -1,11 +1,12 @@
 /**
  * @file
- * In-process tests for the shrimp_report core: the three artifact
+ * In-process tests for the shrimp_report core: the two artifact
  * parsers read exactly what this repo's emitters write, span chains
  * reassemble from flow events, and the merged markdown report carries
- * the ranking/latency/chain sections. Input fixtures are inline
+ * the ranking/latency/chain/counter sections. Input fixtures are inline
  * strings in the emitters' formats (base/trace.cc writeJson,
- * sim/profile.cc writeJson, base/timeseries.cc writeJsonl).
+ * sim/profile.cc writeJson), and one round trip parses what
+ * Tracer::writeJson itself writes.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include <sstream>
 #include <string>
 
+#include "base/stats.hh"
+#include "base/trace.hh"
 #include "report.hh"
 
 namespace shrimp::report
@@ -37,7 +40,15 @@ const char *const kTrace =
     "{\"ph\":\"f\",\"name\":\"pkt.deliver\",\"pid\":0,\"tid\":1,"
     "\"ts\":4.000,\"cat\":\"span\",\"id\":7,\"bp\":\"e\"},\n"
     "{\"ph\":\"s\",\"name\":\"msg.send\",\"pid\":0,\"tid\":0,"
-    "\"ts\":5.000,\"cat\":\"span\",\"id\":9,\"bp\":\"e\"}\n"
+    "\"ts\":5.000,\"cat\":\"span\",\"id\":9,\"bp\":\"e\"},\n"
+    "{\"ph\":\"C\",\"name\":\"node0.cpu.busyNs\",\"pid\":0,"
+    "\"ts\":0.000,\"args\":{\"value\":0}},\n"
+    "{\"ph\":\"C\",\"name\":\"queue.pending\",\"pid\":0,"
+    "\"ts\":0.000,\"args\":{\"value\":2}},\n"
+    "{\"ph\":\"C\",\"name\":\"node0.cpu.busyNs\",\"pid\":0,"
+    "\"ts\":10.000,\"args\":{\"value\":700}},\n"
+    "{\"ph\":\"C\",\"name\":\"queue.pending\",\"pid\":0,"
+    "\"ts\":10.000,\"args\":{\"value\":5}}\n"
     "]}\n";
 
 const char *const kProfile =
@@ -52,11 +63,6 @@ const char *const kProfile =
     "\"ns_per_event\": 25.0}\n"
     "  ]\n"
     "}\n";
-
-const char *const kTimeseries =
-    "{\"tick\":0,\"pending\":2,\"stats\":{\"node0.cpu.busyNs\":0}}\n"
-    "{\"tick\":10000,\"pending\":5,"
-    "\"stats\":{\"node0.cpu.busyNs\":700}}\n";
 
 TEST(ReportParse, TraceEventsAndTrackNames)
 {
@@ -99,18 +105,64 @@ TEST(ReportParse, ProfileTotalsAndRows)
     EXPECT_EQ(pd.rows[1].name, "mesh");
 }
 
-TEST(ReportParse, TimeseriesSamples)
+TEST(ReportParse, CounterEvents)
 {
-    std::istringstream in(kTimeseries);
-    std::vector<TsSample> ts;
+    std::istringstream in(kTrace);
+    TraceData td;
     std::string err;
-    ASSERT_TRUE(parseTimeseries(in, ts, err)) << err;
-    ASSERT_EQ(ts.size(), 2u);
-    EXPECT_EQ(ts[1].tick, 10000u);
-    EXPECT_EQ(ts[1].pending, 5u);
-    ASSERT_EQ(ts[1].stats.size(), 1u);
-    EXPECT_EQ(ts[1].stats[0].first, "node0.cpu.busyNs");
-    EXPECT_EQ(ts[1].stats[0].second, 700u);
+    ASSERT_TRUE(parseTrace(in, td, err)) << err;
+    ASSERT_EQ(td.counters.size(), 2u);
+    const CounterTrack &busy = td.counters.at("node0.cpu.busyNs");
+    EXPECT_EQ(busy.samples, 2u);
+    EXPECT_EQ(busy.first, 0u);
+    EXPECT_EQ(busy.last, 700u);
+    EXPECT_EQ(td.counters.at("queue.pending").max, 5u);
+    // Counter events are not trace events: spans and chains skip them.
+    EXPECT_EQ(td.events.size(), 6u);
+}
+
+TEST(ReportParse, RoundTripsTheTracersCounterEvents)
+{
+    // Emit through Tracer::writeJson, read back with parseTrace: the
+    // emitter and the parser must agree on the counter event format.
+    trace::Tracer &tracer = trace::Tracer::instance();
+    tracer.clear();
+    {
+        stats::Group g("node3.cpu");
+        stats::Counter &busy = g.counter("busyNs");
+        g.counter("uses") += 5; // the sampling filter skips it
+        tracer.sampleCounters(0, 3);
+        busy += 700;
+        tracer.sampleCounters(10000, 9);
+        busy += 50;
+        tracer.sampleCounters(20500, 1);
+        tracer.sampleCounters(30500, 0); // busy unchanged: not written
+    }
+    std::stringstream json;
+    tracer.writeJson(json);
+    tracer.clear();
+
+    TraceData td;
+    std::string err;
+    ASSERT_TRUE(parseTrace(json, td, err)) << err;
+    EXPECT_TRUE(td.events.empty());
+    EXPECT_EQ(td.counters.count("node3.cpu.uses"), 0u);
+    const CounterTrack &busy = td.counters.at("node3.cpu.busyNs");
+    EXPECT_EQ(busy.samples, 3u);
+    EXPECT_EQ(busy.first, 0u);
+    EXPECT_EQ(busy.last, 750u);
+    EXPECT_EQ(td.counters.at("queue.pending").samples, 4u);
+    EXPECT_EQ(td.counters.at("queue.pending").max, 9u);
+
+    std::ostringstream os;
+    writeReport(os, &td, nullptr, 10);
+    std::string md = os.str();
+    EXPECT_NE(md.find("7 counter sample(s) on 2 track(s); max queue "
+                      "pending 9."),
+              std::string::npos);
+    EXPECT_NE(md.find("| node3.cpu.busyNs | 0 | 750 | 750 |"),
+              std::string::npos);
+    EXPECT_EQ(md.find("| queue.pending |"), std::string::npos);
 }
 
 TEST(ReportChains, CompleteMeansOriginWaypointTerminus)
@@ -132,7 +184,6 @@ TEST(ReportMarkdown, MergesAllSections)
 {
     TraceData td;
     ProfileData pd;
-    std::vector<TsSample> ts;
     std::string err;
     {
         std::istringstream in(kTrace);
@@ -142,12 +193,8 @@ TEST(ReportMarkdown, MergesAllSections)
         std::istringstream in(kProfile);
         ASSERT_TRUE(parseProfile(in, pd, err)) << err;
     }
-    {
-        std::istringstream in(kTimeseries);
-        ASSERT_TRUE(parseTimeseries(in, ts, err)) << err;
-    }
     std::ostringstream os;
-    writeReport(os, &td, &pd, &ts, 10);
+    writeReport(os, &td, &pd, 10);
     std::string md = os.str();
 
     // Subsystem ranking, ranked cpu first.
@@ -160,7 +207,10 @@ TEST(ReportMarkdown, MergesAllSections)
     EXPECT_NE(md.find("2 span chain(s), 1 fully connected"),
               std::string::npos);
     EXPECT_NE(md.find("| hop | router0 |"), std::string::npos);
-    // Time-series first/last/delta.
+    // Counter tracks: first/last/delta per counter, the max pending.
+    EXPECT_NE(md.find("4 counter sample(s) on 2 track(s); max queue "
+                      "pending 5."),
+              std::string::npos);
     EXPECT_NE(md.find("| node0.cpu.busyNs | 0 | 700 | 700 |"),
               std::string::npos);
 }
@@ -172,11 +222,11 @@ TEST(ReportMarkdown, SectionsOmittedWhenInputAbsent)
     std::istringstream in(kProfile);
     ASSERT_TRUE(parseProfile(in, pd, err)) << err;
     std::ostringstream os;
-    writeReport(os, nullptr, &pd, nullptr, 5);
+    writeReport(os, nullptr, &pd, 5);
     std::string md = os.str();
     EXPECT_NE(md.find("## Host-cost profile"), std::string::npos);
     EXPECT_EQ(md.find("## Span chains"), std::string::npos);
-    EXPECT_EQ(md.find("## Time-series"), std::string::npos);
+    EXPECT_EQ(md.find("## Counter tracks"), std::string::npos);
 }
 
 } // namespace

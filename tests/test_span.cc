@@ -5,9 +5,9 @@
  * packetizer / mesh / incoming-DMA stages as one connected flow chain,
  * combined AU writes must join one parent span, sampling must be
  * deterministic, and with sampling off the trace stream must stay
- * byte-identical (spans are purely additive). A couple of smoke tests
- * cover the host-cost profiler (sim/profile.hh) and the stat
- * time-series sampler (base/timeseries.hh) on the same workload.
+ * byte-identical (spans are purely additive). Smoke tests cover the
+ * host-cost profiler (sim/profile.hh) and the counter tracks a trace
+ * file carries (Tracer::sampleCounters) on the same workload.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "base/span.hh"
-#include "base/timeseries.hh"
 #include "base/trace.hh"
 #include "net/mesh.hh"
 #include "nic/shrimp_nic.hh"
@@ -36,14 +35,15 @@ using trace::Tracer;
 using Phase = Tracer::Phase;
 
 /** The two-node VMMC workload of test_trace.cc: export, import, one
- *  deliberate-update send, poll for delivery. */
+ *  deliberate-update send of @p len bytes, poll for delivery. */
 void
-runWorkload()
+runWorkload(std::size_t len = 256)
 {
     vmmc::System sys;
     auto &a = sys.createEndpoint(0);
     auto &b = sys.createEndpoint(1);
-    sys.sim().spawn([](vmmc::Endpoint &a, vmmc::Endpoint &b) -> sim::Task<> {
+    sys.sim().spawn([](vmmc::Endpoint &a, vmmc::Endpoint &b,
+                       std::size_t len) -> sim::Task<> {
         node::Process &pb = b.proc();
         VAddr recv = pb.alloc(8192, CacheMode::WriteThrough);
         vmmc::Status st = co_await b.exportBuffer(7, recv, 8192);
@@ -53,9 +53,9 @@ runWorkload()
         node::Process &pa = a.proc();
         VAddr user = pa.alloc(4096);
         pa.poke32(user, 0xabcd);
-        co_await a.send(r.handle, 0, user, 256);
+        co_await a.send(r.handle, 0, user, len);
         co_await pb.waitWord32Eq(recv, 0xabcd);
-    }(a, b));
+    }(a, b, len));
     sys.sim().runAll();
 }
 
@@ -83,7 +83,7 @@ class SpanTest : public ::testing::Test
     {
         span::reset();
         sim::profile::reset();
-        timeseries::reset();
+        trace::setOutputPath("");
         Tracer::instance().setEnabled(false);
         Tracer::instance().clear();
     }
@@ -306,20 +306,58 @@ TEST_F(SpanTest, ProfilerAttributesDispatchBySubsystem)
     EXPECT_NE(os.str().find("\"name\": \"cpu\""), std::string::npos);
 }
 
-TEST_F(SpanTest, TimeseriesSamplesDuringRun)
+/** Ask for a trace file, which turns counter sampling on; TearDown
+ *  clears the path again, so no file is written. */
+void
+requestTraceFile()
 {
-    timeseries::configure("", Tick(10) * units::us);
+    trace::setOutputPath(::testing::TempDir() + "span_test.trace.json");
+}
+
+TEST_F(SpanTest, CounterSamplesDuringRun)
+{
     runWorkload();
-    const auto &samples = timeseries::samples();
+    const std::uint64_t unsampledHash = Tracer::instance().hash();
+    EXPECT_TRUE(Tracer::instance().samples().empty());
+
+    Tracer::instance().clear();
+    requestTraceFile();
+    runWorkload();
+    const auto &samples = Tracer::instance().samples();
     ASSERT_FALSE(samples.empty());
     Tick prev = 0;
     for (const auto &s : samples) {
         EXPECT_GE(s.tick, prev);
         prev = s.tick;
     }
-    std::ostringstream os;
-    timeseries::writeJsonl(os);
-    EXPECT_NE(os.str().find("\"tick\":"), std::string::npos);
+    // Counters are written as counter events and never enter the hash.
+    EXPECT_EQ(Tracer::instance().hash(), unsampledHash);
+    std::string json = traceJson();
+    for (const char *counter : {"node0.cpu.busyNs", "node0.eisa.occupancyNs",
+                                "queue.pending"}) {
+        EXPECT_NE(json.find(std::string("{\"ph\":\"C\",\"name\":\"") +
+                            counter + "\""),
+                  std::string::npos)
+            << counter;
+    }
+}
+
+TEST_F(SpanTest, EveryMachineIsSampledFromItsOwnTickZero)
+{
+    // A long run, then a shorter one: each event queue keeps its own
+    // next-sample tick, so the second machine is sampled from its first
+    // period even though its clock never reaches the first one's.
+    requestTraceFile();
+    const auto &samples = Tracer::instance().samples();
+    runWorkload(4096);
+    const std::size_t firstRun = samples.size();
+    ASSERT_GT(firstRun, 0u);
+    const Tick firstEnd = samples.back().tick;
+    runWorkload(256);
+    ASSERT_GT(samples.size(), firstRun);
+    EXPECT_LT(samples.front().tick, trace::samplePeriod);
+    EXPECT_LT(samples[firstRun].tick, trace::samplePeriod);
+    EXPECT_LT(samples.back().tick, firstEnd);
 }
 
 } // namespace

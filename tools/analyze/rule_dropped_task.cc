@@ -31,6 +31,7 @@
  */
 
 #include <cstddef>
+#include <vector>
 
 #include "callgraph.hh"
 #include "parse.hh"
@@ -123,9 +124,12 @@ callConsumesArg(const Project &p, const Tokens &toks, const CallSite &cs,
     return s.consumesTaskParam.count(arg) != 0;
 }
 
+/** Scan the statement (or statement fragment) [@p s, @p e), which
+ *  starts at paren depth @p depth: a fragment that resumes an argument
+ *  list after a lambda body or braced initializer starts inside it. */
 void
 scanStatement(const SourceFile &f, const FnDef &fn, std::size_t s,
-              std::size_t e, const Project &p,
+              std::size_t e, int depth, const Project &p,
               const std::set<std::string> &shadowed,
               const std::vector<CallSite> &calls,
               std::vector<Finding> &out)
@@ -144,7 +148,6 @@ scanStatement(const SourceFile &f, const FnDef &fn, std::size_t s,
     if (consumedAll)
         return;
 
-    int depth = 0;
     std::size_t assignAt = std::string::npos;
     for (std::size_t k = s; k < e; ++k) {
         const Token &t = toks[k];
@@ -313,8 +316,14 @@ ruleDroppedTask(const Project &p, std::vector<Finding> &out)
 
             const std::vector<CallSite> calls = callSites(p, f, fn);
 
+            // Statements split at top-level `;` and at every brace. A
+            // brace inside an argument list (a lambda body, a braced
+            // initializer) starts its statements at depth 0, and its
+            // close resumes the argument list at the depth kept in
+            // `outer`.
             std::size_t stmt = fn.bodyBegin + 1;
-            int paren = 0;
+            int paren = 0, stmtParen = 0;
+            std::vector<int> outer;
             for (std::size_t k = stmt; k < fn.bodyEnd; ++k) {
                 const Token &t = f.toks[k];
                 if (t.is("(") || t.is("["))
@@ -324,10 +333,18 @@ ruleDroppedTask(const Project &p, std::vector<Finding> &out)
                 else if ((t.is(";") && paren == 0) || t.is("{") ||
                          t.is("}")) {
                     if (k > stmt)
-                        scanStatement(f, fn, stmt, k, p, shadowed,
-                                      calls, out);
+                        scanStatement(f, fn, stmt, k, stmtParen, p,
+                                      shadowed, calls, out);
                     stmt = k + 1;
-                    paren = 0;
+                    if (t.is("{")) {
+                        outer.push_back(paren);
+                        paren = 0;
+                    } else if (t.is("}")) {
+                        paren = outer.empty() ? 0 : outer.back();
+                        if (!outer.empty())
+                            outer.pop_back();
+                    }
+                    stmtParen = paren;
                 }
             }
 

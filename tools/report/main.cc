@@ -3,12 +3,11 @@
  * shrimp_report CLI: merge a bench run's observability artifacts into
  * one markdown report.
  *
- *   shrimp_report [--trace=FILE] [--profile=FILE] [--timeseries=FILE]
- *                 [--out=FILE] [--top=N]
+ *   shrimp_report [--trace=FILE] [--profile=FILE] [--out=FILE] [--top=N]
  *
- *     --trace=FILE       Chrome trace-event JSON (bench --trace=)
+ *     --trace=FILE       Chrome trace-event JSON (bench --trace=), with
+ *                        the sampled stat counters as counter events
  *     --profile=FILE     host-cost profile (bench --profile=)
- *     --timeseries=FILE  stat samples JSONL (bench --timeseries=)
  *     --out=FILE         write the report here (default: stdout)
  *     --top=N            rows in the ranking tables (default: 20)
  *
@@ -36,9 +35,8 @@ int
 usage()
 {
     std::cerr << "usage: shrimp_report [--trace=FILE] [--profile=FILE]"
-                 " [--timeseries=FILE] [--out=FILE] [--top=N]\n"
-                 "at least one of --trace/--profile/--timeseries is "
-                 "required\n";
+                 " [--out=FILE] [--top=N]\n"
+                 "at least one of --trace/--profile is required\n";
     return 2;
 }
 
@@ -61,7 +59,7 @@ openInput(const char *flag, const std::string &path, std::ifstream &f)
 int
 run(int argc, char **argv)
 {
-    std::string tracePath, profilePath, tsPath, outPath;
+    std::string tracePath, profilePath, outPath;
     int topN = 20;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -69,8 +67,6 @@ run(int argc, char **argv)
             tracePath = arg + 8;
         } else if (std::strncmp(arg, "--profile=", 10) == 0) {
             profilePath = arg + 10;
-        } else if (std::strncmp(arg, "--timeseries=", 13) == 0) {
-            tsPath = arg + 13;
         } else if (std::strncmp(arg, "--out=", 6) == 0) {
             outPath = arg + 6;
         } else if (std::strncmp(arg, "--top=", 6) == 0) {
@@ -86,13 +82,12 @@ run(int argc, char **argv)
             return usage();
         }
     }
-    if (tracePath.empty() && profilePath.empty() && tsPath.empty())
+    if (tracePath.empty() && profilePath.empty())
         return usage();
 
     TraceData trace;
     ProfileData profile;
-    std::vector<TsSample> timeseries;
-    bool haveTrace = false, haveProfile = false, haveTs = false;
+    bool haveTrace = false, haveProfile = false;
     std::string err;
     if (!tracePath.empty()) {
         std::ifstream f;
@@ -116,17 +111,6 @@ run(int argc, char **argv)
         }
         haveProfile = true;
     }
-    if (!tsPath.empty()) {
-        std::ifstream f;
-        if (!openInput("--timeseries", tsPath, f))
-            return 3;
-        if (!parseTimeseries(f, timeseries, err)) {
-            std::cerr << "shrimp_report: " << tsPath << ": " << err
-                      << "\n";
-            return 1;
-        }
-        haveTs = true;
-    }
 
     std::ofstream outFile;
     std::ostream *os = &std::cout;
@@ -140,8 +124,7 @@ run(int argc, char **argv)
         os = &outFile;
     }
     writeReport(*os, haveTrace ? &trace : nullptr,
-                haveProfile ? &profile : nullptr,
-                haveTs ? &timeseries : nullptr, topN);
+                haveProfile ? &profile : nullptr, topN);
     if (!outPath.empty())
         std::cerr << "shrimp_report: wrote " << outPath << "\n";
     return 0;

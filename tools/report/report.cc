@@ -129,6 +129,22 @@ parseTrace(std::istream &in, TraceData &out, std::string &err)
         if (obj == std::string::npos)
             continue;
         char ph = line[obj + 7];
+        if (ph == 'C') {
+            // A sampled stat counter: fold it into its track.
+            std::string name;
+            std::uint64_t ts = 0, value = 0;
+            if (!getString(line, "\"name\"", name) || !getTsNs(line, ts) ||
+                !getU64(line, "\"value\"", value)) {
+                err = "malformed counter event: " + line;
+                return false;
+            }
+            CounterTrack &c = out.counters[name];
+            if (c.samples++ == 0)
+                c.first = value;
+            c.last = value;
+            c.max = std::max(c.max, value);
+            continue;
+        }
         if (ph == 'M') {
             // thread_name metadata names a track; ignore process_name.
             std::uint64_t tid = 0;
@@ -181,44 +197,6 @@ parseProfile(std::istream &in, ProfileData &out, std::string &err)
     if (!sawTotal) {
         err = "not a profile.json file (no \"events_total\" key)";
         return false;
-    }
-    return true;
-}
-
-bool
-parseTimeseries(std::istream &in, std::vector<TsSample> &out,
-                std::string &err)
-{
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        TsSample s;
-        if (!getU64(line, "\"tick\"", s.tick) ||
-            !getU64(line, "\"pending\"", s.pending)) {
-            err = "malformed timeseries line " + std::to_string(lineno);
-            return false;
-        }
-        // The stats object is the tail of the line: "name":value pairs.
-        std::size_t p = line.find("\"stats\":{");
-        if (p != std::string::npos) {
-            p += 9;
-            while (p < line.size() && line[p] == '"') {
-                std::size_t q = line.find('"', p + 1);
-                if (q == std::string::npos)
-                    break;
-                std::string name = line.substr(p + 1, q - p - 1);
-                std::uint64_t value =
-                    std::strtoull(line.c_str() + q + 2, nullptr, 10);
-                s.stats.emplace_back(std::move(name), value);
-                p = line.find('"', q + 2);
-                if (p == std::string::npos)
-                    break;
-            }
-        }
-        out.push_back(std::move(s));
     }
     return true;
 }
@@ -370,41 +348,49 @@ writeProfileSection(std::ostream &os, const ProfileData &p, int topN)
 }
 
 void
-writeTimeseriesSection(std::ostream &os, const std::vector<TsSample> &ts)
+writeCounterSection(std::ostream &os, const TraceData &trace, int topN)
 {
-    if (ts.empty()) {
-        os << "Time-series file contained no samples.\n";
+    // The event queues' own pending count is a gauge, not a counter:
+    // it gets its maximum, not a row.
+    const auto pending = trace.counters.find("queue.pending");
+    if (pending == trace.counters.end()) {
+        os << "No counter events in the trace.\n";
         return;
     }
-    std::uint64_t maxPending = 0;
-    for (const TsSample &s : ts)
-        maxPending = std::max(maxPending, s.pending);
-    os << ts.size() << " sample(s) spanning ticks " << ts.front().tick
-       << ".." << ts.back().tick << "; max queue pending " << maxPending
+    std::uint64_t samples = 0;
+    for (const auto &[name, c] : trace.counters)
+        samples += c.samples;
+    os << samples << " counter sample(s) on " << trace.counters.size()
+       << " track(s); max queue pending " << pending->second.max
        << ".\n\n";
-    // First and last observed value per counter, in name order.
-    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> range;
-    for (const TsSample &s : ts) {
-        for (const auto &[name, value] : s.stats) {
-            auto [it, fresh] = range.try_emplace(name, value, value);
-            if (!fresh)
-                it->second.second = value;
-        }
+    // Rows ranked by delta: the counters that moved most come first.
+    using Entry = std::pair<const std::string, CounterTrack>;
+    std::vector<std::pair<std::int64_t, const Entry *>> rows;
+    for (const Entry &e : trace.counters) {
+        if (&e != &*pending)
+            rows.emplace_back(std::int64_t(e.second.last - e.second.first),
+                              &e);
     }
+    std::stable_sort(rows.begin(), rows.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first > b.first;
+                     });
     os << "| counter | first | last | delta |\n";
     os << "|---|---:|---:|---:|\n";
-    for (const auto &[name, fl] : range) {
-        os << "| " << name << " | " << fl.first << " | " << fl.second
-           << " | " << fl.second - fl.first << " |\n";
+    for (std::size_t i = 0; i < rows.size() && i < std::size_t(topN); ++i) {
+        const auto &[name, c] = *rows[i].second;
+        os << "| " << name << " | " << c.first << " | " << c.last << " | "
+           << rows[i].first << " |\n";
     }
+    if (rows.size() > std::size_t(topN))
+        os << "\n" << rows.size() - topN << " more counter(s) (--top).\n";
 }
 
 } // namespace
 
 void
 writeReport(std::ostream &os, const TraceData *trace,
-            const ProfileData *profile,
-            const std::vector<TsSample> *timeseries, int topN)
+            const ProfileData *profile, int topN)
 {
     os << "# shrimp run report\n";
     if (profile) {
@@ -417,10 +403,9 @@ writeReport(std::ostream &os, const TraceData *trace,
         writeStageLatencies(os, *trace, topN);
         os << "\n## Span chains (sampled message flows)\n\n";
         writeSpanSection(os, *trace);
-    }
-    if (timeseries) {
-        os << "\n## Time-series (stat counters over simulated time)\n\n";
-        writeTimeseriesSection(os, *timeseries);
+        os << "\n## Counter tracks (stat counters over simulated "
+              "time)\n\n";
+        writeCounterSection(os, *trace, topN);
     }
 }
 

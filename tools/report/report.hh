@@ -1,11 +1,12 @@
 /**
  * @file
- * Core of shrimp_report: parse the three observability artifacts a
- * bench run can emit — the Chrome trace-event JSON (--trace=), the
- * host-cost profile (--profile=) and the stat time-series (--timeseries=)
- * — and merge them into one markdown report. Standard-library only (no
- * shrimp lib) so it builds anywhere the toolchain does; the core is a
- * separate library so tests/test_report.cc can drive it in-process.
+ * Core of shrimp_report: parse the two observability artifacts a
+ * bench run can emit — the Chrome trace-event JSON (--trace=), whose
+ * counter events carry the sampled stat counters, and the host-cost
+ * profile (--profile=) — and merge them into one markdown report.
+ * Standard-library only (no shrimp lib) so it builds anywhere the
+ * toolchain does; the core is a separate library so
+ * tests/test_report.cc can drive it in-process.
  *
  * The parsers target exactly what this repo's emitters write (one trace
  * event per line, fixed key order); they are readers of our own output
@@ -35,10 +36,20 @@ struct TraceEvent
     std::uint64_t id = 0;    //!< flow chain id (s/t/f only)
 };
 
+/** One counter track's "ph":"C" samples, folded in file order. */
+struct CounterTrack
+{
+    std::uint64_t samples = 0;
+    std::uint64_t first = 0;
+    std::uint64_t last = 0;
+    std::uint64_t max = 0;
+};
+
 struct TraceData
 {
     std::map<int, std::string> trackNames; //!< from thread_name metadata
     std::vector<TraceEvent> events;        //!< file order == time order
+    std::map<std::string, CounterTrack> counters; //!< by counter name
 
     const std::string &track(int tid) const;
 };
@@ -60,19 +71,9 @@ struct ProfileData
     std::vector<ProfileRow> rows; //!< already ranked by host_ns desc
 };
 
-/** One JSONL time-series sample. */
-struct TsSample
-{
-    std::uint64_t tick = 0;
-    std::uint64_t pending = 0;
-    std::vector<std::pair<std::string, std::uint64_t>> stats;
-};
-
 /** Each parser returns false and sets @p err on malformed input. */
 bool parseTrace(std::istream &in, TraceData &out, std::string &err);
 bool parseProfile(std::istream &in, ProfileData &out, std::string &err);
-bool parseTimeseries(std::istream &in, std::vector<TsSample> &out,
-                     std::string &err);
 
 /**
  * A reassembled span chain: all flow events sharing one id, in time
@@ -93,11 +94,10 @@ std::vector<SpanChain> spanChains(const TraceData &trace);
 /**
  * Write the merged markdown report. Null section inputs are simply
  * omitted (the CLI refuses to run with zero inputs). @p topN bounds the
- * subsystem ranking and the per-stage latency table.
+ * subsystem ranking, the per-stage latency table and the counter table.
  */
 void writeReport(std::ostream &os, const TraceData *trace,
-                 const ProfileData *profile,
-                 const std::vector<TsSample> *timeseries, int topN);
+                 const ProfileData *profile, int topN);
 
 } // namespace shrimp::report
 
