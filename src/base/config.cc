@@ -80,8 +80,6 @@ MachineConfig::validate() const
         copyBwUncached <= 0) {
         fatal("copy bandwidths must be positive");
     }
-    if (raceReadRecCap == 0)
-        fatal("raceReadRecCap must be at least 1");
 }
 
 } // namespace shrimp

@@ -144,12 +144,6 @@ struct MachineConfig
     Tick etherLatency = 1 * units::ms;
     double etherBw = 1.0;
 
-    // ---- checkers (SHRIMP_CHECK builds only) ----------------------------
-    /** Race-detector per-page read-record cap. Oldest records past the
-     *  cap are dropped (counted by racecheck.readRecsDropped); raise it
-     *  if a workload ever reports drops. */
-    std::size_t raceReadRecCap = 32;
-
     /** Number of nodes implied by the mesh dimensions. */
     int numNodes() const { return meshWidth * meshHeight; }
 

@@ -34,6 +34,14 @@ overlaps(PAddr lo1, PAddr hi1, PAddr lo2, PAddr hi2)
     return lo1 < hi2 && lo2 < hi1;
 }
 
+/** True iff [lo, hi) holds every byte that [rlo, rhi) has in the word
+ *  at @p word_lo (which [rlo, rhi) touches). */
+bool
+coversInWord(PAddr lo, PAddr hi, PAddr rlo, PAddr rhi, PAddr word_lo)
+{
+    return lo <= std::max(rlo, word_lo) && std::min(rhi, word_lo + 4) <= hi;
+}
+
 } // namespace
 
 RaceDetector &
@@ -54,8 +62,6 @@ RaceDetector::reset()
     clocks_.clear();
     actorStack_.clear();
     mems_.clear();
-    objClocks_.clear();
-    warnedReadRecDrop_ = false; // re-arm: warn once per simulation
 }
 
 // ---- actors -------------------------------------------------------------
@@ -72,18 +78,6 @@ RaceDetector::registerActor(const std::string &name, ActorKind kind)
     kinds_.push_back(kind);
     clocks_.emplace_back();
     return id;
-}
-
-const std::string &
-RaceDetector::actorName(ActorId a) const
-{
-    return names_.at(a);
-}
-
-ActorKind
-RaceDetector::actorKind(ActorId a) const
-{
-    return kinds_.at(a);
 }
 
 void
@@ -147,21 +141,6 @@ RaceDetector::pushWrite(WordShadow &w, const Cell &c, PAddr word_lo)
     for (std::size_t i = slot; i > 0; --i)
         w.hist[i] = w.hist[i - 1];
     w.hist[0] = c;
-}
-
-void
-RaceDetector::noteReadRecDropped(const MemState &ms, PageNum p)
-{
-    ++statReadRecsDropped_;
-    if (warnedReadRecDrop_)
-        return;
-    warnedReadRecDrop_ = true;
-    warn(logging::format(
-        "race detector dropped a read record on %s page %u (per-page cap "
-        "of %zu reached): a write-after-read conflict against the "
-        "dropped read can no longer be detected; stats group 'racecheck' "
-        "counts further drops",
-        ms.name.c_str(), unsigned(p), readRecCap_));
 }
 
 std::vector<std::uint64_t> &
@@ -254,15 +233,13 @@ RaceDetector::onWrite(const void *mem, PAddr addr, std::size_t n, Tick now)
             const PAddr pageLo = PAddr(std::size_t(p) * pb);
             const PAddr lo = std::max(opLo, pageLo);
             const PAddr hi = std::min(opHi, PAddr(pageLo + pb));
-            if (!sh.cells.empty()) {
-                for (std::size_t ci = (lo - pageLo) / 4;
-                     ci <= (hi - 1 - pageLo) / 4 && ci < sh.cells.size();
-                     ++ci)
+            for (std::size_t ci = (lo - pageLo) / 4;
+                 ci <= (hi - 1 - pageLo) / 4; ++ci) {
+                if (ci < sh.cells.size())
                     sh.cells[ci] = WordShadow{};
+                if (ci < sh.reads.size())
+                    sh.reads[ci].clear();
             }
-            std::erase_if(sh.reads, [&](const ReadRec &r) {
-                return overlaps(r.lo, r.hi, lo, hi);
-            });
         }
         return;
     }
@@ -298,40 +275,44 @@ RaceDetector::onWrite(const void *mem, PAddr addr, std::size_t n, Tick now)
         }
 
         PageShadow &sh = page(ms, p);
-
-        // Write-after-read: an unordered reader may still be mid-copy.
-        for (auto it = sh.reads.begin(); it != sh.reads.end();) {
-            if (!overlaps(it->lo, it->hi, lo, hi)) {
-                ++it;
-                continue;
-            }
-            if (it->reader != me && entryOf(me, it->reader) < it->clk &&
-                std::find(reported.begin(), reported.end(), it->reader) ==
-                    reported.end()) {
-                reported.push_back(it->reader);
-                report(logging::format(
-                    "race: write-read conflict on %s page %u: %s wrote "
-                    "[0x%x, +%zu) at %llu ns, unordered with the read "
-                    "[0x%x, +%u) by %s at %llu ns (missing ordering edge: "
-                    "the writer never synchronized with the reader before "
-                    "reusing the buffer)",
-                    ms.name.c_str(), unsigned(p), describe(me).c_str(),
-                    unsigned(addr), n, (unsigned long long)now,
-                    unsigned(it->lo), unsigned(it->hi - it->lo),
-                    describe(it->reader).c_str(),
-                    (unsigned long long)it->tick));
-            }
-            it = sh.reads.erase(it); // this write supersedes the read
-        }
-
-        // Write-after-write, per 4-byte word, against the whole write
-        // history of each word — a partial-word write must not hide the
-        // record of an earlier write to the word's other bytes.
         const std::size_t words = (pb + 3) / 4;
         if (sh.cells.size() < words)
             sh.cells.resize(words);
         for (std::size_t ci = (lo - pageLo) / 4;
              ci <= (hi - 1 - pageLo) / 4; ++ci) {
+            const PAddr wordLo = pageLo + PAddr(ci * 4);
+            // Write-after-read: an unordered reader may still be
+            // mid-copy. The write supersedes the reads it covers here.
+            if (!sh.reads.empty()) {
+                std::vector<ReadRec> &rs = sh.reads[ci];
+                for (const ReadRec &r : rs) {
+                    if (r.reader != me && overlaps(r.lo, r.hi, opLo, opHi) &&
+                        entryOf(me, r.reader) < r.clk &&
+                        std::find(reported.begin(), reported.end(),
+                                  r.reader) == reported.end()) {
+                        reported.push_back(r.reader);
+                        report(logging::format(
+                            "race: write-read conflict on %s page %u: %s "
+                            "wrote [0x%x, +%zu) at %llu ns, unordered with "
+                            "the read [0x%x, +%u) by %s at %llu ns "
+                            "(missing ordering edge: the writer never "
+                            "synchronized with the reader before reusing "
+                            "the buffer)",
+                            ms.name.c_str(), unsigned(p),
+                            describe(me).c_str(), unsigned(addr), n,
+                            (unsigned long long)now, unsigned(r.lo),
+                            unsigned(r.hi - r.lo), describe(r.reader).c_str(),
+                            (unsigned long long)r.tick));
+                    }
+                }
+                std::erase_if(rs, [&](const ReadRec &r) {
+                    return coversInWord(lo, hi, r.lo, r.hi, wordLo);
+                });
+            }
+
+            // Write-after-write against the word's whole write history
+            // — a partial-word write must not hide the record of an
+            // earlier write to the word's other bytes.
             WordShadow &w = sh.cells[ci];
             // Word cells are a coarse index; the stored op range makes
             // the check byte-precise so ops that merely share a word
@@ -357,7 +338,7 @@ RaceDetector::onWrite(const void *mem, PAddr addr, std::size_t n, Tick now)
                 }
             }
             pushWrite(w, Cell{me, myclk, now, addr, std::uint32_t(n)},
-                      pageLo + PAddr(ci * 4));
+                      wordLo);
         }
     }
 }
@@ -418,12 +399,13 @@ RaceDetector::onRead(const void *mem, PAddr addr, std::size_t n, Tick now)
         const PAddr lo = std::max(opLo, pageLo);
         const PAddr hi = std::min(opHi, PAddr(pageLo + pb));
         PageShadow &sh = page(ms, p);
-
-        // Read-after-write, per word, against the whole write history.
-        if (!sh.cells.empty()) {
-            for (std::size_t ci = (lo - pageLo) / 4;
-                 ci <= (hi - 1 - pageLo) / 4 && ci < sh.cells.size();
-                 ++ci) {
+        const std::size_t words = (pb + 3) / 4;
+        if (sh.reads.size() < words)
+            sh.reads.resize(words);
+        for (std::size_t ci = (lo - pageLo) / 4;
+             ci <= (hi - 1 - pageLo) / 4; ++ci) {
+            // Read-after-write, against the word's whole write history.
+            if (ci < sh.cells.size()) {
                 for (const Cell &c : sh.cells[ci].hist) {
                     if (c.writer != noActor && c.writer != me &&
                         overlaps(c.opBase, c.opBase + PAddr(c.opLen),
@@ -448,17 +430,19 @@ RaceDetector::onRead(const void *mem, PAddr addr, std::size_t n, Tick now)
                     }
                 }
             }
-        }
 
-        // Record so a later unordered write trips write-after-read.
-        // Records are deliberately NOT coalesced: merging adjacent reads
-        // under one (max) clock would make a properly-acknowledged ring
-        // slot look like it was read after the ack.
-        if (sh.reads.size() >= readRecCap_) {
-            sh.reads.erase(sh.reads.begin());
-            noteReadRecDropped(ms, p);
+            // Record so a later unordered write trips write-after-read.
+            // An older record this read covers in the word and is
+            // ordered after can go: a write that races it races this
+            // read too.
+            const PAddr wordLo = pageLo + PAddr(ci * 4);
+            std::vector<ReadRec> &rs = sh.reads[ci];
+            std::erase_if(rs, [&](const ReadRec &r) {
+                return coversInWord(lo, hi, r.lo, r.hi, wordLo) &&
+                       entryOf(me, r.reader) >= r.clk;
+            });
+            rs.push_back(ReadRec{me, myclk, now, lo, hi});
         }
-        sh.reads.push_back(ReadRec{me, myclk, now, lo, hi});
     }
 }
 
@@ -492,24 +476,6 @@ RaceDetector::join(ActorId a, const RaceClockRef &c)
     if (a == noActor || !c)
         return;
     joinVec(clockOf(a), c->vc);
-}
-
-void
-RaceDetector::objRelease(const void *obj, ActorId a)
-{
-    if (a == noActor)
-        return;
-    joinVec(objClocks_[obj], clockOf(a));
-}
-
-void
-RaceDetector::objAcquire(const void *obj, ActorId a)
-{
-    if (a == noActor)
-        return;
-    auto it = objClocks_.find(obj);
-    if (it != objClocks_.end())
-        joinVec(clockOf(a), it->second);
 }
 
 void

@@ -22,9 +22,17 @@
  *    synchronous regions only.
  *
  *  - Each actor carries a vector clock. Shadow state is kept per
- *    4-byte word (the EISA bus transfer granularity): last writer and
- *    the writer's clock at that write. Reads of more than
- *    atomicReadMax bytes are recorded as per-page range records.
+ *    4-byte word (the EISA bus transfer granularity): a short history
+ *    of the writes that touched the word, each with its writer's clock
+ *    and op range, and the word's *read set* — the reads of more than
+ *    atomicReadMax bytes that touched it, as in FastTrack (Flanagan and
+ *    Freund, PLDI 2009). A read drops the records whose bytes in the
+ *    word it covers and is ordered after: any write that races such a
+ *    record races the newer read too. A write drops the records it
+ *    covers, after checking them. So a word holds only reads that are
+ *    unordered with each other or read different bytes of it: the set
+ *    is bounded by the number of actors, not by how often the word is
+ *    read.
  *
  *  - Reads of at most atomicReadMax (16) bytes are *bus-burst atomic*:
  *    polling a flag, a ring control word or an NX descriptor can never
@@ -43,15 +51,11 @@
  *    the incoming engine before the delivery DMA); the IPT
  *    export-window clock (the exporter's clock at registerExport,
  *    joined at every delivery into the window — the import handshake
- *    orders deliveries after the exporter's buffer setup); notification
- *    delivery (handoff DMA->receiving process); and sync-object
- *    release/acquire (objRelease() is hooked into the sync.hh
- *    primitives' wakeups and handoffs: Condition::notifyAll,
- *    AddrCondition::notifyRange, Ledger::release and Channel::send;
- *    objAcquire() is available to tests and
- *    future primitives — production poll loops get their edge from the
- *    observation rule above, which is more precise than the any-write
- *    watchpoint wakeup).
+ *    orders deliveries after the exporter's buffer setup); and
+ *    notification delivery (handoff DMA->receiving process). The
+ *    sim/sync.hh wakeups carry no edge: a woken poll loop is ordered by
+ *    the observation rule above, which is more precise than the
+ *    any-write watchpoint wakeup.
  *
  *  - fenceAll() is called when the simulator's event queue drains:
  *    every pending operation has completed, so all actors synchronize.
@@ -82,7 +86,6 @@
 #include <vector>
 
 #include "base/config.hh"
-#include "base/stats.hh"
 #include "base/types.hh"
 #include "check/check.hh"
 
@@ -133,9 +136,6 @@ class RaceDetector
      *  id; stale clocks only add ordering, never remove it. */
     ActorId registerActor(const std::string &name, ActorKind kind);
 
-    const std::string &actorName(ActorId a) const;
-    ActorKind actorKind(ActorId a) const;
-
     /** Current-actor stack; accesses attribute to the top. */
     void pushActor(ActorId a);
     void popActor();
@@ -152,7 +152,7 @@ class RaceDetector
     void onWrite(const void *mem, PAddr addr, std::size_t n, Tick now);
 
     /** A read; atomic (<= atomicReadMax bytes) reads join, larger reads
-     *  are checked against unordered writes and recorded. */
+     *  are checked against unordered writes and recorded per word. */
     void onRead(const void *mem, PAddr addr, std::size_t n, Tick now);
 
     // ---- synchronization edges ----------------------------------------
@@ -167,14 +167,6 @@ class RaceDetector
 
     /** @p a absorbs @p c (packet clock joined before the delivery DMA). */
     void join(ActorId a, const RaceClockRef &c);
-
-    /** Release edge: merge @p a's clock into @p obj's clock (hooked
-     *  into the sim/sync.hh wakeups and handoffs). No-op when @p a is
-     *  noActor. */
-    void objRelease(const void *obj, ActorId a);
-
-    /** Acquire edge: @p a absorbs @p obj's accumulated release clock. */
-    void objAcquire(const void *obj, ActorId a);
 
     /** The event queue drained: every in-flight operation has completed,
      *  so all actors synchronize with each other. */
@@ -244,19 +236,26 @@ class RaceDetector
         std::array<Cell, writeHistoryDepth> hist;
     };
 
+    /** A large read of [lo, hi) (its part of the page), kept in the
+     *  read set of each word it touches. Never merged across words or
+     *  reads: merging adjacent reads under one (max) clock would make a
+     *  properly acknowledged ring slot look like it was read after the
+     *  ack. */
     struct ReadRec
     {
         ActorId reader = noActor;
         std::uint64_t clk = 0;
         Tick tick = 0;
-        PAddr lo = 0; //!< byte range [lo, hi)
+        PAddr lo = 0;
         PAddr hi = 0;
     };
 
     struct PageShadow
     {
         std::vector<WordShadow> cells; //!< one per word, lazily sized
-        std::vector<ReadRec> reads;
+        //! One read set per word, sized on the page's first large read
+        //! (most pages never take one).
+        std::vector<std::vector<ReadRec>> reads;
     };
 
     struct PageOwn
@@ -280,7 +279,6 @@ class RaceDetector
     MemState &memState(const void *mem);
     PageShadow &page(MemState &ms, PageNum p);
     void pushWrite(WordShadow &w, const Cell &c, PAddr word_lo);
-    void noteReadRecDropped(const MemState &ms, PageNum p);
     std::vector<std::uint64_t> &clockOf(ActorId a);
     std::uint64_t entryOf(ActorId a, ActorId other);
     std::uint64_t bump(ActorId a);
@@ -295,36 +293,6 @@ class RaceDetector
     std::vector<std::vector<std::uint64_t>> clocks_;
     std::vector<ActorId> actorStack_;
     std::unordered_map<const void *, MemState> mems_;
-    std::unordered_map<const void *, std::vector<std::uint64_t>> objClocks_;
-
-    // Read records past the per-page cap are dropped oldest-first; a
-    // drop can only hide a conflict, never invent one. The counter
-    // makes that blind spot measurable and the one-time warning makes
-    // it loud.
-    stats::Group stats_{"racecheck"};
-    stats::Counter &statReadRecsDropped_ =
-        stats_.counter("readRecsDropped");
-    bool warnedReadRecDrop_ = false;
-    //! Per-page read-record cap; oldest records are dropped first.
-    //! Dropping can only hide a conflict (false-negative-safe), never
-    //! invent one. MachineConfig::raceReadRecCap overrides the default.
-    std::size_t readRecCap_ = 32;
-
-  public:
-    std::uint64_t readRecsDropped() const
-    {
-        return statReadRecsDropped_.value();
-    }
-
-    std::size_t readRecCap() const { return readRecCap_; }
-
-    /** Set the per-page read-record cap (>= 1; applied by the Machine
-     *  from MachineConfig::raceReadRecCap). */
-    void
-    setReadRecCap(std::size_t cap)
-    {
-        readRecCap_ = cap ? cap : 1;
-    }
 };
 
 /**

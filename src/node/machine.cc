@@ -3,8 +3,6 @@
 #include <ostream>
 
 #include "base/config.hh"
-#include "check/check.hh"
-#include "check/race.hh"
 #include "mem/zero_region.hh"
 
 namespace shrimp::node
@@ -14,10 +12,6 @@ Machine::Machine(MachineConfig cfg)
     : cfg_((applyEnvOverrides(), cfg.validate(), std::move(cfg))),
       mesh_(sim_, cfg_), ether_(sim_, cfg_, cfg_.numNodes())
 {
-    // The detector is process-global; the most recent machine's
-    // configuration governs (benchmarks build one machine at a time).
-    SHRIMP_CHECK_HOOK(check::RaceDetector::instance().setReadRecCap(
-        cfg_.raceReadRecCap));
     int n = cfg_.numNodes();
     nodes_.reserve(n);
     for (NodeId i = 0; i < NodeId(n); ++i) {
@@ -50,12 +44,6 @@ Machine::dumpStats(std::ostream &os)
        << "\n";
     os << "mem.zeropool.bytesRezeroed "
        << mem::ZeroRegion::poolBytesRezeroed() << "\n";
-    // Surface read-record drops in every stats dump: a nonzero value
-    // means the race detector has a blind spot (raise raceReadRecCap).
-    SHRIMP_CHECK_HOOK(os << "racecheck.readRecsDropped "
-                         << check::RaceDetector::instance()
-                                .readRecsDropped()
-                         << "\n");
     for (auto &nd : nodes_) {
         std::string p = "node" + std::to_string(nd->id()) + ".";
         auto &nic = nd->nic();

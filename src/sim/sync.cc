@@ -1,7 +1,6 @@
 #include "sim/sync.hh"
 
 #include "check/check.hh"
-#include "check/race.hh"
 
 namespace shrimp::sim
 {
@@ -21,23 +20,11 @@ resumeSoon(EventQueue &queue, std::coroutine_handle<> h)
     });
 }
 
-#ifdef SHRIMP_CHECK
-void
-publish(const void *obj)
-{
-    SHRIMP_CHECK_HOOK(check::RaceDetector::instance().objRelease(
-        obj, check::RaceDetector::instance().currentActor()));
-}
-#endif
-
 } // namespace detail
 
 void
 Condition::notifyAll()
 {
-    // Release edge: whoever notifies publishes its history on this
-    // object for any task resumed by it.
-    detail::publish(this);
     // Move the list out first: a woken task may wait() again immediately
     // and must not be re-woken by this notification. Swapping with the
     // member scratch buffer (instead of a fresh vector) ping-pongs the
@@ -51,8 +38,6 @@ Condition::notifyAll()
 void
 AddrCondition::notifyRange(std::uint64_t lo, std::uint64_t hi)
 {
-    // Same release edge as Condition::notifyAll.
-    detail::publish(this);
     // Resumes are deferred through the event queue, so the list cannot
     // be mutated while we scan it; compact non-overlapping waiters in
     // place to keep their relative (FIFO) order.
@@ -69,7 +54,6 @@ AddrCondition::notifyRange(std::uint64_t lo, std::uint64_t hi)
 void
 Ledger::release()
 {
-    detail::publish(this);
     Waiter *w = head_;
     if (!w) {
         busy_ = false;

@@ -34,14 +34,6 @@ namespace detail
  *  double-resume hooks: the deferred wakeup of every primitive here. */
 void resumeSoon(EventQueue &queue, std::coroutine_handle<> h);
 
-/** Race-detector release edge: @p obj publishes the current actor's
- *  history (tasks resumed later can objAcquire it). */
-#ifdef SHRIMP_CHECK
-void publish(const void *obj);
-#else
-inline void publish(const void *) {}
-#endif
-
 } // namespace detail
 
 /**
@@ -323,7 +315,6 @@ class Channel
     void
     send(T item)
     {
-        detail::publish(this);
         RecvAwaiter *w = head_;
         if (!w) {
             items_.push_back(std::move(item));

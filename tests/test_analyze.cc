@@ -112,8 +112,9 @@ TEST(Analyze, FixtureFindingsCarryFileAndLine)
 TEST(Analyze, LiveTreeIsCleanModuloBaseline)
 {
     // The same roots CI scans, so a finding anywhere fails locally too.
-    const auto findings = analyzeTrees(
-        {SHRIMP_ANALYZE_SRC, SHRIMP_ANALYZE_TOOLS, SHRIMP_ANALYZE_BENCH});
+    const auto findings =
+        analyzeTrees({SHRIMP_ANALYZE_SRC, SHRIMP_ANALYZE_TOOLS,
+                      SHRIMP_ANALYZE_BENCH, SHRIMP_ANALYZE_EXAMPLES});
 
     bool existed = false;
     const auto entries = loadBaseline(SHRIMP_ANALYZE_BASELINE, existed);
@@ -121,8 +122,9 @@ TEST(Analyze, LiveTreeIsCleanModuloBaseline)
 
     const BaselineResult r = applyBaseline(findings, entries);
     EXPECT_TRUE(r.fresh.empty())
-        << "new analyzer findings on src/, tools/ or bench/ (fix or "
-           "annotate; only pin deliberate debt in the baseline):\n"
+        << "new analyzer findings on src/, tools/, bench/ or examples/ "
+           "(fix or annotate; only pin deliberate debt in the "
+           "baseline):\n"
         << dump(r.fresh);
     EXPECT_TRUE(r.stale.empty())
         << "stale baseline entries (debt paid off; remove them): "

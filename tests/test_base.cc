@@ -237,13 +237,6 @@ TEST(Config, RejectsCombineLimitAbovePacketSize)
     EXPECT_THROW(cfg.validate(), FatalError);
 }
 
-TEST(Config, RejectsZeroRaceReadRecCap)
-{
-    MachineConfig cfg;
-    cfg.raceReadRecCap = 0;
-    EXPECT_THROW(cfg.validate(), FatalError);
-}
-
 TEST(Config, RejectsNonPositiveBandwidth)
 {
     MachineConfig cfg;

@@ -293,6 +293,17 @@ TEST_F(NodeTest, EtherAllocPortWrapsPastReservedAndLivePorts)
     EXPECT_EQ(ether.liveQueues(), live0);
 }
 
+TEST_F(NodeTest, EtherAllocPortIsFatalOnlyOnAFullNode)
+{
+    // Every ephemeral port of node 0 has a live queue: allocation there
+    // is fatal, while node 1's port space is untouched.
+    EtherNet &ether = machine_.ether();
+    for (unsigned port = 1024; port <= 0xffffu; ++port)
+        (void)ether.rxQueue(0, std::uint16_t(port));
+    EXPECT_THROW((void)ether.allocPort(0), FatalError);
+    EXPECT_GE(ether.allocPort(1), 1024u);
+}
+
 TEST_F(NodeTest, ProcessesGetDistinctPids)
 {
     Process &a = machine_.spawnProcess(2);

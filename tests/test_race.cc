@@ -6,11 +6,13 @@
  * that the report names *both* actors involved; plus false-positive
  * regressions for every legitimate ordering edge the detector models
  * (flag-poll observation, handoff, packet clocks, export-window clocks,
- * the IPT drain edge, sync-object release/acquire, backdoor clearing,
- * the end-of-run fence, and byte-precise conflict ranges). A final
- * integration section (SHRIMP_CHECK builds) drives a real VMMC exchange
- * and catches an unsynchronized receive-buffer read through the full
- * compiled hook stack.
+ * the IPT drain edge, backdoor clearing, the end-of-run fence, and
+ * byte-precise conflict ranges); plus regressions for the per-word
+ * write history and read sets, which must keep every record a later
+ * conflict needs however often a page is read. A final integration
+ * section (SHRIMP_CHECK builds) drives a real VMMC exchange and catches
+ * an unsynchronized receive-buffer read through the full compiled hook
+ * stack.
  */
 
 #include <gtest/gtest.h>
@@ -293,18 +295,6 @@ TEST_F(RaceTest, IptDrainEdgeLetsExporterReuseBuffer)
     EXPECT_TRUE(checker().violations().empty());
 }
 
-TEST_F(RaceTest, SyncObjectReleaseAcquireOrders)
-{
-    auto a = race().registerActor("node0.p0", check::ActorKind::Cpu);
-    auto b = race().registerActor("node0.p1", check::ActorKind::Cpu);
-    int obj = 0;
-    write(a, 0x900, 128, 1);
-    race().objRelease(&obj, a); // e.g. Condition::notifyAll
-    race().objAcquire(&obj, b);
-    read(b, 0x900, 128, 2);
-    EXPECT_TRUE(checker().violations().empty());
-}
-
 TEST_F(RaceTest, BackdoorWriteClearsTrackedState)
 {
     // A raw test poke re-initializes the range: conflicts against
@@ -423,50 +413,97 @@ TEST_F(RaceTest, FlagPollJoinsEveryWriterInTheWord)
     EXPECT_TRUE(checker().violations().empty());
 }
 
-// ---- read-record cap accounting ----------------------------------------
+// ---- per-word read sets -------------------------------------------------
 
-TEST_F(RaceTest, ReadRecordDropsPastTheCapAreCounted)
+TEST_F(RaceTest, WriteRacesTheFirstOfAThousandReadsOnOnePage)
+{
+    // However many reads a page takes, the first one stays on record
+    // until an access covering its bytes is ordered after it.
+    auto cpu = race().registerActor("node0.p0", check::ActorKind::Cpu);
+    auto du = race().registerActor("node0.du", check::ActorKind::Du);
+    auto snoop =
+        race().registerActor("node0.snoop", check::ActorKind::Snoop);
+    auto dma = race().registerActor("node0.dma", check::ActorKind::Dma);
+    read(cpu, 0x1000, 32, 1);
+    for (int i = 0; i < 999; ++i)
+        read(i % 2 ? du : snoop, PAddr(0x1040 + (i % 60) * 64), 32,
+             Tick(2 + i));
+    EXPECT_TRUE(checker().violations().empty());
+    race().handoff(dma, du); // ordered after every later read...
+    race().handoff(dma, snoop);
+    write(dma, 0x1000, 4, 2000); // ...but not after the cpu's
+    EXPECT_TRUE(sawViolation({"write-read conflict", "cpu 'node0.p0'",
+                              "dma 'node0.dma'"}));
+}
+
+TEST_F(RaceTest, WriteToOneWordKeepsTheReadOfTheOthers)
+{
+    // A write supersedes a read only in the words it touches.
+    auto cpu = race().registerActor("node0.p0", check::ActorKind::Cpu);
+    auto du = race().registerActor("node0.du", check::ActorKind::Du);
+    auto dma = race().registerActor("node0.dma", check::ActorKind::Dma);
+    read(cpu, 0x1000, 64, 1);
+    race().handoff(cpu, du);
+    write(du, 0x1000, 4, 2); // ordered after the read: clean
+    EXPECT_TRUE(checker().violations().empty());
+    write(dma, 0x1020, 4, 3); // unordered with the read of this word
+    EXPECT_TRUE(sawViolation({"write-read conflict", "cpu 'node0.p0'",
+                              "dma 'node0.dma'"}));
+}
+
+TEST_F(RaceTest, PartialWordWriteKeepsTheReadOfTheWordsOtherBytes)
+{
+    // The du's ordered write covers bytes [0,2) of the word; the read
+    // of bytes [2,4) stays on record for the dma's unordered write.
+    auto cpu = race().registerActor("node0.p0", check::ActorKind::Cpu);
+    auto du = race().registerActor("node0.du", check::ActorKind::Du);
+    auto dma = race().registerActor("node0.dma", check::ActorKind::Dma);
+    read(cpu, 0x1000, 32, 1);
+    race().handoff(cpu, du);
+    write(du, 0x1000, 2, 2);
+    EXPECT_TRUE(checker().violations().empty());
+    write(dma, 0x1002, 2, 3);
+    EXPECT_TRUE(sawViolation({"write-read conflict", "cpu 'node0.p0'",
+                              "dma 'node0.dma'"}));
+}
+
+TEST_F(RaceTest, BackdoorWriteClearsTheReadRecords)
 {
     auto cpu = race().registerActor("node0.p0", check::ActorKind::Cpu);
     auto dma = race().registerActor("node0.dma", check::ActorKind::Dma);
-    // Order the reader after the writer so the reads themselves are
-    // clean; 40 large reads on one page overflow the 32-record cap.
-    race().handoff(cpu, dma);
-    const std::uint64_t before = race().readRecsDropped();
-    for (int i = 0; i < 40; ++i)
-        read(cpu, PAddr(0x1000 + i * 64), 32, Tick(100 + i));
-    EXPECT_EQ(race().readRecsDropped(), before + 8);
+    read(cpu, 0xa00, 64, 1);
+    race().onWrite(&mem_, 0xa00, 64, 2); // backdoor: no actor in scope
+    write(dma, 0xa00, 64, 3);
     EXPECT_TRUE(checker().violations().empty());
 }
 
-TEST_F(RaceTest, ReadRecordCapIsConfigurable)
+TEST_F(RaceTest, ReadKeepsTheUnorderedReadsItCovers)
 {
+    // A read replaces only the records it is ordered after: the du's
+    // read of the same bytes must not hide the cpu's.
     auto cpu = race().registerActor("node0.p0", check::ActorKind::Cpu);
+    auto du = race().registerActor("node0.du", check::ActorKind::Du);
     auto dma = race().registerActor("node0.dma", check::ActorKind::Dma);
-    race().handoff(cpu, dma);
-    const std::size_t saved = race().readRecCap();
-    race().setReadRecCap(8);
-    const std::uint64_t before = race().readRecsDropped();
-    for (int i = 0; i < 40; ++i)
-        read(cpu, PAddr(0x1000 + i * 64), 32, Tick(100 + i));
-    EXPECT_EQ(race().readRecsDropped(), before + 32);
-    // A zero cap clamps to 1: the newest read is always recorded.
-    race().setReadRecCap(0);
-    EXPECT_EQ(race().readRecCap(), 1u);
-    race().setReadRecCap(saved);
+    read(cpu, 0x1000, 64, 1);
+    read(du, 0x1000, 64, 2);
+    race().handoff(dma, du);
+    write(dma, 0x1000, 64, 3);
+    EXPECT_TRUE(sawViolation({"write-read conflict", "cpu 'node0.p0'",
+                              "dma 'node0.dma'"}));
 }
 
-#ifdef SHRIMP_CHECK
-TEST_F(RaceTest, MachineConfigPlumbsReadRecCap)
+TEST_F(RaceTest, ReadKeepsTheRecordOfBytesItDoesNotCover)
 {
-    const std::size_t saved = race().readRecCap();
-    MachineConfig cfg;
-    cfg.raceReadRecCap = 5;
-    node::Machine m(cfg);
-    EXPECT_EQ(race().readRecCap(), 5u);
-    race().setReadRecCap(saved);
+    // The second read holds bytes [2,4) of the first word, not [0,2):
+    // the first read's record of that word stays.
+    auto cpu = race().registerActor("node0.p0", check::ActorKind::Cpu);
+    auto dma = race().registerActor("node0.dma", check::ActorKind::Dma);
+    read(cpu, 0x1000, 32, 1);
+    read(cpu, 0x1002, 32, 2);
+    write(dma, 0x1000, 2, 3);
+    EXPECT_TRUE(sawViolation({"write-read conflict", "the read [0x1000, +32)",
+                              "cpu 'node0.p0'", "dma 'node0.dma'"}));
 }
-#endif
 
 TEST_F(RaceTest, ActorsAreDeduplicatedByName)
 {
@@ -520,8 +557,8 @@ TEST_F(RaceTest, FlagPolledReceiveRunsCleanEndToEnd)
     // The same exchange done right (poll the flag past the data) stays
     // silent under abort mode: every compiled edge hook is live. The
     // poller sleeps on just the word it polls, so the data packets'
-    // writes wake nobody; the flag-poll observation, packet clocks and
-    // the AddrCondition release/acquire must still order the read.
+    // writes wake nobody; the flag-poll observation and packet clocks
+    // must still order the read.
     checker().setAbortOnViolation(true);
     vmmc::System sys;
     vmmc::Endpoint &a = sys.createEndpoint(0);
