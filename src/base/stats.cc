@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 
 namespace shrimp::stats
 {
@@ -171,106 +170,6 @@ StatRegistry::dumpAll(std::ostream &os) const
         for (const auto &[k, d] : r.dists)
             d.dump(os, "retired." + name + "." + k);
     }
-}
-
-namespace
-{
-
-void
-jsonStr(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
-
-void
-jsonNum(std::ostream &os, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
-}
-
-void
-jsonDist(std::ostream &os, const Distribution &d)
-{
-    os << "{\"count\":" << d.count() << ",\"sum\":";
-    jsonNum(os, d.sum());
-    os << ",\"min\":";
-    jsonNum(os, d.min());
-    os << ",\"max\":";
-    jsonNum(os, d.max());
-    os << ",\"mean\":";
-    jsonNum(os, d.mean());
-    os << ",\"buckets\":[";
-    for (std::size_t i = 0; i < Distribution::numBuckets; ++i) {
-        if (i)
-            os << ',';
-        os << d.bucketCount(i);
-    }
-    os << "]}";
-}
-
-template <typename Counters, typename Dists>
-void
-jsonGroupBody(std::ostream &os, const Counters &counters,
-              const Dists &dists, auto counterValue)
-{
-    os << "{\"counters\":{";
-    bool first = true;
-    for (const auto &[k, c] : counters) {
-        if (!first)
-            os << ',';
-        first = false;
-        jsonStr(os, k);
-        os << ':' << counterValue(c);
-    }
-    os << "},\"distributions\":{";
-    first = true;
-    for (const auto &[k, d] : dists) {
-        if (!first)
-            os << ',';
-        first = false;
-        jsonStr(os, k);
-        os << ':';
-        jsonDist(os, d);
-    }
-    os << "}}";
-}
-
-} // namespace
-
-void
-StatRegistry::dumpJson(std::ostream &os) const
-{
-    os << "{\"groups\":{";
-    bool first = true;
-    for (const Group *g : groups_) {
-        if (!first)
-            os << ',';
-        first = false;
-        jsonStr(os, g->name());
-        os << ':';
-        jsonGroupBody(os, g->counters(), g->distributions(),
-                      [](const Counter &c) { return c.value(); });
-    }
-    os << "},\"retired\":{";
-    first = true;
-    for (const auto &[name, r] : retired_) {
-        if (!first)
-            os << ',';
-        first = false;
-        jsonStr(os, name);
-        os << ':';
-        jsonGroupBody(os, r.counters, r.dists,
-                      [](std::uint64_t v) { return v; });
-    }
-    os << "}}";
 }
 
 void

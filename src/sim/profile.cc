@@ -106,10 +106,10 @@ outputPath()
 std::uint64_t
 hostNow()
 {
-    // Host-side profiling clock, opt-in via --profile only; readings
-    // are accumulated off to the side and never feed simulated state.
-    // analyze: allow(determinism)
-    using Clock = std::chrono::steady_clock; // lint: allow-nondeterminism
+    // analyze: allow(determinism) — host-side profiling clock, opt-in
+    // via --profile only; readings are accumulated off to the side and
+    // never feed simulated state.
+    using Clock = std::chrono::steady_clock;
     return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                              Clock::now().time_since_epoch())
                              .count());

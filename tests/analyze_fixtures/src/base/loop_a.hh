@@ -5,8 +5,8 @@
  * hide the compile error; the layering rule must still report it.
  */
 
-#ifndef SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_BASE_LOOP_A_HH
-#define SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_BASE_LOOP_A_HH
+#ifndef SHRIMP_BASE_LOOP_A_HH
+#define SHRIMP_BASE_LOOP_A_HH
 
 #include "base/loop_b.hh"
 
@@ -20,4 +20,4 @@ struct LoopA
 
 } // namespace shrimpfix
 
-#endif // SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_BASE_LOOP_A_HH
+#endif // SHRIMP_BASE_LOOP_A_HH

@@ -4,8 +4,8 @@
  * base/loop_a.hh.
  */
 
-#ifndef SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_BASE_LOOP_B_HH
-#define SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_BASE_LOOP_B_HH
+#ifndef SHRIMP_BASE_LOOP_B_HH
+#define SHRIMP_BASE_LOOP_B_HH
 
 #include "base/loop_a.hh"
 
@@ -19,4 +19,4 @@ struct LoopB
 
 } // namespace shrimpfix
 
-#endif // SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_BASE_LOOP_B_HH
+#endif // SHRIMP_BASE_LOOP_B_HH

@@ -1,13 +1,14 @@
 /**
  * @file
  * Analyzer fixture for the determinism-taint rule. This file lives in
- * node/ deliberately: the plain determinism rule only polices sim/ and
- * check/, so host clocks here are legal — until a value derived from
- * one reaches event scheduling. Seeded flows: a clock-derived local
- * into scheduleIn(), a PRNG value through a parameter the summaries
- * prove reaches a sink, a tainted return value, and a
- * brace-constructed Delay{}. Negatives: profiling that never reaches a
- * sink, and an annotated intentional fuzz.
+ * bench/ deliberately: the plain determinism rule only polices the
+ * layered src dirs, so host clocks here are legal — until a value
+ * derived from one reaches event scheduling. Seeded flows: a
+ * clock-derived local into scheduleIn(), a PRNG value through a
+ * parameter the summaries prove reaches a sink, a tainted return
+ * value, and a brace-constructed Delay{}. Negatives: profiling that
+ * never reaches a sink (also the determinism rule's near-miss: a host
+ * clock outside the layered dirs), and an annotated intentional fuzz.
  */
 
 #include "sim/tasks.hh"

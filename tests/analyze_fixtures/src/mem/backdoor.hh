@@ -6,8 +6,8 @@
  * *down* the layer order is always fine.
  */
 
-#ifndef SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_MEM_BACKDOOR_HH
-#define SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_MEM_BACKDOOR_HH
+#ifndef SHRIMP_MEM_BACKDOOR_HH
+#define SHRIMP_MEM_BACKDOOR_HH
 
 #include "net/wire.hh"
 
@@ -24,4 +24,4 @@ struct Backdoor
 
 } // namespace shrimpfix
 
-#endif // SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_MEM_BACKDOOR_HH
+#endif // SHRIMP_MEM_BACKDOOR_HH

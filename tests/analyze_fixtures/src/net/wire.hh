@@ -2,12 +2,10 @@
  * @file
  * Analyzer fixture: a clean layer-3 header that mem/backdoor.hh
  * reaches *up* to (the seeded order violation lives there, not here).
- * The member named `system_clock` is a determinism near-miss: net/ is
- * outside that rule's sim/check scope, so it must not be flagged.
  */
 
-#ifndef SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_NET_WIRE_HH
-#define SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_NET_WIRE_HH
+#ifndef SHRIMP_NET_WIRE_HH
+#define SHRIMP_NET_WIRE_HH
 
 #include "base/loop_a.hh"
 
@@ -16,9 +14,9 @@ namespace shrimpfix
 
 struct Wire
 {
-    int system_clock = 0;
+    int latency = 0;
 };
 
 } // namespace shrimpfix
 
-#endif // SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_NET_WIRE_HH
+#endif // SHRIMP_NET_WIRE_HH

@@ -9,8 +9,8 @@
  * flagged.
  */
 
-#ifndef SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_NIC_ENGINE_HH
-#define SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_NIC_ENGINE_HH
+#ifndef SHRIMP_NIC_ENGINE_HH
+#define SHRIMP_NIC_ENGINE_HH
 
 #include "sim/tasks.hh"
 
@@ -35,4 +35,4 @@ class Engine
 
 } // namespace shrimpfix
 
-#endif // SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_NIC_ENGINE_HH
+#endif // SHRIMP_NIC_ENGINE_HH

@@ -2,7 +2,9 @@
  * @file
  * Analyzer fixture for the dropped-task rule: two seeded violations in
  * runsNothing() (a bare discarded call and a stored-but-never-awaited
- * local), surrounded by every consumed shape the rule must NOT flag.
+ * local) and one in sends() (an ambiguous name whose typed receiver
+ * returns a Task), surrounded by every consumed shape the rule must
+ * NOT flag.
  */
 
 #include "sim/tasks.hh"
@@ -56,6 +58,13 @@ void
 ambiguous()
 {
     poll(); // negative: 'poll' has a non-Task overload in the index
+}
+
+void
+sends(Endpoint &ep, Channel &ch)
+{
+    ep.send(1); // seeded: Endpoint::send returns a Task
+    ch.send(2); // negative: Channel::send returns void
 }
 
 } // namespace shrimpfix

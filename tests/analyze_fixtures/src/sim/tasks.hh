@@ -4,11 +4,13 @@
  * Never compiled — only lexed/parsed by shrimp_analyze in
  * tests/test_analyze.cc. `poll` is deliberately declared twice with
  * different return types so the name is *ambiguous* in the Task index
- * and calls to it must not be flagged.
+ * and calls to it, which have no receiver to resolve, must not be
+ * flagged. `send` is ambiguous too, but its calls go through typed
+ * receivers: Endpoint::send returns a Task, Channel::send does not.
  */
 
-#ifndef SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_SIM_TASKS_HH
-#define SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_SIM_TASKS_HH
+#ifndef SHRIMP_SIM_TASKS_HH
+#define SHRIMP_SIM_TASKS_HH
 
 namespace shrimpfix
 {
@@ -24,6 +26,18 @@ int poll(int fd);
 
 void consume(Task<int> t);
 
+class Endpoint
+{
+  public:
+    Task<> send(int n);
+};
+
+class Channel
+{
+  public:
+    void send(int n);
+};
+
 } // namespace shrimpfix
 
-#endif // SHRIMP_TESTS_ANALYZE_FIXTURES_SRC_SIM_TASKS_HH
+#endif // SHRIMP_SIM_TASKS_HH

@@ -3,10 +3,9 @@
  * Tests for shrimp_analyze (tools/analyze): the seeded fixture corpus
  * under tests/analyze_fixtures/ must yield exactly the expected
  * finding per rule (and nothing for the near-miss negatives), the live
- * src/, tools/ and bench/ trees must be clean modulo the checked-in
- * baseline, the baseline matcher must behave as a multiset, the SARIF
- * report must describe exactly the rules the analyzer emits, and the
- * CLI must exit 2 when it cannot write an output file.
+ * src/, tools/, bench/, examples/ and tests/ trees must be clean, the
+ * SARIF report must describe exactly the rules the analyzer emits, and
+ * the CLI must exit 2 when it cannot write an output file.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include <string>
 
 #include "analyzer.hh"
-#include "baseline.hh"
 #include "sarif.hh"
 
 namespace shrimp::analyze
@@ -54,6 +52,7 @@ TEST(Analyze, FixtureCorpusYieldsExactlyTheSeededViolations)
     const std::multiset<std::string> want = {
         "charged-time|Engine::deliver",
         "determinism|banned/rand",
+        "determinism|banned/steady_clock",
         "determinism|ptr-iter/live_",
         "determinism|ptr-iter/snap",
         "determinism-taint|indirect/paramSink/noisy",
@@ -66,9 +65,17 @@ TEST(Analyze, FixtureCorpusYieldsExactlyTheSeededViolations)
         "dropped-task|handsOff/container/work",
         "dropped-task|runsNothing/pump/stored",
         "dropped-task|runsNothing/tick",
+        "dropped-task|sends/send",
         "dropped-task|stockpiles/container/backlog",
+        "hygiene|guard/SHRIMP_SIM_HYGIENE_HH",
+        "hygiene|main",
+        "hygiene|nodiscard/Task",
+        "hygiene|std-function",
+        "hygiene|using-namespace/std",
         "layering|cycle/base/loop_a.hh->base/loop_b.hh->base/loop_a.hh",
+        "layering|include-order/string",
         "layering|mem/backdoor.hh->net/wire.hh",
+        "layering|own-header-first/mem/backdoor.hh",
         "shared-mutable-static|static/global/reg",
     };
     EXPECT_EQ(keys(findings), want) << dump(findings);
@@ -95,7 +102,8 @@ TEST(Analyze, FixtureCorpusCoversEveryRule)
         rules.insert(f.rule);
     const std::set<std::string> want = {
         "charged-time", "determinism", "determinism-taint",
-        "dropped-task", "layering",    "shared-mutable-static",
+        "dropped-task", "hygiene",     "layering",
+        "shared-mutable-static",
     };
     EXPECT_EQ(rules, want) << dump(findings);
 }
@@ -109,57 +117,23 @@ TEST(Analyze, FixtureFindingsCarryFileAndLine)
     }
 }
 
-TEST(Analyze, LiveTreeIsCleanModuloBaseline)
+TEST(Analyze, LiveTreeIsClean)
 {
     // The same roots CI scans, so a finding anywhere fails locally too.
-    const auto findings =
-        analyzeTrees({SHRIMP_ANALYZE_SRC, SHRIMP_ANALYZE_TOOLS,
-                      SHRIMP_ANALYZE_BENCH, SHRIMP_ANALYZE_EXAMPLES});
-
-    bool existed = false;
-    const auto entries = loadBaseline(SHRIMP_ANALYZE_BASELINE, existed);
-    ASSERT_TRUE(existed) << "missing " << SHRIMP_ANALYZE_BASELINE;
-
-    const BaselineResult r = applyBaseline(findings, entries);
-    EXPECT_TRUE(r.fresh.empty())
-        << "new analyzer findings on src/, tools/, bench/ or examples/ "
-           "(fix or annotate; only pin deliberate debt in the "
-           "baseline):\n"
-        << dump(r.fresh);
-    EXPECT_TRUE(r.stale.empty())
-        << "stale baseline entries (debt paid off; remove them): "
-        << r.stale.size();
-}
-
-TEST(Analyze, BaselineMatchesAsAMultiset)
-{
-    const Finding a{"r", "f.cc", 3, "fp", "msg"};
-    const Finding b{"r", "f.cc", 9, "fp", "msg"}; // same fingerprint
-
-    // One entry suppresses only one of two identical findings.
-    BaselineResult r = applyBaseline({a, b}, {baselineEntry(a)});
-    EXPECT_EQ(r.suppressed.size(), 1u);
-    EXPECT_EQ(r.fresh.size(), 1u);
-    EXPECT_TRUE(r.stale.empty());
-
-    // Two entries suppress both; nothing is stale.
-    r = applyBaseline({a, b}, {baselineEntry(a), baselineEntry(a)});
-    EXPECT_EQ(r.suppressed.size(), 2u);
-    EXPECT_TRUE(r.fresh.empty());
-    EXPECT_TRUE(r.stale.empty());
-
-    // An entry matching nothing is reported stale.
-    r = applyBaseline({a}, {baselineEntry(a), "r|other.cc|fp"});
-    EXPECT_TRUE(r.fresh.empty());
-    ASSERT_EQ(r.stale.size(), 1u);
-    EXPECT_EQ(r.stale[0], "r|other.cc|fp");
+    const auto findings = analyzeTrees(
+        {SHRIMP_ANALYZE_SRC, SHRIMP_ANALYZE_TOOLS, SHRIMP_ANALYZE_BENCH,
+         SHRIMP_ANALYZE_EXAMPLES, SHRIMP_ANALYZE_TESTS});
+    EXPECT_TRUE(findings.empty())
+        << "analyzer findings on src/, tools/, bench/, examples/ or "
+           "tests/ (fix them, or annotate a deliberate exception with "
+           "`analyze: allow(<rule>) — reason`):\n"
+        << dump(findings);
 }
 
 TEST(Analyze, FindingFormat)
 {
     const Finding f{"dropped-task", "sim/x.cc", 12, "fn/callee", "boom"};
     EXPECT_EQ(formatFinding(f), "sim/x.cc:12: [dropped-task] boom");
-    EXPECT_EQ(baselineEntry(f), "dropped-task|sim/x.cc|fn/callee");
 }
 
 TEST(Analyze, BuildDirsAndDotDirsAreSkipped)
@@ -172,6 +146,7 @@ TEST(Analyze, BuildDirsAndDotDirsAreSkipped)
     fs::create_directories(root / "build");
     fs::create_directories(root / "build-asan" / "sim");
     fs::create_directories(root / ".cache");
+    fs::create_directories(root / "analyze_fixtures");
 
     const char *bug = "namespace x {\n"
                       "template <typename T = void> class Task;\n"
@@ -182,6 +157,7 @@ TEST(Analyze, BuildDirsAndDotDirsAreSkipped)
     std::ofstream(root / "build" / "gen.cc") << bug;
     std::ofstream(root / "build-asan" / "sim" / "gen.cc") << bug;
     std::ofstream(root / ".cache" / "gen.cc") << bug;
+    std::ofstream(root / "analyze_fixtures" / "seeded.cc") << bug;
 
     const auto findings = analyzeTrees({root.string()});
     ASSERT_EQ(findings.size(), 1u) << dump(findings);
@@ -493,18 +469,6 @@ TEST(Analyze, CliExitsTwoWhenTheSarifIsUnwritable)
                                SHRIMP_ANALYZE_FIXTURES);
     EXPECT_EQ(r.status, 2) << r.output;
     EXPECT_NE(r.output.find("cannot write " + path), std::string::npos)
-        << r.output;
-}
-
-TEST(Analyze, CliExitsTwoWhenTheBaselineIsUnwritable)
-{
-    const std::string path = unwritablePath("b.txt");
-    const CliResult r = runCli("--update-baseline --baseline=" + path +
-                               " " + SHRIMP_ANALYZE_FIXTURES);
-    EXPECT_EQ(r.status, 2) << r.output;
-    EXPECT_NE(r.output.find("cannot write " + path), std::string::npos)
-        << r.output;
-    EXPECT_EQ(r.output.find("baseline updated"), std::string::npos)
         << r.output;
 }
 

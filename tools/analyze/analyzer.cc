@@ -29,11 +29,13 @@ isSourceExt(const std::string &ext)
 
 /** Directories the scan never descends into: build trees (any
  *  `build*` — a stray `cmake -B build-foo` inside a scan root must
- *  not pollute the symbol index) and dot-directories (.git, .cache). */
+ *  not pollute the symbol index), dot-directories (.git, .cache) and
+ *  the seeded fixture corpus (`analyze_fixtures`, which breaks every
+ *  rule on purpose; tests/test_analyze.cc scans it as a root). */
 bool
 skipDirName(const std::string &name)
 {
-    return name.rfind("build", 0) == 0 ||
+    return name.rfind("build", 0) == 0 || name == "analyze_fixtures" ||
            (!name.empty() && name[0] == '.');
 }
 
@@ -147,6 +149,7 @@ runRules(const Project &p)
     ruleChargedTime(p, out);
     ruleTaint(p, out);
     ruleSharedMutableStatic(p, out);
+    ruleHygiene(p, out);
     std::sort(out.begin(), out.end(),
               [](const Finding &a, const Finding &b) {
                   if (a.file != b.file)

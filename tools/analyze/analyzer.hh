@@ -28,8 +28,8 @@ namespace shrimp::analyze
 
 /** Lex + parse + index every C++ file under @p roots (first root
  *  unprefixed, later roots label-prefixed), in sorted path order.
- *  Directories named `build*` or starting with `.` are never
- *  scanned. */
+ *  Directories named `build*` or `analyze_fixtures`, or starting with
+ *  `.`, are never scanned below a root. */
 Project loadProject(const std::vector<std::string> &roots);
 
 /** Run all rules; findings sorted by (file, line, rule, fingerprint). */

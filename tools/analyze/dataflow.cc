@@ -41,9 +41,15 @@ struct Facts
 } // namespace
 
 bool
-isNondetSource(const std::string &name)
+isNondetSource(const Tokens &toks, std::size_t k)
 {
-    return nondetSources.count(name) != 0;
+    const Token &t = toks[k];
+    if (!t.ident() || nondetSources.count(t.text) == 0)
+        return false;
+    return t.text != "time" ||
+           (k + 2 < toks.size() && toks[k + 1].is("(") &&
+            (toks[k + 2].is("NULL") || toks[k + 2].is("nullptr") ||
+             toks[k + 2].is("0")));
 }
 
 bool
@@ -95,8 +101,7 @@ buildSummaries(Project &p)
                         hasRet = hasSrc = false;
                     } else if (t.is("return") || t.is("co_return"))
                         hasRet = true;
-                    else if (t.ident() &&
-                             nondetSources.count(t.text) != 0)
+                    else if (isNondetSource(toks, k))
                         hasSrc = true;
                 }
             }

@@ -30,8 +30,11 @@ namespace shrimp::analyze
  *  files, extractTypes() and buildTypeIndex() to have run. */
 void buildSummaries(Project &p);
 
-/** Is @p name a host-nondeterminism source (wall clock, PRNG)? */
-bool isNondetSource(const std::string &name);
+/** Is the token at @p k a host-nondeterminism source (wall clock,
+ *  PRNG)? This one list feeds the determinism ban, the taint sources
+ *  and returnsTaint. `time` counts only as the C call `time(NULL)`,
+ *  `time(nullptr)` or `time(0)`. */
+bool isNondetSource(const Tokens &toks, std::size_t k);
 
 /** Is @p name an event-scheduling sink (schedule/scheduleIn/
  *  scheduleAt/Delay)? */

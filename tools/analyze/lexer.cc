@@ -30,6 +30,20 @@ identChar(char c)
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
+/** The identifier starting at or after @p from in @p s (leading
+ *  blanks skipped), or "" when none starts there. */
+std::string
+wordAt(const std::string &s, std::size_t from)
+{
+    while (from < s.size() &&
+           std::isspace(static_cast<unsigned char>(s[from])))
+        ++from;
+    std::size_t end = from;
+    while (end < s.size() && identChar(s[end]))
+        ++end;
+    return s.substr(from, end - from);
+}
+
 /** Mine a comment for `analyze: allow(rule)` / `analyze: free`
  *  annotations (several may appear in one comment). */
 void
@@ -89,6 +103,7 @@ lexFile(const std::string &text, SourceFile &out)
     std::size_t i = 0;
     const std::size_t n = text.size();
     int line = 1;
+    int directives = 0; // preprocessor lines seen so far
 
     auto peek = [&](std::size_t k) -> char {
         return i + k < n ? text[i + k] : '\0';
@@ -131,9 +146,11 @@ lexFile(const std::string &text, SourceFile &out)
             continue;
         }
 
-        // Preprocessor lines: record project #include targets, skip the
-        // rest (macro bodies would otherwise confuse the parser).
-        // Continuation lines (trailing backslash) are consumed too.
+        // Preprocessor lines: record #include targets and the guard (the
+        // first directive when it is an #ifndef, and the #define right
+        // after it), skip the rest (macro bodies would otherwise confuse
+        // the parser). Continuation lines (trailing backslash) are
+        // consumed too.
         if (c == '#') {
             std::size_t end = i;
             while (end < n) {
@@ -155,19 +172,28 @@ lexFile(const std::string &text, SourceFile &out)
                 break;
             }
             const std::string dline = text.substr(i, end - i);
-            std::size_t p = 1;
-            while (p < dline.size() &&
-                   std::isspace(static_cast<unsigned char>(dline[p])))
-                ++p;
-            if (dline.compare(p, 7, "include") == 0) {
-                std::size_t q1 = dline.find('"', p);
-                if (q1 != std::string::npos) {
-                    std::size_t q2 = dline.find('"', q1 + 1);
-                    if (q2 != std::string::npos)
-                        out.includes.emplace_back(
-                            line, dline.substr(q1 + 1, q2 - q1 - 1));
-                }
+            const std::string directive = wordAt(dline, 1);
+            const std::size_t after =
+                dline.find(directive, 1) + directive.size();
+            if (directive == "include") {
+                const std::size_t open = dline.find_first_of("\"<", after);
+                const std::size_t close =
+                    open == std::string::npos
+                        ? open
+                        : dline.find(dline[open] == '"' ? '"' : '>',
+                                     open + 1);
+                if (close != std::string::npos)
+                    (dline[open] == '"' ? out.includes : out.sysIncludes)
+                        .emplace_back(line, dline.substr(
+                                                open + 1, close - open - 1));
+            } else if (directive == "ifndef" && directives == 0) {
+                out.guardLine = line;
+                out.guardIfndef = wordAt(dline, after);
+            } else if (directive == "define" && directives == 1 &&
+                       !out.guardIfndef.empty()) {
+                out.guardDefine = wordAt(dline, after);
             }
+            ++directives;
             for (char bc : dline)
                 if (bc == '\n')
                     ++line;

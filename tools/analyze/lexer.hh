@@ -2,9 +2,10 @@
  * @file
  * C++ lexer for shrimp_analyze. Produces the token stream for one
  * source file, drops comments/string contents (mining comments for
- * `analyze:` annotations first), records project-relative #include
- * directives, and skips all other preprocessor lines so macro
- * definitions cannot confuse the downstream token-pattern parser.
+ * `analyze:` annotations first), records #include directives (project
+ * and system) and the include guard, and skips all other preprocessor
+ * lines so macro definitions cannot confuse the downstream
+ * token-pattern parser.
  */
 
 #ifndef SHRIMP_TOOLS_ANALYZE_LEXER_HH
@@ -17,8 +18,8 @@
 namespace shrimp::analyze
 {
 
-/** Lex @p text into @p out (toks/annotations/includes). @p out.rel and
- *  @p out.dir must already be set by the caller. */
+/** Lex @p text into @p out (toks, annotations, includes and guard).
+ *  @p out.rel and @p out.dir must already be set by the caller. */
 void lexFile(const std::string &text, SourceFile &out);
 
 } // namespace shrimp::analyze

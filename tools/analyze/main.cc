@@ -7,23 +7,18 @@
  *     scan-root...         directories to scan (default: src). The
  *                          first root is the include-resolution root
  *                          (like -I) and its files keep root-relative
- *                          paths; later roots (tools, bench) are
- *                          prefixed with their basename and exempt
- *                          from the layer order.
- *     --baseline=FILE      accepted-findings file
- *                          (default: tools/analyze/baseline.txt next
- *                          to the first root's parent, if present)
- *     --update-baseline    rewrite the baseline to the current
- *                          findings and exit 0
+ *                          paths; later roots (tools, bench, examples,
+ *                          tests) are prefixed with their basename and
+ *                          exempt from the layer order.
  *     --report=FILE        also write the findings report to FILE
  *                          (uploaded as a CI artifact)
- *     --sarif=FILE         write all findings (baselined included —
- *                          scanning backends do their own tracking via
- *                          partialFingerprints) as SARIF 2.1.0
+ *     --sarif=FILE         write all findings as SARIF 2.1.0
  *
- * Exit status: 0 clean (all findings baselined), 1 fresh findings,
- * 2 usage or I/O error (an output FILE that cannot be written
- * included).
+ * A finding is accepted only by an in-source
+ * `// analyze: allow(<rule>) — reason` at its site.
+ *
+ * Exit status: 0 clean, 1 findings, 2 usage or I/O error (an output
+ * FILE that cannot be written included).
  */
 
 #include <filesystem>
@@ -35,7 +30,6 @@
 #include <vector>
 
 #include "analyzer.hh"
-#include "baseline.hh"
 #include "sarif.hh"
 
 namespace
@@ -60,18 +54,12 @@ int
 run(int argc, char **argv)
 {
     std::vector<std::string> roots;
-    std::string baselinePath;
     std::string reportPath;
     std::string sarifPath;
-    bool updateBaseline = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg.rfind("--baseline=", 0) == 0)
-            baselinePath = arg.substr(11);
-        else if (arg == "--update-baseline")
-            updateBaseline = true;
-        else if (arg.rfind("--report=", 0) == 0)
+        if (arg.rfind("--report=", 0) == 0)
             reportPath = arg.substr(9);
         else if (arg.rfind("--sarif=", 0) == 0)
             sarifPath = arg.substr(8);
@@ -91,13 +79,6 @@ run(int argc, char **argv)
             return 2;
         }
     }
-    if (baselinePath.empty()) {
-        const auto guess =
-            std::filesystem::path(roots.front()).parent_path() /
-            "tools" / "analyze" / "baseline.txt";
-        if (std::filesystem::exists(guess))
-            baselinePath = guess.string();
-    }
 
     const std::vector<Finding> findings = analyzeTrees(roots);
 
@@ -116,51 +97,15 @@ run(int argc, char **argv)
             return 2;
     }
 
-    if (updateBaseline) {
-        if (baselinePath.empty()) {
-            std::cerr << "shrimp_analyze: --update-baseline needs "
-                         "--baseline=FILE\n";
-            return 2;
-        }
-        std::ostringstream text;
-        text << "# shrimp_analyze baseline: accepted findings, pinned.\n"
-             << "# One `rule|file|fingerprint` per line. Regenerate with\n"
-             << "#   shrimp_analyze --baseline=THIS --update-baseline\n"
-             << "# only after deciding each new finding is intentional.\n";
-        for (const Finding &f : findings)
-            text << baselineEntry(f) << "\n";
-        if (!writeFile(baselinePath, text.str()))
-            return 2;
-        std::cout << "shrimp_analyze: baseline updated ("
-                  << findings.size() << " entries)\n";
-        return 0;
-    }
-
-    bool baselineExisted = false;
-    const auto entries = loadBaseline(baselinePath, baselineExisted);
-    if (!baselinePath.empty() && !baselineExisted) {
-        std::cerr << "shrimp_analyze: baseline " << baselinePath
-                  << " not readable\n";
-        return 2;
-    }
-    const BaselineResult r = applyBaseline(findings, entries);
-
     std::ostringstream report;
-    for (const Finding &f : r.fresh)
+    for (const Finding &f : findings)
         report << formatFinding(f) << "\n";
-    report << "shrimp_analyze: " << r.fresh.size() << " finding(s), "
-           << r.suppressed.size() << " baselined, " << r.stale.size()
-           << " stale baseline entr"
-           << (r.stale.size() == 1 ? "y" : "ies") << "\n";
+    report << "shrimp_analyze: " << findings.size() << " finding(s)\n";
 
     std::cout << report.str();
-    for (const std::string &s : r.stale)
-        std::cerr << "shrimp_analyze: stale baseline entry (fix no "
-                     "longer needed? remove it): "
-                  << s << "\n";
     if (!reportPath.empty() && !writeFile(reportPath, report.str()))
         return 2;
-    return r.fresh.empty() ? 0 : 1;
+    return findings.empty() ? 0 : 1;
 }
 
 } // namespace

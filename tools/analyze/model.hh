@@ -9,8 +9,8 @@
  * member declarations and body ranges, include edges) -> types
  * (aliases, class fields, parameter/local/return types) -> callgraph +
  * dataflow (receiver-resolved call edges, Task-lifetime and taint
- * summaries) -> rules (rules.hh) -> baseline filter (baseline.hh) ->
- * report (main.cc: text and/or SARIF 2.1.0).
+ * summaries) -> rules (rules.hh) -> report (main.cc: text and/or
+ * SARIF 2.1.0).
  */
 
 #ifndef SHRIMP_TOOLS_ANALYZE_MODEL_HH
@@ -105,6 +105,14 @@ struct SourceFile
     std::vector<Annotation> annotations;
     /** Project-relative includes: (line, "dir/file.hh"). */
     std::vector<std::pair<int, std::string>> includes;
+    /** System includes: (line, "vector"). */
+    std::vector<std::pair<int, std::string>> sysIncludes;
+    /** The include guard: the file's first directive when it is an
+     *  `#ifndef` (its line and name), and the name of the `#define`
+     *  right after it. Empty names when absent. */
+    int guardLine = 0;
+    std::string guardIfndef;
+    std::string guardDefine;
 
     std::vector<FnDef> fns;
     std::vector<MemberDecl> members;
@@ -161,7 +169,8 @@ struct Project
     /** Names for which *every* indexed declaration/definition returns
      *  Task<...>. Name-based matching has no overload resolution, so a
      *  name that is Task-returning in one class and not in another is
-     *  ambiguous and excluded (conservative: no false positives). */
+     *  ambiguous: dropped-task checks its calls only where the receiver
+     *  resolves to a class whose method returns a Task. */
     std::set<std::string> taskFns;
     std::set<std::string> ambiguousTaskFns;
 
@@ -177,8 +186,8 @@ struct Finding
     std::string rule;
     std::string file; //!< relative to the include root
     int line = 0;
-    /** Stable identity for baseline matching: survives line drift
-     *  (function/include-edge names, not line numbers). */
+    /** Stable identity for SARIF's partialFingerprints: survives line
+     *  drift (function/include-edge names, not line numbers). */
     std::string fingerprint;
     std::string message;
 };

@@ -16,8 +16,8 @@
  * After all files are parsed, buildTaskIndex() computes the cross-file
  * set of function names that always return Task (name-based; names
  * that are Task-returning in one declaration and not in another are
- * excluded as ambiguous, trading false negatives for zero
- * overload-confusion false positives).
+ * kept apart as ambiguous, and dropped-task checks their calls only
+ * through a receiver whose class it can resolve).
  */
 
 #ifndef SHRIMP_TOOLS_ANALYZE_PARSE_HH

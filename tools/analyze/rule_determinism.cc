@@ -1,25 +1,26 @@
 /**
  * @file
- * determinism: the simulator core (src/sim) and the checkers
- * (src/check) must behave identically run-to-run — the figure benches
- * pin trace hashes, and the race detector's reports are diffed in
- * tests. Two things break that silently:
+ * determinism: the simulator library (every layered src dir) must
+ * behave identically run-to-run — the figure benches pin trace hashes,
+ * and the race detector's reports are diffed in tests. Two things
+ * break that silently:
  *
- *   - wall-clock / PRNG sources (also banned tree-wide by the Python
- *     lint; re-checked here so the analyzer is self-contained), and
+ *   - wall-clock / PRNG sources (dataflow.hh's list, which also feeds
+ *     determinism-taint), and
  *   - *iterating* a pointer-keyed container: iteration order follows
  *     host addresses (ASLR), so anything derived from it — report
  *     order, destruction order, map-to-vector copies — differs across
  *     runs. Lookups and erases are fine; range-for / .begin() are not.
  *
- * Pointer-keyed names are collected from declarations in the same
- * file (members and locals alike) and propagated through
+ * Pointer-keyed names are collected from declarations in every
+ * in-scope file (members and locals alike) and propagated through
  * `auto copy = name;`.
  */
 
 #include <cstddef>
 #include <set>
 
+#include "dataflow.hh"
 #include "rules.hh"
 
 namespace shrimp::analyze
@@ -27,14 +28,6 @@ namespace shrimp::analyze
 
 namespace
 {
-
-const std::set<std::string> bannedIdents = {
-    "rand",         "srand",        "drand48",
-    "random",       "random_device", "mt19937",
-    "system_clock", "steady_clock", "high_resolution_clock",
-    "gettimeofday", "clock_gettime", "localtime",
-    "gmtime",
-};
 
 const std::set<std::string> assocContainers = {
     "unordered_map", "unordered_set", "map", "set", "multimap",
@@ -81,7 +74,7 @@ ruleDeterminism(const Project &p, std::vector<Finding> &out)
     // appearance doesn't matter).
     std::set<std::string> ptrKeyed;
     for (const SourceFile &f : p.files) {
-        if (f.dir != "sim" && f.dir != "check")
+        if (layerOf(f.dir) < 0)
             continue;
         const Tokens &toks = f.toks;
         for (std::size_t k = 0; k + 1 < toks.size(); ++k) {
@@ -101,7 +94,7 @@ ruleDeterminism(const Project &p, std::vector<Finding> &out)
         }
     }
     for (const SourceFile &f : p.files) {
-        if (f.dir != "sim" && f.dir != "check")
+        if (layerOf(f.dir) < 0)
             continue;
         const Tokens &toks = f.toks;
         for (int sweep = 0; sweep < 2; ++sweep) {
@@ -122,7 +115,7 @@ ruleDeterminism(const Project &p, std::vector<Finding> &out)
 
     // Pass 2: findings.
     for (const SourceFile &f : p.files) {
-        if (f.dir != "sim" && f.dir != "check")
+        if (layerOf(f.dir) < 0)
             continue;
         const Tokens &toks = f.toks;
         for (std::size_t k = 0; k < toks.size(); ++k) {
@@ -130,25 +123,13 @@ ruleDeterminism(const Project &p, std::vector<Finding> &out)
             if (!t.ident())
                 continue;
 
-            if (bannedIdents.count(t.text) != 0 &&
-                !f.allows(t.line, "determinism")) {
-                out.push_back(
-                    {"determinism", f.rel, t.line, "banned/" + t.text,
-                     "'" + t.text + "' in " + f.dir +
-                         "/: simulations must be driven by Tick time "
-                         "and seeded state only"});
-                continue;
-            }
-            if (t.text == "time" && k + 2 < toks.size() &&
-                toks[k + 1].is("(") &&
-                (toks[k + 2].is("NULL") || toks[k + 2].is("nullptr") ||
-                 toks[k + 2].text == "0") &&
-                !f.allows(t.line, "determinism")) {
-                out.push_back(
-                    {"determinism", f.rel, t.line, "banned/time",
-                     "'time()' in " + f.dir +
-                         "/: wall clock reads are banned in the "
-                         "simulator core"});
+            if (isNondetSource(toks, k)) {
+                if (!f.allows(t.line, "determinism"))
+                    out.push_back(
+                        {"determinism", f.rel, t.line, "banned/" + t.text,
+                         "'" + t.text + "' in " + f.dir +
+                             "/: simulations must be driven by Tick "
+                             "time and seeded state only"});
                 continue;
             }
 

@@ -2,11 +2,16 @@
  * @file
  * dropped-task: a Task is lazy — a call whose returned Task is never
  * co_awaited, spawned, returned or started is a simulated activity
- * that silently does not happen. `[[nodiscard]]` (enforced by the
- * lint) catches the bare-call form at compile time only when warnings
- * are errors, and can never catch `auto t = f();` followed by nothing;
- * this pass catches both, plus the shapes that need type information:
+ * that silently does not happen. `[[nodiscard]]` (kept on sim::Task
+ * by the hygiene rule) catches the bare-call form at compile time only
+ * when warnings are errors, and can never catch `auto t = f();`
+ * followed by nothing; this pass catches both, plus the shapes that
+ * need type information:
  *
+ *   - a name that returns a Task in one class and not in another
+ *     (`send`) is checked where the call's receiver resolves to a
+ *     class whose method returns a Task; an untyped receiver (`auto &`)
+ *     stays silent and is left to `[[nodiscard]]`,
  *   - a call nested in another call's arguments is consumed ONLY when
  *     the receiving parameter actually consumes it — the enclosing
  *     function's interprocedural summary (dataflow.hh) is consulted,
@@ -124,6 +129,35 @@ callConsumesArg(const Project &p, const Tokens &toks, const CallSite &cs,
     return s.consumesTaskParam.count(arg) != 0;
 }
 
+/** Does the call named by token @p k return a Task? A name every
+ *  declaration agrees on comes from the Task index. An ambiguous name
+ *  (a Task in one class, not in another) counts only where the call's
+ *  receiver resolves to a class whose method of that name returns a
+ *  Task; an unresolved receiver stays silent. */
+bool
+callsTask(const Project &p, const std::vector<CallSite> &calls,
+          const std::string &name, std::size_t k)
+{
+    if (p.taskFns.count(name) != 0)
+        return true;
+    if (p.ambiguousTaskFns.count(name) == 0)
+        return false;
+    for (const CallSite &cs : calls) {
+        if (cs.nameIdx != k)
+            continue;
+        const std::size_t sep = cs.key.rfind("::");
+        if (sep == std::string::npos)
+            return false;
+        auto cit = p.types.methods.find(cs.key.substr(0, sep));
+        if (cit == p.types.methods.end())
+            return false;
+        auto mit = cit->second.find(name);
+        return mit != cit->second.end() &&
+               typeIsTask(p.types, mit->second);
+    }
+    return false;
+}
+
 /** Scan the statement (or statement fragment) [@p s, @p e), which
  *  starts at paren depth @p depth: a fragment that resumes an argument
  *  list after a lambda body or braced initializer starts inside it. */
@@ -158,7 +192,7 @@ scanStatement(const SourceFile &f, const FnDef &fn, std::size_t s,
         else if (t.is("=") && depth == 0 && assignAt == std::string::npos)
             assignAt = k;
         else if (t.ident() && k + 1 < e && toks[k + 1].is("(") &&
-                 p.taskFns.count(t.text) != 0) {
+                 callsTask(p, calls, t.text, k)) {
             if (shadowed.count(t.text) != 0)
                 continue; // rebound locally (a lambda), not the Task fn
             if (k > s && !mayPrecedeCall(toks[k - 1]))

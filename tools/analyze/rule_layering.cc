@@ -1,9 +1,12 @@
 /**
  * @file
- * layering: two checks over the project include graph.
+ * layering: three checks over the project's includes.
  *
  *  - Cycles: any include cycle among headers (include guards hide the
  *    compile error but the architectural knot stays).
+ *  - Include order in a layered .cc: its own header comes first (so
+ *    every header proves it compiles on its own), and a .cc with no
+ *    own header keeps every <...> include above the first "..." one.
  *  - Layer order: an include may only reach its own layer or below.
  *    The enforced order (see DESIGN.md §12) is
  *
@@ -12,13 +15,13 @@
  *
  *    node sits above net/nic because a Node is the composition point
  *    that owns a ShrimpNic and a Mesh by value; nothing below node/
- *    includes node headers, so the order is acyclic by construction
- *    and the baseline is empty. Directories outside this map (tools,
- *    bench, tests fixtures with other names) are exempt from the
- *    order but still cycle-checked.
+ *    includes node headers, so the order is acyclic by construction.
+ *    Directories outside this map (tools, bench, tests, examples) are
+ *    exempt from both orders but still cycle-checked.
  */
 
 #include <algorithm>
+#include <climits>
 #include <map>
 #include <set>
 
@@ -71,6 +74,40 @@ ruleLayering(const Project &p, std::vector<Finding> &out)
                      ") includes " + inc + " (layer " +
                      std::to_string(to) +
                      "): includes must not climb the layer order"});
+        }
+    }
+
+    // ---- include order in layered .cc files ---------------------------
+    for (const SourceFile &f : p.files) {
+        if (f.isHeader || layerOf(f.dir) < 0)
+            continue;
+        const int firstSys =
+            f.sysIncludes.empty() ? INT_MAX : f.sysIncludes.front().first;
+        const int firstProj =
+            f.includes.empty() ? INT_MAX : f.includes.front().first;
+        const std::string own = f.rel.substr(0, f.rel.rfind('.')) + ".hh";
+        if (p.file(own)) {
+            const int line = std::min(firstSys, firstProj);
+            if (line == INT_MAX || f.allows(line, "layering") ||
+                (firstProj < firstSys && f.includes.front().second == own))
+                continue;
+            out.push_back({"layering", f.rel, line,
+                           "own-header-first/" + own,
+                           "the first include must be the own header \"" +
+                               own + "\", which keeps it self-contained"});
+            continue;
+        }
+        for (const auto &[line, inc] : f.sysIncludes) {
+            if (line < firstProj)
+                continue;
+            if (!f.allows(line, "layering"))
+                out.push_back(
+                    {"layering", f.rel, line, "include-order/" + inc,
+                     "<" + inc + "> comes after a project include (line " +
+                         std::to_string(firstProj) +
+                         "); a .cc with no own header puts every <...> "
+                         "include first"});
+            break;
         }
     }
 

@@ -2,8 +2,8 @@
  * @file
  * determinism-taint: host nondeterminism flowing into event
  * scheduling. The determinism rule bans wall-clock/PRNG *sources*
- * outright in src/sim and src/check; everywhere else (node models,
- * tools, benches) reading a host clock is legitimate — profilers and
+ * outright in the layered src dirs; everywhere else (tools, benches,
+ * tests, examples) reading a host clock is legitimate — profilers and
  * reports do it — until the value reaches a simulation sink:
  *
  *   sinks    schedule()/scheduleIn()/scheduleAt()/Delay{...} — anything
@@ -19,7 +19,7 @@
  * rules: a local assigned from a tainted expression is tainted (two
  * sweeps so declaration order does not matter); a tainted identifier
  * inside a sink call's argument list is a finding. Scope is every
- * scanned file — in sim/check the plain determinism rule fires first
+ * scanned file — in src/ the plain determinism rule fires first
  * on the source itself, and an `analyze: allow(determinism)` there
  * does NOT silence the taint rule: allowed host reads must still stay
  * away from the event queue.
@@ -50,13 +50,8 @@ taintIn(const SourceFile &f, std::size_t lo, std::size_t hi,
         const Token &t = toks[k];
         if (!t.ident())
             continue;
-        if (isNondetSource(t.text)) {
-            // `time` only counts as the wall-clock call `time(...)`.
-            if (t.text == "time" &&
-                (k + 1 >= toks.size() || !toks[k + 1].is("(")))
-                continue;
+        if (isNondetSource(toks, k))
             return t.text;
-        }
         if (tainted.count(t.text) != 0 && k > 0 &&
             !toks[k - 1].is(".") && !toks[k - 1].is("->") &&
             !toks[k - 1].is("::"))

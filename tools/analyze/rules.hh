@@ -1,10 +1,10 @@
 /**
  * @file
- * The six shrimp_analyze rules. Each pass receives the fully parsed
- * and summarized Project and appends Findings; suppression
- * (annotations aside) is the baseline's job, not the rules'.
+ * The seven shrimp_analyze rules. Each pass receives the fully parsed
+ * and summarized Project and appends Findings. An in-source
+ * `// analyze: allow(<rule>) — reason` is the only way to accept one.
  *
- * Rule names (used in reports, baselines and `analyze: allow(...)`
+ * Rule names (used in reports, SARIF and `analyze: allow(...)`
  * annotations):
  *
  *   dropped-task             a call to a Task-returning function whose
@@ -13,14 +13,17 @@
  *                            a simulated activity that silently never
  *                            runs. Catches the `auto t = f();` hole
  *                            [[nodiscard]] cannot see.
- *   determinism              wall-clock/PRNG calls or iteration over
- *                            pointer-keyed containers in src/sim and
- *                            src/check — host-address-dependent order
- *                            feeding simulated state or traces.
- *   layering                 include-graph cycles anywhere, and
- *                            includes that climb the layer order
- *                            base < check/sim < mem < net/nic < node
- *                            < vmmc < libraries.
+ *   determinism              wall-clock/PRNG sources or iteration over
+ *                            pointer-keyed containers in the layered
+ *                            src dirs — host state feeding simulated
+ *                            state or traces.
+ *   layering                 include-graph cycles anywhere; includes
+ *                            that climb the layer order base <
+ *                            check/sim < mem < net/nic < node < vmmc <
+ *                            libraries; and a layered .cc whose own
+ *                            header is not its first include, or (with
+ *                            no own header) a <...> include after a
+ *                            "..." one.
  *   charged-time             a public Task-returning entry point in
  *                            nic/ or mem/ that never charges CPU/bus
  *                            time (directly or through its callees)
@@ -36,6 +39,11 @@
  *                            shares. Deliberate singletons are
  *                            allowlisted with `analyze:
  *                            allow(shared-mutable-static) — reason`.
+ *   hygiene                  a header whose include guard is not named
+ *                            after its path, `using namespace` outside
+ *                            a function body or `main()` in a header,
+ *                            `std::function` in src/sim, and sim::Task
+ *                            without `[[nodiscard]]`.
  *
  * A zero-delay event cycle is caught at run time instead, by the
  * SimChecker guard in SHRIMP_CHECK builds (DESIGN.md §10).
@@ -55,9 +63,10 @@ void ruleLayering(const Project &p, std::vector<Finding> &out);
 void ruleChargedTime(const Project &p, std::vector<Finding> &out);
 void ruleTaint(const Project &p, std::vector<Finding> &out);
 void ruleSharedMutableStatic(const Project &p, std::vector<Finding> &out);
+void ruleHygiene(const Project &p, std::vector<Finding> &out);
 
 /** Layer index of a layered src directory ("base" 0 ... "srpc" 6),
- *  or -1 for any other directory (tools, bench). */
+ *  or -1 for any other directory (tools, bench, tests, examples). */
 int layerOf(const std::string &dir);
 
 } // namespace shrimp::analyze

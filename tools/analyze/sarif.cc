@@ -53,9 +53,11 @@ const std::map<std::string, std::string> ruleDescs = {
      "Task-returning call whose lazy coroutine is never awaited, "
      "spawned, returned or drained"},
     {"determinism",
-     "wall-clock/PRNG source or pointer-keyed iteration in the "
-     "simulator core"},
-    {"layering", "include-graph cycle or layer-order violation"},
+     "wall-clock/PRNG source or pointer-keyed iteration in the layered "
+     "src dirs"},
+    {"layering",
+     "include-graph cycle, layer-order violation, or a layered .cc "
+     "whose includes are out of order"},
     {"charged-time",
      "public datapath entry that never charges simulated time"},
     {"determinism-taint",
@@ -64,6 +66,10 @@ const std::map<std::string, std::string> ruleDescs = {
      "mutable static in the layered src dirs without an `analyze: "
      "allow(shared-mutable-static)` reason — storage every Machine in "
      "the process shares"},
+    {"hygiene",
+     "include guard not named after the path, `using namespace` or "
+     "`main()` in a header, `std::function` in src/sim, or sim::Task "
+     "without [[nodiscard]]"},
 };
 
 } // namespace

@@ -3,10 +3,9 @@
  * SARIF 2.1.0 output for shrimp_analyze, so CI can upload findings to
  * code-scanning UIs. One run, one tool ("shrimp_analyze"), one rule
  * entry per analyzer rule; each finding becomes a result with its
- * file/line location and the baseline fingerprint under
+ * file/line location and its line-free fingerprint under
  * partialFingerprints (key "shrimpAnalyze/v1") so scanning backends
- * track findings across line drift the same way the local baseline
- * does.
+ * track findings across line drift.
  */
 
 #ifndef SHRIMP_TOOLS_ANALYZE_SARIF_HH

@@ -11,12 +11,13 @@
 # clang-tidy is deliberately NOT a build dependency: the container image
 # bakes in only the C++ toolchain, and the coroutine/determinism checks
 # we care most about are enforced by the project-native analyzer
-# (tools/analyze/, run by the `analyze` CI job) which builds with the
-# project itself. clang-tidy is an extra layer run where it IS
-# installed (the CI lint job installs it); when no binary is found this
-# script says so clearly and exits with a *distinct* status (3, vs
-# 0 clean / 1 findings / 2 usage error) so callers can tell "skipped"
-# from "passed" instead of silently treating absence as success.
+# (tools/analyze/) which builds with the project itself. clang-tidy is
+# an extra layer run where it IS installed (the CI `analyze` job
+# installs it and runs this script after the analyzer); when no binary
+# is found this script says so clearly and exits with a *distinct*
+# status (3, vs 0 clean / 1 findings / 2 usage error) so callers can
+# tell "skipped" from "passed" instead of silently treating absence as
+# success.
 set -eu
 
 root="$(cd "$(dirname "$0")/../.." && pwd)"
