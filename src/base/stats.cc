@@ -172,12 +172,4 @@ StatRegistry::dumpAll(std::ostream &os) const
     }
 }
 
-void
-StatRegistry::resetAll()
-{
-    for (Group *g : groups_)
-        g->reset();
-    retired_.clear();
-}
-
 } // namespace shrimp::stats

@@ -3,8 +3,8 @@
  * A small statistics package (counters and distributions) so that
  * hardware models and libraries can export event counts, in the spirit of
  * gem5's stats. Stats live in named groups; every Group registers itself
- * with the global StatRegistry, which can dump all groups as text and
- * reset them for inspection in tests and benchmarks.
+ * with the global StatRegistry, which can dump all groups as text for
+ * inspection in tests and benchmarks.
  *
  * Components are frequently shorter-lived than the process (benchmarks
  * build one simulated machine per measured point), so when a Group is
@@ -143,7 +143,6 @@ class Group
  * Process-wide registry of all live stat Groups plus retired totals.
  * Live groups register in construction order; lookup is by name (the
  * first live match wins). dumpAll() covers live groups and retired
- * totals; resetAll() zeroes the live groups and drops the retired
  * totals.
  */
 class StatRegistry
@@ -171,9 +170,6 @@ class StatRegistry
     /** gem5-style "group.stat value" lines for every live group, then
      *  the retired totals under "retired.". */
     void dumpAll(std::ostream &os) const;
-
-    /** Reset all live groups and clear the retired totals. */
-    void resetAll();
 
   private:
     struct Retired

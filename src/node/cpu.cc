@@ -27,7 +27,6 @@ Cpu::UseAwaiter::begin()
 void
 Cpu::UseAwaiter::end()
 {
-    cpu_.busyTime_ += t_;
     cpu_.statUses_ += 1;
     cpu_.statBusyNs_ += t_;
     if (traced_)

@@ -52,14 +52,13 @@ class Cpu
     Tick copyTime(std::size_t bytes, CacheMode mode) const;
 
     const MachineConfig &config() const { return cfg_; }
-    Tick busyTime() const { return busyTime_; }
+    Tick busyTime() const { return statBusyNs_.value(); }
     stats::Group &stats() { return stats_; }
 
   private:
     sim::EventQueue &queue_;
     const MachineConfig &cfg_;
     sim::Ledger ledger_;
-    Tick busyTime_ = 0;
     stats::Group stats_;
     trace::TrackId track_;
     // use() is the hottest call in the simulator (every poll iteration

@@ -770,21 +770,6 @@ NxProc::gdhigh(double value)
     co_return result;
 }
 
-sim::Task<>
-NxProc::sendReserved(long type, const void *data, std::size_t len, int dest)
-{
-    ep_.proc().poke(scratch_, data, len);
-    co_await csend(type, scratch_, len, dest);
-}
-
-sim::Task<std::size_t>
-NxProc::recvReserved(long type, void *data, std::size_t maxlen)
-{
-    std::size_t n = co_await crecv(type, scratch_ + 2048, maxlen);
-    ep_.proc().peek(scratch_ + 2048, data, std::min(n, maxlen));
-    co_return n;
-}
-
 // ---- NxSystem ---------------------------------------------------------
 
 NxSystem::NxSystem(vmmc::System &sys, int nprocs, NxOptions opt)

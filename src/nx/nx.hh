@@ -240,11 +240,6 @@ class NxProc
     void armCompletion();
     sim::Task<> completionAgent();
 
-    sim::Task<> sendReserved(long type, const void *data, std::size_t len,
-                             int dest);
-    sim::Task<std::size_t> recvReserved(long type, void *data,
-                                        std::size_t maxlen);
-
     /** Take a safe-copy buffer from the pool (allocating if empty). */
     VAddr acquireSafeBuffer();
     void releaseSafeBuffer(VAddr buf);

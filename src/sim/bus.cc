@@ -40,9 +40,6 @@ Bus::endTransfer(std::size_t bytes, Tick occupied)
 {
     SHRIMP_CHECK_HOOK(
         check::SimChecker::instance().onBusTransferEnd(this, bytes));
-    busyTime_ += occupied;
-    bytes_ += bytes;
-    ++transactions_;
     statTransactions_ += 1;
     statBytes_ += bytes;
     statOccupancyNs_ += occupied;

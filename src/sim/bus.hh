@@ -41,13 +41,13 @@ class Bus
               span_(bus.occupancy(bytes, setup))
         {}
 
-        void
+        bool
         await_suspend(std::coroutine_handle<> h)
         {
             // The queueing and occupancy events are the bus's own
             // cost, whoever initiated the transfer.
             profile::retag(bus_.profSubsys_);
-            Hold::await_suspend(h);
+            return Hold::await_suspend(h);
         }
 
       private:
@@ -98,9 +98,9 @@ class Bus
     Ledger &ledger() { return ledger_; }
 
     double bandwidth() const { return bw_; }
-    Tick busyTime() const { return busyTime_; }
-    std::uint64_t bytesMoved() const { return bytes_; }
-    std::uint64_t transactions() const { return transactions_; }
+    Tick busyTime() const { return statOccupancyNs_.value(); }
+    std::uint64_t bytesMoved() const { return statBytes_.value(); }
+    std::uint64_t transactions() const { return statTransactions_.value(); }
     stats::Group &stats() { return stats_; }
 
     /** Profiler subsystem this bus's occupancy is attributed to
@@ -113,9 +113,6 @@ class Bus
     profile::Subsys profSubsys_ = profile::Subsys::Bus;
     std::uint64_t bps_; //!< bw_ in whole bytes/s; see units::transferTime
     Ledger ledger_;
-    Tick busyTime_ = 0;
-    std::uint64_t bytes_ = 0;
-    std::uint64_t transactions_ = 0;
     stats::Group stats_;
     trace::TrackId track_;
     // Hot path: stat lookups are hoisted to construction (the returned

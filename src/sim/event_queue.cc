@@ -14,6 +14,8 @@
 namespace shrimp::sim
 {
 
+EventQueue *detail::gTailQueue = nullptr;
+
 EventQueue::EventQueue()
 {
     SHRIMP_CHECK_HOOK(check::SimChecker::instance().onQueueCreated(this));
@@ -88,13 +90,39 @@ void
 EventQueue::file(EventNode *n, int b)
 {
     Bucket &bk = buckets_[b];
-    if (bk.head)
+    if (bk.head) {
         bk.tail->next = n;
-    else
+        bk.min = std::min(bk.min, n->when);
+    } else {
         bk.head = n;
+        bk.min = n->when;
+    }
     bk.tail = n;
     if (b != 0)
         occupied_ |= std::uint64_t(1) << (b - 1);
+}
+
+void
+EventQueue::refile(int b)
+{
+    occupied_ &= occupied_ - 1;
+    EventNode *n = buckets_[b].head;
+    buckets_[b].head = nullptr;
+    while (n) {
+        EventNode *next = n->next;
+        n->next = nullptr;
+        const int to = std::bit_width(n->when ^ now_);
+        SHRIMP_CHECK_HOOK(
+            if (to >= b) check::SimChecker::instance().report(
+                logging::format("event queue re-filed seq %llu (when=%llu "
+                                "ns) from bucket %d into bucket %d at "
+                                "now=%llu ns",
+                                (unsigned long long)n->seq,
+                                (unsigned long long)n->when, b, to,
+                                (unsigned long long)now_)));
+        file(n, to);
+        n = next;
+    }
 }
 
 void
@@ -115,28 +143,8 @@ EventQueue::popEarliest()
         // and every node re-files, in FIFO order, into a lower (empty)
         // bucket against the new base. Higher buckets stay valid.
         const int b = std::countr_zero(occupied_) + 1;
-        occupied_ &= occupied_ - 1;
-        EventNode *n = buckets_[b].head;
-        buckets_[b].head = nullptr;
-        Tick base = n->when;
-        for (const EventNode *m = n->next; m; m = m->next)
-            base = std::min(base, m->when);
-        now_ = base;
-        while (n) {
-            EventNode *next = n->next;
-            n->next = nullptr;
-            const int to = std::bit_width(n->when ^ now_);
-            SHRIMP_CHECK_HOOK(
-                if (to >= b) check::SimChecker::instance().report(
-                    logging::format("event queue re-filed seq %llu (when=%llu "
-                                    "ns) from bucket %d into bucket %d at "
-                                    "now=%llu ns",
-                                    (unsigned long long)n->seq,
-                                    (unsigned long long)n->when, b, to,
-                                    (unsigned long long)now_)));
-            file(n, to);
-            n = next;
-        }
+        now_ = buckets_[b].min;
+        refile(b);
     }
     EventNode *n = cur.head;
     cur.head = n->next;
@@ -194,15 +202,45 @@ EventQueue::runOne()
     return true;
 }
 
+void
+EventQueue::advanceTo(Tick target)
+{
+    --advanceBudget_;
+    ++advancedInPlace_;
+    // The sample runOne() would take as the running event returned,
+    // with the skipped event still pending.
+    if (trace::sampling() && now_ >= nextSample_) {
+        trace::Tracer::instance().sampleCounters(now_, size_ + 1);
+        nextSample_ = now_ + trace::samplePeriod;
+    }
+    // Every pending `when` exceeds target, so target agrees with now_
+    // on every bit above the lowest occupied bucket's bit b-1. If it
+    // sets that bit, bucket b re-files into lower buckets, as a pop
+    // drains it; otherwise no node's bucket changes. Higher buckets
+    // stay valid either way.
+    const int moved = std::bit_width(std::exchange(now_, target) ^ target);
+    if (occupied_) {
+        const int b = std::countr_zero(occupied_) + 1;
+        if (moved == b)
+            refile(b);
+    }
+}
+
 std::uint64_t
 EventQueue::run(std::uint64_t max_events)
 {
     std::uint64_t n = 0;
-    while (runOne()) {
-        if (++n > max_events)
+    for (;;) {
+        // The popped event counts first; advances spend the rest, so
+        // the event past max_events is always scheduled and popped.
+        const std::uint64_t budget = n < max_events ? max_events - n - 1 : 0;
+        advanceBudget_ = budget;
+        if (!runOne())
+            return n;
+        n += 1 + (budget - advanceBudget_);
+        if (n > max_events)
             panic("event limit exceeded; runaway simulation?");
     }
-    return n;
 }
 
 Simulator::~Simulator()
@@ -223,12 +261,13 @@ Simulator::~Simulator()
 void
 Simulator::spawn(Task<> task)
 {
-    runDetached(std::move(task), "task");
+    spawn(std::move(task), "task");
 }
 
 void
 Simulator::spawn(Task<> task, std::string name)
 {
+    detail::EagerStart eager;
     runDetached(std::move(task), std::move(name));
 }
 
@@ -273,7 +312,7 @@ void
 Simulator::spawnDaemon(Task<> task)
 {
     daemons_.push_back(std::move(task));
-    daemons_.back().start();
+    daemons_.back().start(); // eager, so start() clears the tail queue
 }
 
 std::uint64_t

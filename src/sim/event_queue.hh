@@ -33,14 +33,25 @@
  *    that point, so it never puts a node behind a later-scheduled one.
  *    Nodes in higher buckets agree with the new now() on every bit at
  *    and above the drained bucket's, so their buckets do not change.
- * Only a pop moves now(), and it re-files every node whose bucket the
- * move changes. Hence there is no runUntil(): it would move now() with
- * nodes still filed against the old base.
+ * Each bucket keeps its minimum `when` as nodes are filed, so neither
+ * a pop nor tryAdvance() scans a bucket to find it.
+ *
+ * now() moves at a pop or at an in-place advance (tryAdvance()), and
+ * each re-files every node whose bucket the move changes. An advance
+ * replaces an event that would be popped next anyway: a coroutine that
+ * a running event resumed as its last act (tail position) awaits a
+ * positive span, and no pending event is due at or before the span's
+ * end. It moves now() to that end and the coroutine goes on without
+ * suspending. Dispatch order, simulated time, counter samples and
+ * run()'s event count are those of the scheduled event. Nothing else
+ * moves now(), so there is no runUntil().
  */
 
 #ifndef SHRIMP_SIM_EVENT_QUEUE_HH
 #define SHRIMP_SIM_EVENT_QUEUE_HH
 
+#include <bit>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -53,6 +64,43 @@
 
 namespace shrimp::sim
 {
+
+class EventQueue;
+
+namespace detail
+{
+
+/** The queue one of whose events is resuming the running coroutine as
+ *  its last act, or null: tryAdvance() acts only for this queue. */
+extern EventQueue *gTailQueue;
+
+/** Resume @p h as the last act of an event of @p queue, so that its
+ *  awaits may advance in place. */
+inline void
+resumeInTail(EventQueue &queue, std::coroutine_handle<> h)
+{
+    gTailQueue = &queue;
+    h.resume();
+    gTailQueue = nullptr;
+}
+
+/** Clears gTailQueue while a task starts eagerly (Simulator::spawn,
+ *  Task::start): its starter goes on at the old time once it suspends,
+ *  so the task must not advance in place. */
+class EagerStart
+{
+  public:
+    EagerStart() : saved_(std::exchange(gTailQueue, nullptr)) {}
+    ~EagerStart() { gTailQueue = saved_; }
+
+    EagerStart(const EagerStart &) = delete;
+    EagerStart &operator=(const EagerStart &) = delete;
+
+  private:
+    EventQueue *saved_;
+};
+
+} // namespace detail
 
 class EventQueue
 {
@@ -87,15 +135,36 @@ class EventQueue
         schedule(now_ + delay, std::forward<F>(fn));
     }
 
-    /** Run the earliest pending event. @return false if queue empty;
-     *  panics if the buckets are empty while events are pending. */
-    bool runOne();
+    /**
+     * Move now() forward by @p span in place of an event at now() +
+     * @p span that would run next: only for a coroutine in tail
+     * position (detail::resumeInTail), within run()'s event budget,
+     * for a positive span, and when no pending event is due at or
+     * before the span's end. Before now() moves, it takes the
+     * counter sample runOne() would take as the running event returns,
+     * with the skipped event counted as pending.
+     * @return true if now() moved; false means schedule the event.
+     */
+    bool
+    tryAdvance(Tick span)
+    {
+        const Tick target = now_ + span;
+        if (detail::gTailQueue != this || target <= now_ ||
+            advanceBudget_ == 0 || buckets_[0].head)
+            return false;
+        if (occupied_ &&
+            buckets_[std::countr_zero(occupied_) + 1].min <= target)
+            return false;
+        advanceTo(target);
+        return true;
+    }
 
     /**
      * Run until the queue drains.
      * @param max_events guard against runaway simulations; panics if
      *        exceeded.
-     * @return number of events processed.
+     * @return number of events processed: those popped plus those
+     *         tryAdvance() ran in place.
      */
     std::uint64_t run(std::uint64_t max_events = defaultMaxEvents);
 
@@ -109,6 +178,9 @@ class EventQueue
 
     /** Callables too large for a node's inline buffer (heap fallback). */
     std::uint64_t heapCallables() const { return heapCallables_; }
+
+    /** Events tryAdvance() ran in place instead of scheduling. */
+    std::uint64_t advancedInPlace() const { return advancedInPlace_; }
 
     static constexpr std::uint64_t defaultMaxEvents = 500'000'000;
 
@@ -137,6 +209,7 @@ class EventQueue
     {
         EventNode *head = nullptr;
         EventNode *tail = nullptr;
+        Tick min = 0; //!< smallest `when` filed, valid while head != null
     };
 
     /** Validate @p when, stamp a fresh (pooled) node with it and the
@@ -186,15 +259,29 @@ class EventQueue
     /** Append @p n to bucket @p b and mark the bucket occupied. */
     void file(EventNode *n, int b);
 
+    /** Empty bucket @p b, the lowest occupied one, re-filing its nodes
+     *  in FIFO order against now_. */
+    void refile(int b);
+
     /** Remove and return the earliest pending node, moving now_ to its
      *  tick; nullptr if every bucket is empty. */
     EventNode *popEarliest();
+
+    /** Run the earliest pending event. @return false if queue empty;
+     *  panics if the buckets are empty while events are pending. */
+    bool runOne();
+
+    /** tryAdvance()'s move of now_ to @p target, once it is allowed. */
+    void advanceTo(Tick target);
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::size_t size_ = 0;
     //! When runOne() next samples counters (base/trace.hh sampling()).
     Tick nextSample_ = 0;
+    //! Advances run() still allows in the running event.
+    std::uint64_t advanceBudget_ = 0;
+    std::uint64_t advancedInPlace_ = 0;
 
     // Radix heap (see the file comment). Bit b-1 of occupied_ is set iff
     // bucket b (1..64) is non-empty; bucket 0 is tested by its head. A

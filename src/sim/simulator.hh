@@ -123,7 +123,9 @@ class Simulator
     std::unordered_set<void *> liveDetached_;
 };
 
-/** Awaitable: suspend the current task for @p delay ticks. */
+/** Awaitable: suspend the current task for @p delay ticks. When the
+ *  wake-up event would run next anyway, the task instead goes on in
+ *  place at the later tick (EventQueue::tryAdvance). */
 struct Delay
 {
     EventQueue &queue;
@@ -131,10 +133,15 @@ struct Delay
 
     bool await_ready() const noexcept { return false; }
 
-    void
+    bool
     await_suspend(std::coroutine_handle<> h) const
     {
-        queue.scheduleIn(delay, [h] { h.resume(); });
+        if (queue.tryAdvance(delay))
+            return false;
+        queue.scheduleIn(delay, [h, q = &queue] {
+            detail::resumeInTail(*q, h);
+        });
+        return true;
     }
 
     void await_resume() const noexcept {}

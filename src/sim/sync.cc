@@ -13,10 +13,10 @@ resumeSoon(EventQueue &queue, std::coroutine_handle<> h)
 {
     SHRIMP_CHECK_HOOK(
         check::SimChecker::instance().onResumeScheduled(h.address()));
-    queue.scheduleIn(0, [h] {
+    queue.scheduleIn(0, [h, q = &queue] {
         SHRIMP_CHECK_HOOK(
             check::SimChecker::instance().onResumeFired(h.address()));
-        h.resume();
+        resumeInTail(*q, h);
     });
 }
 

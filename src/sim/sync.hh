@@ -197,9 +197,12 @@ class Ledger
  * FIFO. At the grant Derived::begin() runs and returns the span; at the
  * span's end one event runs Derived::end(), releases the ledger (so the
  * handoff to the next waiter is queued first) and resumes the awaiting
- * coroutine. The awaiter lives in the awaiting coroutine's frame, and
- * the ledger and the event queue hold its address while that coroutine
- * is suspended, so it can be neither copied nor moved.
+ * coroutine. A claim of an idle ledger whose end event would run next
+ * anyway (EventQueue::tryAdvance) instead runs end() and the release in
+ * place at the span's end and does not suspend; a grant from the wait
+ * list always schedules. The awaiter lives in the awaiting coroutine's
+ * frame, and the ledger and the event queue hold its address while
+ * that coroutine is suspended, so it can be neither copied nor moved.
  */
 template <typename Derived>
 class Hold : Ledger::Waiter
@@ -212,12 +215,21 @@ class Hold : Ledger::Waiter
 
     bool await_ready() const noexcept { return false; }
 
-    void
+    /** @return false when the span ran in place: no suspension. */
+    bool
     await_suspend(std::coroutine_handle<> h)
     {
         awaiting_ = h;
-        if (ledger_.claim(*this))
-            start();
+        if (!ledger_.claim(*this))
+            return true;
+        const Tick span = derived().begin();
+        if (!ledger_.queue().tryAdvance(span)) {
+            scheduleEnd(span);
+            return true;
+        }
+        derived().end();
+        ledger_.release();
+        return false;
     }
 
     void await_resume() const noexcept {}
@@ -226,25 +238,27 @@ class Hold : Ledger::Waiter
     explicit Hold(Ledger &ledger) : Waiter{&granted}, ledger_(ledger) {}
 
   private:
+    Derived &derived() { return static_cast<Derived &>(*this); }
+
     static void
     granted(Ledger::Waiter &w)
     {
-        static_cast<Hold &>(w).start();
+        Hold &hold = static_cast<Hold &>(w);
+        hold.scheduleEnd(hold.derived().begin());
     }
 
     void
-    start()
+    scheduleEnd(Tick span)
     {
-        Tick span = static_cast<Derived &>(*this).begin();
         ledger_.queue().scheduleIn(span, [this] { finish(); });
     }
 
     void
     finish()
     {
-        static_cast<Derived &>(*this).end();
+        derived().end();
         ledger_.release();
-        awaiting_.resume();
+        detail::resumeInTail(ledger_.queue(), awaiting_);
     }
 
     Ledger &ledger_;

@@ -20,6 +20,7 @@
 #include <utility>
 
 #include "base/logging.hh"
+#include "sim/event_queue.hh"
 
 namespace shrimp::sim
 {
@@ -213,6 +214,7 @@ class [[nodiscard]] Task
     {
         if (!handle_ || handle_.done())
             panic("start() on an invalid or finished task");
+        detail::EagerStart eager;
         handle_.resume();
     }
 

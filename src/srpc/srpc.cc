@@ -262,12 +262,6 @@ ServerCall::ServerCall(vmmc::Endpoint &ep, const Interface &iface,
 {
 }
 
-VAddr
-ServerCall::argAddr(std::size_t i) const
-{
-    return buf_ + VAddr(iface_.argOff(proc_, i));
-}
-
 sim::Task<>
 ServerCall::getArg(std::size_t i, void *out)
 {

@@ -172,9 +172,6 @@ class ServerCall
      *  rest of the computation. */
     sim::Task<> putOut(std::size_t i, const void *data);
 
-    /** Simulated address of parameter @p i (true by-reference use). */
-    VAddr argAddr(std::size_t i) const;
-
   private:
     vmmc::Endpoint &ep_;
     const Interface &iface_;

@@ -61,13 +61,6 @@ BufferRegistry::find(std::uint32_t key)
     return it == byKey_.end() ? nullptr : &it->second;
 }
 
-const ExportRecord *
-BufferRegistry::find(std::uint32_t key) const
-{
-    auto it = byKey_.find(key);
-    return it == byKey_.end() ? nullptr : &it->second;
-}
-
 ExportRecord *
 BufferRegistry::findByPAddr(PAddr paddr)
 {

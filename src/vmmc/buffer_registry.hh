@@ -52,7 +52,6 @@ class BufferRegistry
 
     /** Find by key; nullptr if absent. */
     ExportRecord *find(std::uint32_t key);
-    const ExportRecord *find(std::uint32_t key) const;
 
     /** Find the export whose pages contain @p paddr; nullptr if none. */
     ExportRecord *findByPAddr(PAddr paddr);

@@ -580,6 +580,133 @@ TEST(EventQueueCore, OversizedCallableFallsBackToHeapAndCounts)
     EXPECT_EQ(got, 7u);
 }
 
+// ---- in-place advance (EventQueue::tryAdvance) -------------------------
+
+TEST(EventQueueAdvance, HoldChainOnAnEmptyQueueRunsInPlace)
+{
+    Simulator s;
+    MachineConfig cfg;
+    node::Cpu cpu(s.queue(), cfg, "advance_cpu");
+    Bus bus(s.queue(), 100.0, "advance_bus"); // 10 ns/byte
+    Tick ended = 0;
+    s.spawn([](Simulator &s, node::Cpu &cpu, Bus &bus,
+               Tick &ended) -> Task<> {
+        for (Tick t : {100, 7, 250, 1})
+            co_await cpu.use(t);
+        co_await bus.transfer(30, 2);
+        ended = s.now();
+    }(s, cpu, bus, ended));
+    // One event per hold, though only the first is scheduled: the
+    // spawn runs the task eagerly, and the other four holds run in
+    // place once its end event resumes the task.
+    EXPECT_EQ(s.run(), 5u);
+    EXPECT_EQ(s.queue().advancedInPlace(), 4u);
+    EXPECT_EQ(ended, 660u);
+    EXPECT_EQ(s.now(), 660u);
+    EXPECT_EQ(cpu.busyTime(), 358u);
+    EXPECT_EQ(cpu.stats().get("uses"), 4u);
+    EXPECT_EQ(bus.busyTime(), 302u);
+    EXPECT_EQ(bus.transactions(), 1u);
+}
+
+TEST(EventQueueAdvance, HoldEndingAtAPendingEventsTickIsScheduled)
+{
+    Simulator s;
+    MachineConfig cfg;
+    node::Cpu cpu(s.queue(), cfg, "advance_tie_cpu");
+    std::vector<std::string> log;
+    s.queue().schedule(150, [&] {
+        log.push_back("pending@" + std::to_string(s.now()));
+    });
+    s.spawn([](Simulator &s, node::Cpu &cpu,
+               std::vector<std::string> &log) -> Task<> {
+        co_await Delay{s.queue(), 100};
+        // In tail position now, but the hold ends at 150, where an
+        // event scheduled earlier must run first.
+        co_await cpu.use(50);
+        log.push_back("hold@" + std::to_string(s.now()));
+    }(s, cpu, log));
+    s.runAll();
+    EXPECT_EQ(log, (std::vector<std::string>{"pending@150", "hold@150"}));
+    EXPECT_EQ(s.queue().advancedInPlace(), 0u);
+}
+
+TEST(EventQueueAdvance, AdvanceAcrossTheLowestBucketsBitRefilesIt)
+{
+    Simulator s;
+    EventQueue &q = s.queue();
+    std::vector<std::pair<Tick, int>> scheduled;
+    std::vector<std::pair<Tick, int>> fired;
+    std::function<void(Tick)> add = [&](Tick when) {
+        const int i = int(scheduled.size());
+        scheduled.push_back({when, i});
+        q.schedule(when, [&fired, &q, i] { fired.push_back({q.now(), i}); });
+    };
+    // From now=2, 12 and 13 first differ at bit 3: both sit in bucket 4.
+    add(12);
+    add(13);
+    s.spawn([](EventQueue &q, std::function<void(Tick)> &add) -> Task<> {
+        co_await Delay{q, 2};
+        // 2 -> 10 sets bit 3, so 12 and 13 move to bucket 3. Left in
+        // bucket 4, they would pop after the 14 filed below.
+        co_await Delay{q, 8};
+        EXPECT_EQ(q.now(), 10u);
+        for (Tick when : {14, 12, 11, 13, 10})
+            add(when);
+    }(q, add));
+    s.runAll();
+    EXPECT_EQ(q.advancedInPlace(), 1u);
+    std::stable_sort(scheduled.begin(), scheduled.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    EXPECT_EQ(fired, scheduled);
+}
+
+TEST(EventQueueAdvance, SpawnedTaskDoesNotMoveItsSpawnersTime)
+{
+    Simulator s;
+    std::vector<Tick> seen; // spawner before, after spawn, after daemon
+    Tick child = 0, daemon = 0;
+    auto sleeper = [](Simulator &s, Tick span, Tick &woke) -> Task<> {
+        co_await Delay{s.queue(), span};
+        woke = s.now();
+    };
+    s.spawn([](Simulator &s, std::vector<Tick> &seen, Task<> child,
+               Task<> daemon) -> Task<> {
+        co_await Delay{s.queue(), 5}; // resumed in tail position
+        seen.push_back(s.now());
+        s.spawn(std::move(child));
+        seen.push_back(s.now());
+        s.spawnDaemon(std::move(daemon));
+        seen.push_back(s.now());
+    }(s, seen, sleeper(s, 20, child), sleeper(s, 10, daemon)));
+    s.runAll();
+    EXPECT_EQ(seen, (std::vector<Tick>{5, 5, 5}));
+    EXPECT_EQ(child, 25u);
+    EXPECT_EQ(daemon, 15u);
+}
+
+TEST(EventQueueAdvance, EndlessDelayLoopStillHitsTheEventLimit)
+{
+    Simulator s;
+    // Bounded only so that a broken budget fails instead of hanging.
+    s.spawn([](EventQueue &q) -> Task<> {
+        for (int i = 0; i < 100'000; ++i)
+            co_await Delay{q, 10};
+    }(s.queue()));
+    try {
+        s.run(1000);
+        FAIL() << "expected a panic";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("event limit exceeded"),
+                  std::string::npos)
+            << e.what();
+    }
+    // As with every wake-up scheduled: the panic follows event 1001.
+    EXPECT_EQ(s.now(), 10'010u);
+}
+
 TEST(FrameArena, RecyclesCoroutineFrames)
 {
     auto before = detail::FrameArena::stats();

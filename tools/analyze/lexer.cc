@@ -211,8 +211,10 @@ lexFile(const std::string &text, SourceFile &out)
                     ++i;
                     continue;
                 }
-                const std::string delim =
-                    ")" + text.substr(i + 2, open - i - 2) + "\"";
+                // append, not operator+: GCC 12 gives a false
+                // -Wrestrict on the concatenation at -O3.
+                std::string delim = ")";
+                delim.append(text, i + 2, open - i - 2).append("\"");
                 std::size_t end = text.find(delim, open + 1);
                 end = end == std::string::npos ? n : end + delim.size();
                 for (std::size_t k = i; k < end; ++k)
