@@ -33,7 +33,6 @@ parseBenchFlags(int &argc, char **argv)
 {
     gProgName = basenameOf(argv[0]);
     bool profile_requested = false;
-    std::string profile_path = "profile.json";
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--check-determinism") == 0) {
@@ -49,26 +48,30 @@ parseBenchFlags(int &argc, char **argv)
                 std::strtoull(argv[i] + 14, nullptr, 10));
         } else if (std::strcmp(argv[i], "--profile") == 0) {
             profile_requested = true;
-        } else if (std::strncmp(argv[i], "--profile=", 10) == 0) {
-            profile_requested = true;
-            profile_path = argv[i] + 10;
         } else {
             argv[out++] = argv[i];
         }
     }
     argc = out;
     argv[argc] = nullptr;
+    trace::parseCliFlags(argc, argv);
+    if (!profile_requested)
+        return;
     // Host-cost profiling reads a wall clock. Readings never feed back
     // into simulated state, but the determinism lanes exist precisely to
     // certify "no wall-clock reads during simulation", so keep them pure.
-    if (profile_requested && gCheckDeterminism) {
-        warn("--profile is ignored under --check-determinism (the "
-             "determinism lane must not read the host clock)");
-        profile_requested = false;
-    }
-    if (profile_requested)
-        sim::profile::setOutputPath(profile_path);
-    trace::parseCliFlags(argc, argv);
+    // The profile is written into the trace file, so it needs one.
+    const char *refusal =
+        gCheckDeterminism ? "under --check-determinism (the determinism "
+                            "lane must not read the host clock)"
+        : trace::outputPath().empty()
+            ? "without a trace file to hold it (--trace=FILE or "
+              "SHRIMP_TRACE)"
+            : nullptr;
+    if (refusal)
+        warn(logging::format("--profile is ignored %s", refusal));
+    else
+        sim::profile::setTiming(true);
 }
 
 bool

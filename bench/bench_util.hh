@@ -90,10 +90,11 @@ void printTable(const std::string &header,
  *                         per bench to regenerate the golden set)
  *   --span-sample=N       sample every Nth message origin into a causal
  *                         flow span (base/span.hh); 0 = off (default)
- *   --profile[=FILE]      accumulate per-subsystem host dispatch cost
- *                         (sim/profile.hh) and dump FILE (default
- *                         profile.json) at exit; ignored with a warning
- *                         under --check-determinism
+ *   --profile             accumulate per-subsystem host dispatch cost
+ *                         (sim/profile.hh) and write it into the trace
+ *                         file as host.<tag>.* counter tracks; ignored
+ *                         with a warning under --check-determinism or
+ *                         without a trace file (--trace=, SHRIMP_TRACE)
  *
  * plus everything trace::parseCliFlags handles (--trace=, --stats; a
  * trace file also carries the sampled stat counters as counter

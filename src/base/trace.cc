@@ -4,6 +4,8 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <set>
+#include <utility>
 
 #include "base/config.hh"
 #include "base/logging.hh"
@@ -16,6 +18,7 @@ namespace detail
 {
 bool gEnabled = false;
 bool gSampling = false;
+ProcessId gProcess = 0;
 } // namespace detail
 
 Tracer &
@@ -98,10 +101,18 @@ Tracer::sampleCounters(Tick now, std::size_t pending)
     for (Sampled &c : sampled_) {
         if (c.counter->value() != c.last) {
             c.last = c.counter->value();
-            samples_.push_back(Sample{now, c.track, c.last});
+            samples_.push_back(Sample{now, c.track, process(), c.last});
         }
     }
-    samples_.push_back(Sample{now, pendingTrack_, pending});
+    samples_.push_back(Sample{now, pendingTrack_, process(), pending});
+}
+
+void
+Tracer::sample(Tick now, TrackId t, std::uint64_t value)
+{
+    // Within the cap, which sampleCounters() reaches first and warns of.
+    if (samples_.size() < maxSamples)
+        samples_.push_back(Sample{now, t, process(), value});
 }
 
 std::uint64_t
@@ -181,19 +192,28 @@ writeTs(std::ostream &os, Tick tick)
 void
 Tracer::writeJson(std::ostream &os) const
 {
-    os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,"
-          "\"args\":{\"name\":\"shrimp\"}}";
+    os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
 
-    // Name only the tracks that actually recorded something.
-    std::vector<bool> used(tracks_.size(), false);
+    // Name each process, and in it each track, that recorded something
+    // (~0 stands for a process's counter samples, which have no track).
+    // Every record after this metadata follows a comma.
+    std::set<std::pair<ProcessId, TrackId>> used;
     for (const Event &e : events_)
-        used[e.track] = true;
-    for (TrackId t = 0; t < TrackId(tracks_.size()); ++t) {
-        if (!used[t])
+        used.emplace(e.process, e.track);
+    for (const Sample &c : samples_)
+        used.emplace(c.process, ~TrackId(0));
+    const char *sep = "\n";
+    ProcessId named = ~ProcessId(0);
+    for (const auto &[p, t] : used) {
+        if (p != std::exchange(named, p)) {
+            os << sep << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":"
+               << p << ",\"args\":{\"name\":\"machine " << p << "\"}}";
+            sep = ",\n";
+        }
+        if (t == ~TrackId(0))
             continue;
-        os << ",\n{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,"
-              "\"tid\":" << t << ",\"args\":{\"name\":";
+        os << ",\n{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << p
+           << ",\"tid\":" << t << ",\"args\":{\"name\":";
         writeJsonString(os, tracks_[t].c_str());
         os << "}}";
     }
@@ -222,7 +242,8 @@ Tracer::writeJson(std::ostream &os) const
         }
         os << "\",\"name\":";
         writeJsonString(os, e.name);
-        os << ",\"pid\":0,\"tid\":" << e.track << ",\"ts\":";
+        os << ",\"pid\":" << e.process << ",\"tid\":" << e.track
+           << ",\"ts\":";
         writeTs(os, e.tick);
         if (e.phase == Phase::Instant)
             os << ",\"s\":\"t\"";
@@ -235,28 +256,15 @@ Tracer::writeJson(std::ostream &os) const
         os << '}';
     }
     // Counter events carry no tid: Chrome counters belong to the
-    // process, and each name becomes one counter track.
+    // process, and each name becomes one counter track in it.
     for (const Sample &c : samples_) {
         os << ",\n{\"ph\":\"C\",\"name\":";
         writeJsonString(os, tracks_[c.track].c_str());
-        os << ",\"pid\":0,\"ts\":";
+        os << ",\"pid\":" << c.process << ",\"ts\":";
         writeTs(os, c.tick);
         os << ",\"args\":{\"value\":" << c.value << "}}";
     }
     os << "\n]}\n";
-}
-
-bool
-Tracer::writeJsonFile(const std::string &path) const
-{
-    std::ofstream f(path);
-    if (!f) {
-        warn(logging::format("cannot open trace output file %s",
-                             path.c_str()));
-        return false;
-    }
-    writeJson(f);
-    return bool(f);
 }
 
 // ---- CLI / process-exit glue -------------------------------------------
@@ -271,12 +279,18 @@ void
 atExitDump()
 {
     if (!gOutputPath.empty()) {
-        if (Tracer::instance().writeJsonFile(gOutputPath)) {
+        const Tracer &tracer = Tracer::instance();
+        std::ofstream f(gOutputPath);
+        if (f)
+            tracer.writeJson(f);
+        if (!f) {
+            warn(logging::format("cannot write trace output file %s",
+                                 gOutputPath.c_str()));
+        } else {
             std::fprintf(stderr,
                          "trace: wrote %zu events and %zu counter "
                          "samples to %s\n",
-                         Tracer::instance().events().size(),
-                         Tracer::instance().samples().size(),
+                         tracer.events().size(), tracer.samples().size(),
                          gOutputPath.c_str());
         }
     }

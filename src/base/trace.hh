@@ -10,6 +10,13 @@
  * (https://ui.perfetto.dev) or chrome://tracing; each track appears as
  * a named thread.
  *
+  * Each simulated machine is a trace *process*: every sim::EventQueue
+ * takes the next process id when it is built (1, 2, ...), and events
+ * and samples record the running process(), which the queue sets as
+ * run() starts and Simulator::spawn/spawnDaemon set before a task's
+ * first steps. This assumes one live machine at a time: anything
+ * recorded outside run() and spawn goes to the process that last ran.
+ *
  * Tracing is off by default: every recording call first checks a single
  * global flag (see on()), so an instrumented simulation pays one
  * predictable branch per event when disabled. Enable at runtime with
@@ -18,11 +25,12 @@
  *
  * When a trace *file* is requested, each event queue also samples the
  * busy/occupancy/queue/drop stat counters and its own pending count
- * every samplePeriod of its simulated time (sampleCounters()). Changed
- * values are written as Chrome counter events ("ph":"C"), which
- * Perfetto draws as counter tracks under the spans. Sampling only
- * reads state, so it never perturbs the simulation, and samples stay
- * out of hash().
+ * every samplePeriod of its simulated time (sampleCounters()), plus,
+ * under --profile, the host profile's per-subsystem totals
+ * (sim/profile.hh). Changed values are written as Chrome counter
+ * events ("ph":"C"), which Perfetto draws as counter tracks under the
+ * spans of their process. Sampling only reads state, so it never
+ * perturbs the simulation, and samples stay out of hash().
  *
  * Determinism: events are stored in recording order and timestamps are
  * simulated ticks, so two identical runs emit byte-identical JSON (the
@@ -50,15 +58,22 @@ namespace shrimp::trace
 {
 
 using TrackId = std::uint32_t;
+using ProcessId = std::uint32_t;
 
 namespace detail
 {
 extern bool gEnabled;
 extern bool gSampling;
+extern ProcessId gProcess;
 } // namespace detail
 
 /** Fast global check compiled into every recording call site. */
 inline bool on() { return detail::gEnabled; }
+
+/** The trace process events and samples are recorded under: the event
+ *  queue that runs, or last ran or spawned a task (0 before any). */
+inline ProcessId process() { return detail::gProcess; }
+inline void setProcess(ProcessId p) { detail::gProcess = p; }
 
 /** Whether event queues sample counters: on exactly while a trace
  *  file is requested (setOutputPath()). */
@@ -85,6 +100,7 @@ class Tracer
     {
         Tick tick;
         TrackId track;
+        ProcessId process;
         /** Event name. Must outlive the Tracer (string literals). */
         const char *name;
         Phase phase;
@@ -97,6 +113,7 @@ class Tracer
     {
         Tick tick;
         TrackId track;
+        ProcessId process;
         std::uint64_t value;
     };
 
@@ -108,28 +125,31 @@ class Tracer
     bool enabled() const { return detail::gEnabled; }
 
     /**
-     * Register (or look up) the track named @p name. Track names are
-     * deduplicated so components recreated across simulations (e.g. one
-     * vmmc::System per benchmark point) share a row.
+     * Register (or look up) the track named @p name. Tracks are keyed by
+     * name only: a component rebuilt in every machine (one vmmc::System
+     * per benchmark point) keeps its id, in each process that uses it.
      */
     TrackId track(const std::string &name);
+
+    /** The next process id (1, 2, ...), for an EventQueue being built. */
+    ProcessId newProcess() { return ++lastProcess_; }
 
     void
     begin(TrackId t, const char *name, Tick tick)
     {
-        events_.push_back(Event{tick, t, name, Phase::Begin});
+        events_.push_back(Event{tick, t, process(), name, Phase::Begin});
     }
 
     void
     end(TrackId t, const char *name, Tick tick)
     {
-        events_.push_back(Event{tick, t, name, Phase::End});
+        events_.push_back(Event{tick, t, process(), name, Phase::End});
     }
 
     void
     instant(TrackId t, const char *name, Tick tick)
     {
-        events_.push_back(Event{tick, t, name, Phase::Instant});
+        events_.push_back(Event{tick, t, process(), name, Phase::Instant});
     }
 
     /** Record one link of a causal flow chain (see base/span.hh). All
@@ -138,7 +158,7 @@ class Tracer
     flow(TrackId t, const char *name, Tick tick, Phase phase,
          std::uint64_t id)
     {
-        events_.push_back(Event{tick, t, name, phase, id});
+        events_.push_back(Event{tick, t, process(), name, phase, id});
     }
 
     /**
@@ -151,28 +171,29 @@ class Tracer
      */
     void sampleCounters(Tick now, std::size_t pending);
 
+    /** Record @p value on counter track @p t at @p now (sim/profile). */
+    void sample(Tick now, TrackId t, std::uint64_t value);
+
     const std::vector<Event> &events() const { return events_; }
     const std::vector<Sample> &samples() const { return samples_; }
     const std::string &trackName(TrackId t) const { return tracks_.at(t); }
-    std::size_t numTracks() const { return tracks_.size(); }
 
     /**
      * FNV-1a fingerprint of the recorded event stream: tick, track
      * *name* (ids may differ across runs with different registration
-     * order), event name and phase of every event, in recording order.
+     * order), event name and phase (not process) of every event, in
+     * recording order.
      * Two runs of a deterministic simulation produce equal hashes; the
      * determinism verifier (bench --check-determinism) compares them.
      */
     std::uint64_t hash() const;
 
-    /** Drop all recorded events and samples (tracks are kept). */
+    /** Drop all recorded events and samples (tracks and ids are kept). */
     void clear() { events_.clear(); samples_.clear(); }
 
-    /** Emit everything recorded so far as Chrome trace-event JSON. */
+    /** Emit everything recorded so far as Chrome trace-event JSON, with
+     *  a "machine N" process_name per process that recorded anything. */
     void writeJson(std::ostream &os) const;
-
-    /** writeJson() to @p path; warns and returns false on I/O failure. */
-    bool writeJsonFile(const std::string &path) const;
 
   private:
     std::vector<std::string> tracks_;
@@ -183,6 +204,7 @@ class Tracer
     std::vector<std::uint64_t> trackHashes_;
     std::vector<Event> events_;
     std::vector<Sample> samples_;
+    ProcessId lastProcess_ = 0;
 
     //! A counter sampleCounters() reads, its track and the value it
     //! last recorded (~0 before the first).

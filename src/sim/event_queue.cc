@@ -16,7 +16,7 @@ namespace shrimp::sim
 
 EventQueue *detail::gTailQueue = nullptr;
 
-EventQueue::EventQueue()
+EventQueue::EventQueue() : process_(trace::Tracer::instance().newProcess())
 {
     SHRIMP_CHECK_HOOK(check::SimChecker::instance().onQueueCreated(this));
 }
@@ -189,17 +189,24 @@ EventQueue::runOne()
         // Attribute to the *post*-invoke tag: a coroutine that retags
         // at its resume point claims the whole dispatch.
         profile::recordDispatch(profile::current(),
-                                profile::hostNow() - t0, size_);
+                                profile::hostNow() - t0);
     } else {
         n->invoke(*n);
     }
     // Counter tracks: sample on the first event at or after each period
     // of this queue's own clock, so every machine starts at its tick 0.
-    if (trace::sampling() && now_ >= nextSample_) {
-        trace::Tracer::instance().sampleCounters(now_, size_);
-        nextSample_ = now_ + trace::samplePeriod;
-    }
+    if (trace::sampling() && now_ >= nextSample_)
+        sample(size_);
     return true;
+}
+
+void
+EventQueue::sample(std::size_t pending)
+{
+    trace::Tracer::instance().sampleCounters(now_, pending);
+    if (profile::timing())
+        profile::sample(now_);
+    nextSample_ = now_ + trace::samplePeriod;
 }
 
 void
@@ -209,10 +216,8 @@ EventQueue::advanceTo(Tick target)
     ++advancedInPlace_;
     // The sample runOne() would take as the running event returned,
     // with the skipped event still pending.
-    if (trace::sampling() && now_ >= nextSample_) {
-        trace::Tracer::instance().sampleCounters(now_, size_ + 1);
-        nextSample_ = now_ + trace::samplePeriod;
-    }
+    if (trace::sampling() && now_ >= nextSample_)
+        sample(size_ + 1);
     // Every pending `when` exceeds target, so target agrees with now_
     // on every bit above the lowest occupied bucket's bit b-1. If it
     // sets that bit, bucket b re-files into lower buckets, as a pop
@@ -229,14 +234,18 @@ EventQueue::advanceTo(Tick target)
 std::uint64_t
 EventQueue::run(std::uint64_t max_events)
 {
+    trace::setProcess(process_);
     std::uint64_t n = 0;
     for (;;) {
         // The popped event counts first; advances spend the rest, so
         // the event past max_events is always scheduled and popped.
         const std::uint64_t budget = n < max_events ? max_events - n - 1 : 0;
         advanceBudget_ = budget;
-        if (!runOne())
+        if (!runOne()) {
+            if (trace::sampling() && profile::timing())
+                profile::sample(now_);
             return n;
+        }
         n += 1 + (budget - advanceBudget_);
         if (n > max_events)
             panic("event limit exceeded; runaway simulation?");
@@ -268,6 +277,7 @@ void
 Simulator::spawn(Task<> task, std::string name)
 {
     detail::EagerStart eager;
+    trace::setProcess(queue_.process()); // its first steps run here
     runDetached(std::move(task), std::move(name));
 }
 
@@ -312,6 +322,7 @@ void
 Simulator::spawnDaemon(Task<> task)
 {
     daemons_.push_back(std::move(task));
+    trace::setProcess(queue_.process());
     daemons_.back().start(); // eager, so start() clears the tail queue
 }
 

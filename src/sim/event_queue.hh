@@ -45,6 +45,9 @@
  * suspending. Dispatch order, simulated time, counter samples and
  * run()'s event count are those of the scheduled event. Nothing else
  * moves now(), so there is no runUntil().
+ *
+ * Each queue is one trace process (base/trace.hh): it takes the next
+ * process id when it is built, and run() makes it the running process.
  */
 
 #ifndef SHRIMP_SIM_EVENT_QUEUE_HH
@@ -116,6 +119,9 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return now_; }
 
+    /** This queue's trace process id (base/trace.hh). */
+    std::uint32_t process() const { return process_; }
+
     /** Schedule @p fn to run at absolute time @p when (>= now());
      *  panics with tick/task attribution if @p when is in the past. */
     template <typename F>
@@ -160,7 +166,8 @@ class EventQueue
     }
 
     /**
-     * Run until the queue drains.
+     * Run until the queue drains, as the running trace process; when
+     * profiling into a trace, end on one more host sample.
      * @param max_events guard against runaway simulations; panics if
      *        exceeded.
      * @return number of events processed: those popped plus those
@@ -274,6 +281,10 @@ class EventQueue
     /** tryAdvance()'s move of now_ to @p target, once it is allowed. */
     void advanceTo(Tick target);
 
+    /** This period's counter sample, with @p pending events pending. */
+    void sample(std::size_t pending);
+
+    const std::uint32_t process_;
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::size_t size_ = 0;

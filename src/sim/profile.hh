@@ -13,23 +13,33 @@
  * timer from inside a CPU store should not relabel the store).
  *
  * When profiling is enabled the dispatcher reads the host steady clock
- * around each callback and accumulates {events, host-ns} per subsystem
- * plus queue-pressure gauges, dumped as profile.json at exit. The clock
- * read is the only wall-clock source in the simulator core and it is
- * fenced twice: it never runs unless --profile was given (host_perf and
- * the determinism lanes pay one predictable branch per event), and
- * bench_util refuses to combine --profile with --check-determinism so
- * the attribution can never be mistaken for simulated behavior. The
- * profiler only *observes* dispatch — tags and timings never feed back
- * into simulated state, so enabling it cannot change a trace hash.
+ * around each callback and accumulates {events, host-ns} per subsystem.
+ * The totals are process-wide (row()). A bench run with --profile also
+ * writes them into its trace file: each event queue's counter sample
+ * records every tag's cumulative host ns and dispatch count that
+ * changed, on the counter tracks "host.<tag>.ns" and
+ * "host.<tag>.events" of its trace process (sample()), and run() takes
+ * one more as it returns, so the file's last values are the totals. A
+ * machine's tracks hold the tags it ran, and its own host cost is a
+ * track's last value minus its first.
+ *
+ * The clock read is the only wall-clock source in the simulator core
+ * and it is fenced twice: it never runs unless --profile was given
+ * (host_perf and the determinism lanes pay one predictable branch per
+ * event), and bench_util refuses --profile under --check-determinism
+ * (and without a trace file to hold it), so the attribution can never
+ * be mistaken for simulated behavior. The profiler only *observes*
+ * dispatch — tags and timings never feed back into simulated state, so
+ * enabling it cannot change a trace hash.
  */
 
 #ifndef SHRIMP_SIM_PROFILE_HH
 #define SHRIMP_SIM_PROFILE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <ostream>
-#include <string>
+
+#include "base/types.hh"
 
 namespace shrimp::sim::profile
 {
@@ -54,7 +64,8 @@ enum class Subsys : std::uint8_t
 
 constexpr std::size_t numSubsys = std::size_t(Subsys::NumSubsys);
 
-/** Short stable name ("cpu", "mesh", ...) used in profile.json. */
+/** Short stable name ("cpu", "mesh", ...), as in the host.<tag>.*
+ *  counter tracks. */
 const char *name(Subsys s);
 
 namespace detail
@@ -90,17 +101,12 @@ inline bool timing() { return detail::gTiming; }
 /** Turn dispatch timing on/off. */
 void setTiming(bool on);
 
-/** Enable timing and write profile.json to @p path at process exit. */
-void setOutputPath(const std::string &path);
-const std::string &outputPath();
-
 /** Host steady-clock nanoseconds. Only the dispatcher calls this, and
  *  only when timing() — see the file comment on determinism fencing. */
 std::uint64_t hostNow();
 
-/** Dispatcher hook: one event of subsystem @p s took @p host_ns with
- *  @p pending events left in the queue. */
-void recordDispatch(Subsys s, std::uint64_t host_ns, std::size_t pending);
+/** Dispatcher hook: one event of subsystem @p s took @p host_ns. */
+void recordDispatch(Subsys s, std::uint64_t host_ns);
 
 /** Accumulated per-subsystem totals. */
 struct Row
@@ -111,11 +117,10 @@ struct Row
 
 const Row &row(Subsys s);
 
-/** Dump accumulated totals as JSON, subsystems ranked by host-ns. */
-void writeJson(std::ostream &os);
-
-/** writeJson() to @p path; warns and returns false on I/O failure. */
-bool writeJsonFile(const std::string &path);
+/** Record, at @p now, each tag's totals that changed since the last
+ *  call, on the running trace process's host.<tag>.ns/.events counter
+ *  tracks. Event queues call this when profiling into a trace file. */
+void sample(Tick now);
 
 /** Zero all accumulators and disable timing (tests). */
 void reset();

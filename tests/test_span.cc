@@ -34,30 +34,7 @@ namespace
 using trace::Tracer;
 using Phase = Tracer::Phase;
 
-/** The two-node VMMC workload of test_trace.cc: export, import, one
- *  deliberate-update send of @p len bytes, poll for delivery. */
-void
-runWorkload(std::size_t len = 256)
-{
-    vmmc::System sys;
-    auto &a = sys.createEndpoint(0);
-    auto &b = sys.createEndpoint(1);
-    sys.sim().spawn([](vmmc::Endpoint &a, vmmc::Endpoint &b,
-                       std::size_t len) -> sim::Task<> {
-        node::Process &pb = b.proc();
-        VAddr recv = pb.alloc(8192, CacheMode::WriteThrough);
-        vmmc::Status st = co_await b.exportBuffer(7, recv, 8192);
-        SHRIMP_ASSERT(st == vmmc::Status::Ok, "export");
-        auto r = co_await a.import(b.nodeId(), 7);
-        SHRIMP_ASSERT(r.status == vmmc::Status::Ok, "import");
-        node::Process &pa = a.proc();
-        VAddr user = pa.alloc(4096);
-        pa.poke32(user, 0xabcd);
-        co_await a.send(r.handle, 0, user, len);
-        co_await pb.waitWord32Eq(recv, 0xabcd);
-    }(a, b, len));
-    sys.sim().runAll();
-}
+using test::runSendWorkload;
 
 std::string
 traceJson()
@@ -92,7 +69,7 @@ class SpanTest : public ::testing::Test
 TEST_F(SpanTest, OffByDefaultEmitsNoFlowEvents)
 {
     EXPECT_EQ(span::sampleEvery(), 0u);
-    runWorkload();
+    runSendWorkload();
     for (const auto &e : Tracer::instance().events())
         EXPECT_LT(e.phase, Phase::FlowStart);
     EXPECT_EQ(traceJson().find("\"cat\":\"span\""), std::string::npos);
@@ -130,7 +107,7 @@ TEST_F(SpanTest, StagedHandoffClaimsOnce)
 TEST_F(SpanTest, SampledSendFormsConnectedChain)
 {
     span::setSampleEvery(1);
-    runWorkload();
+    runSendWorkload();
 
     // Group flow events by id; each chain must read, in recording
     // order: origin first, then waypoints with nondecreasing ticks,
@@ -174,37 +151,39 @@ TEST_F(SpanTest, SampledSendFormsConnectedChain)
 TEST_F(SpanTest, SamplingIsDeterministicAcrossRuns)
 {
     span::setSampleEvery(2);
-    runWorkload();
+    runSendWorkload();
     std::string first = traceJson();
 
     Tracer::instance().clear();
     span::reset();
     span::setSampleEvery(2);
-    runWorkload();
+    runSendWorkload();
     std::string second = traceJson();
 
     EXPECT_FALSE(first.empty());
-    EXPECT_EQ(first, second);
+    EXPECT_EQ(test::stripPids(first), test::stripPids(second));
     EXPECT_NE(first.find("\"cat\":\"span\""), std::string::npos);
 }
 
 TEST_F(SpanTest, SpansArePurelyAdditiveToTheTrace)
 {
     // Spans off: baseline trace.
-    runWorkload();
+    runSendWorkload();
     std::string off = traceJson();
     std::uint64_t offHash = Tracer::instance().hash();
 
-    // Spans on: same workload. Deleting the span lines (each event is
+    // Spans on: same workload, on a machine of its own, so a trace
+    // process with the next id. Deleting the span lines (each event is
     // one line; flow events are tagged "cat":"span") must recover the
-    // spans-off event stream byte for byte — the golden-hash guarantee.
-    // thread_name metadata is dropped from both sides: a span can be
-    // the only event on a track (e.g. a pass-through router), and then
-    // naming that track is part of its additive footprint.
+    // spans-off event stream byte for byte, modulo the process id —
+    // the golden-hash guarantee. thread_name metadata is dropped from
+    // both sides: a span can be the only event on a track (e.g. a
+    // pass-through router), and then naming that track is part of its
+    // additive footprint.
     Tracer::instance().clear();
     span::reset();
     span::setSampleEvery(4);
-    runWorkload();
+    runSendWorkload();
     std::string on = traceJson();
     ASSERT_NE(on, off);
 
@@ -220,12 +199,12 @@ TEST_F(SpanTest, SpansArePurelyAdditiveToTheTrace)
         }
         return kept;
     };
-    EXPECT_EQ(strip(on), strip(off));
+    EXPECT_EQ(test::stripPids(strip(on)), test::stripPids(strip(off)));
 
     // And turning sampling off again reproduces the baseline hash.
     Tracer::instance().clear();
     span::reset();
-    runWorkload();
+    runSendWorkload();
     EXPECT_EQ(Tracer::instance().hash(), offHash);
 }
 
@@ -236,7 +215,7 @@ TEST_F(SpanTest, SampledFlowChainsMatchAcrossMeshEngines)
     // ledger steps the same spans through the same routers at the same
     // ticks (DESIGN.md §14).
     span::setSampleEvery(1);
-    runWorkload();
+    runSendWorkload();
     EXPECT_EQ(test::flowDigest(), 0x9cc80d7795c6a078ull);
 }
 
@@ -287,10 +266,19 @@ TEST_F(SpanTest, CombinedWritesJoinOneParentSpan)
     EXPECT_EQ(perId.begin()->first, parent);
 }
 
+/** Ask for a trace file, which turns counter sampling on; TearDown
+ *  clears the path again, so no file is written. */
+void
+requestTraceFile()
+{
+    trace::setOutputPath(::testing::TempDir() + "span_test.trace.json");
+}
+
 TEST_F(SpanTest, ProfilerAttributesDispatchBySubsystem)
 {
+    requestTraceFile();
     sim::profile::setTiming(true);
-    runWorkload();
+    runSendWorkload();
     sim::profile::setTiming(false);
 
     // The workload exercises CPU cost modelling, the EISA bus and the
@@ -300,29 +288,31 @@ TEST_F(SpanTest, ProfilerAttributesDispatchBySubsystem)
         EXPECT_GT(sim::profile::row(s).events, 0u)
             << sim::profile::name(s);
     }
-    std::ostringstream os;
-    sim::profile::writeJson(os);
-    EXPECT_NE(os.str().find("\"events_total\""), std::string::npos);
-    EXPECT_NE(os.str().find("\"name\": \"cpu\""), std::string::npos);
-}
-
-/** Ask for a trace file, which turns counter sampling on; TearDown
- *  clears the path again, so no file is written. */
-void
-requestTraceFile()
-{
-    trace::setOutputPath(::testing::TempDir() + "span_test.trace.json");
+    // The last value of each host.<tag>.* counter track is the tag's
+    // total; a tag that never ran has no track values.
+    const Tracer &tracer = Tracer::instance();
+    std::map<std::string, std::uint64_t> last;
+    for (const auto &s : tracer.samples())
+        last[tracer.trackName(s.track)] = s.value;
+    for (std::size_t i = 0; i < sim::profile::numSubsys; ++i) {
+        const auto s = sim::profile::Subsys(i);
+        const sim::profile::Row &r = sim::profile::row(s);
+        const std::string tag =
+            std::string("host.").append(sim::profile::name(s));
+        EXPECT_EQ(last[tag + ".events"], r.events) << tag;
+        EXPECT_EQ(last[tag + ".ns"], r.hostNs) << tag;
+    }
 }
 
 TEST_F(SpanTest, CounterSamplesDuringRun)
 {
-    runWorkload();
+    runSendWorkload();
     const std::uint64_t unsampledHash = Tracer::instance().hash();
     EXPECT_TRUE(Tracer::instance().samples().empty());
 
     Tracer::instance().clear();
     requestTraceFile();
-    runWorkload();
+    runSendWorkload();
     const auto &samples = Tracer::instance().samples();
     ASSERT_FALSE(samples.empty());
     Tick prev = 0;
@@ -349,11 +339,11 @@ TEST_F(SpanTest, EveryMachineIsSampledFromItsOwnTickZero)
     // period even though its clock never reaches the first one's.
     requestTraceFile();
     const auto &samples = Tracer::instance().samples();
-    runWorkload(4096);
+    runSendWorkload(4096);
     const std::size_t firstRun = samples.size();
     ASSERT_GT(firstRun, 0u);
     const Tick firstEnd = samples.back().tick;
-    runWorkload(256);
+    runSendWorkload(256);
     ASSERT_GT(samples.size(), firstRun);
     EXPECT_LT(samples.front().tick, trace::samplePeriod);
     EXPECT_LT(samples[firstRun].tick, trace::samplePeriod);

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the observability layer: the tick-accurate tracer
  * (span nesting, Chrome trace JSON shape, byte-identical determinism
- * across runs of a real simulated workload), the CLI/env plumbing, the
+ * across runs of a real simulated workload, one trace process per
+ * event queue), the CLI/env plumbing, the
  * Distribution log2 histogram, and a full StatRegistry JSON round trip
  * through a minimal JSON parser.
  */
@@ -17,7 +18,8 @@
 #include "base/logging.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
-#include "vmmc/vmmc.hh"
+#include "sim/simulator.hh"
+#include "test_util.hh"
 
 namespace shrimp
 {
@@ -365,30 +367,12 @@ TEST_F(TraceTest, JsonShapeAndTimestampFormatting)
     EXPECT_EQ(json.find("trace_test.never_used"), std::string::npos);
 }
 
-/** A small but real two-node VMMC workload: export, import (over the
- *  Ethernet daemons), deliberate-update send, poll for delivery. */
+/** test::runSendWorkload()'s trace as JSON. */
 std::string
 workloadTraceJson()
 {
     trace::Tracer::instance().clear();
-    vmmc::System sys;
-    auto &a = sys.createEndpoint(0);
-    auto &b = sys.createEndpoint(1);
-    sys.sim().spawn([](vmmc::Endpoint &a, vmmc::Endpoint &b) -> sim::Task<> {
-        node::Process &pb = b.proc();
-        VAddr recv = pb.alloc(8192, CacheMode::WriteThrough);
-        vmmc::Status st = co_await b.exportBuffer(7, recv, 8192);
-        SHRIMP_ASSERT(st == vmmc::Status::Ok, "export");
-        auto r = co_await a.import(b.nodeId(), 7);
-        SHRIMP_ASSERT(r.status == vmmc::Status::Ok, "import");
-        node::Process &pa = a.proc();
-        VAddr user = pa.alloc(4096);
-        pa.poke32(user, 0xabcd);
-        co_await a.send(r.handle, 0, user, 256);
-        co_await pb.waitWord32Eq(recv, 0xabcd);
-    }(a, b));
-    sys.sim().runAll();
-
+    test::runSendWorkload();
     std::ostringstream os;
     trace::Tracer::instance().writeJson(os);
     return os.str();
@@ -396,10 +380,12 @@ workloadTraceJson()
 
 TEST_F(TraceTest, RealWorkloadJsonIsByteIdenticalAcrossRuns)
 {
+    // Each run builds a machine, so the second is the next process.
     std::string first = workloadTraceJson();
     std::string second = workloadTraceJson();
     EXPECT_FALSE(first.empty());
-    EXPECT_EQ(first, second);
+    EXPECT_NE(first, second);
+    EXPECT_EQ(test::stripPids(first), test::stripPids(second));
 
     // The datapath shows up as distinct tracks (library, NIC in/out,
     // routers, bus...), not one undifferentiated row.
@@ -414,6 +400,49 @@ TEST_F(TraceTest, RealWorkloadJsonIsByteIdenticalAcrossRuns)
     }
     EXPECT_GE(tracks, 5u);
     EXPECT_GT(spans, 0u);
+}
+
+/** Record "started" on @p t, wait 10 ns, record "resumed". */
+sim::Task<>
+twoInstants(sim::Simulator &sim, trace::TrackId t)
+{
+    trace::instant(t, "started", sim.now());
+    co_await sim::Delay{sim.queue(), 10};
+    trace::instant(t, "resumed", sim.now());
+}
+
+TEST_F(TraceTest, SpawnRecordsUnderItsOwnQueuesProcess)
+{
+    // Queues take process ids in construction order.
+    sim::Simulator first, second;
+    EXPECT_EQ(second.queue().process(), first.queue().process() + 1);
+
+    // A task's first steps run in spawn(), before its queue runs; the
+    // rest run in run(). Interleaved, each records under its own
+    // machine's process.
+    trace::TrackId t = trace::track("trace_test.process");
+    first.spawn(twoInstants(first, t));
+    second.spawn(twoInstants(second, t));
+    first.run();
+    second.run();
+    const auto &ev = trace::Tracer::instance().events();
+    ASSERT_EQ(ev.size(), 4u);
+    for (int i = 0; i < 4; ++i) {
+        sim::Simulator &owner = i % 2 == 0 ? first : second;
+        EXPECT_EQ(ev[i].process, owner.queue().process()) << i;
+    }
+}
+
+TEST_F(TraceTest, HashDoesNotDependOnTheProcessId)
+{
+    auto &tr = trace::Tracer::instance();
+    test::runSendWorkload();
+    const std::uint64_t hash = tr.hash();
+    const trace::ProcessId process = tr.events().front().process;
+    tr.clear();
+    test::runSendWorkload();
+    EXPECT_NE(tr.events().front().process, process);
+    EXPECT_EQ(tr.hash(), hash);
 }
 
 TEST(TraceFlags, ParseCliFlagsStripsObservabilityFlags)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <tuple>
 
 namespace shrimp::report
 {
@@ -62,21 +63,6 @@ getU64(const std::string &line, const std::string &key,
     return true;
 }
 
-bool
-getDouble(const std::string &line, const std::string &key, double &out)
-{
-    std::size_t p = line.find(key);
-    if (p == std::string::npos)
-        return false;
-    p += key.size();
-    while (p < line.size() && (line[p] == ' ' || line[p] == ':'))
-        ++p;
-    if (p >= line.size())
-        return false;
-    out = std::strtod(line.c_str() + p, nullptr);
-    return true;
-}
-
 /** Trace "ts" fields are microseconds with exactly three decimals
  *  (writeTs in base/trace.cc); recover the integer nanosecond tick. */
 bool
@@ -98,6 +84,14 @@ getTsNs(const std::string &line, std::uint64_t &out)
     return true;
 }
 
+const std::string &
+nameOf(const std::map<int, std::string> &names, int key)
+{
+    static const std::string unknown = "?";
+    auto it = names.find(key);
+    return it == names.end() ? unknown : it->second;
+}
+
 std::string
 fmtUs(std::uint64_t ns)
 {
@@ -112,9 +106,13 @@ fmtUs(std::uint64_t ns)
 const std::string &
 TraceData::track(int tid) const
 {
-    static const std::string unknown = "?";
-    auto it = trackNames.find(tid);
-    return it == trackNames.end() ? unknown : it->second;
+    return nameOf(trackNames, tid);
+}
+
+const std::string &
+TraceData::process(int pid) const
+{
+    return nameOf(processNames, pid);
 }
 
 bool
@@ -129,8 +127,13 @@ parseTrace(std::istream &in, TraceData &out, std::string &err)
         if (obj == std::string::npos)
             continue;
         char ph = line[obj + 7];
+        std::uint64_t pid = 0;
+        if (!getU64(line, "\"pid\"", pid)) {
+            err = "trace record without a pid: " + line;
+            return false;
+        }
         if (ph == 'C') {
-            // A sampled stat counter: fold it into its track.
+            // A sampled counter: fold it into its process's track.
             std::string name;
             std::uint64_t ts = 0, value = 0;
             if (!getString(line, "\"name\"", name) || !getTsNs(line, ts) ||
@@ -138,7 +141,7 @@ parseTrace(std::istream &in, TraceData &out, std::string &err)
                 err = "malformed counter event: " + line;
                 return false;
             }
-            CounterTrack &c = out.counters[name];
+            CounterTrack &c = out.counters[{int(pid), name}];
             if (c.samples++ == 0)
                 c.first = value;
             c.last = value;
@@ -146,18 +149,22 @@ parseTrace(std::istream &in, TraceData &out, std::string &err)
             continue;
         }
         if (ph == 'M') {
-            // thread_name metadata names a track; ignore process_name.
+            // process_name names a process, thread_name a track (the
+            // same tid names the same track in every process).
             std::uint64_t tid = 0;
             std::string name;
-            if (line.find("\"thread_name\"") != std::string::npos &&
-                getU64(line, "\"tid\"", tid) &&
-                getString(line, "\"args\":{\"name\"", name)) {
+            if (!getString(line, "\"args\":{\"name\"", name))
+                continue;
+            if (line.find("\"process_name\"") != std::string::npos)
+                out.processNames[int(pid)] = name;
+            else if (line.find("\"thread_name\"") != std::string::npos &&
+                     getU64(line, "\"tid\"", tid))
                 out.trackNames[int(tid)] = name;
-            }
             continue;
         }
         TraceEvent e;
         e.ph = ph;
+        e.pid = int(pid);
         std::uint64_t tid = 0;
         if (!getString(line, "\"name\"", e.name) ||
             !getU64(line, "\"tid\"", tid) || !getTsNs(line, e.ts_ns)) {
@@ -175,30 +182,31 @@ parseTrace(std::istream &in, TraceData &out, std::string &err)
     return true;
 }
 
-bool
-parseProfile(std::istream &in, ProfileData &out, std::string &err)
+std::vector<HostCost>
+hostCost(const TraceData &trace)
 {
-    std::string line;
-    bool sawTotal = false;
-    while (std::getline(in, line)) {
-        if (getU64(line, "\"events_total\"", out.eventsTotal))
-            sawTotal = true;
-        getU64(line, "\"host_ns_total\"", out.hostNsTotal);
-        getU64(line, "\"max_pending\"", out.maxPending);
-        getDouble(line, "\"avg_pending\"", out.avgPending);
-        ProfileRow row;
-        if (line.find("{\"name\":") != std::string::npos &&
-            getString(line, "\"name\"", row.name) &&
-            getU64(line, "\"events\"", row.events) &&
-            getU64(line, "\"host_ns\"", row.hostNs)) {
-            out.rows.push_back(std::move(row));
-        }
+    std::map<std::string, HostCost> byTag;
+    for (const auto &[key, c] : trace.counters) {
+        const std::string &name = key.second;
+        if (name.rfind("host.", 0) != 0)
+            continue;
+        // "host.<tag>.ns" or "host.<tag>.events"
+        const std::size_t dot = name.rfind('.');
+        const std::string field = name.substr(dot + 1);
+        HostCost &h = byTag[name.substr(5, dot - 5)];
+        std::uint64_t &total = field == "ns" ? h.hostNs : h.events;
+        total = std::max(total, c.max);
     }
-    if (!sawTotal) {
-        err = "not a profile.json file (no \"events_total\" key)";
-        return false;
+    std::vector<HostCost> rows;
+    for (auto &[tag, h] : byTag) {
+        h.tag = tag;
+        rows.push_back(h);
     }
-    return true;
+    std::stable_sort(rows.begin(), rows.end(),
+                     [](const HostCost &a, const HostCost &b) {
+                         return a.hostNs > b.hostNs;
+                     });
+    return rows;
 }
 
 std::vector<SpanChain>
@@ -242,16 +250,17 @@ struct StageStat
 void
 writeStageLatencies(std::ostream &os, const TraceData &trace, int topN)
 {
-    // Match B/E pairs per (tid, name) with a begin-timestamp stack;
-    // events are in file order, which is emission (time) order.
-    std::map<std::pair<int, std::string>, std::vector<std::uint64_t>>
+    // Match B/E pairs per (pid, tid, name) with a begin-timestamp
+    // stack; events are in file order, which is emission (time) order.
+    // Rows add up the machines' pairs by (track, stage).
+    std::map<std::tuple<int, int, std::string>, std::vector<std::uint64_t>>
         open;
     std::map<std::pair<std::string, std::string>, StageStat> stats;
     for (const TraceEvent &e : trace.events) {
         if (e.ph == 'B') {
-            open[{e.tid, e.name}].push_back(e.ts_ns);
+            open[{e.pid, e.tid, e.name}].push_back(e.ts_ns);
         } else if (e.ph == 'E') {
-            auto &stack = open[{e.tid, e.name}];
+            auto &stack = open[{e.pid, e.tid, e.name}];
             if (stack.empty())
                 continue; // unmatched End; skip
             std::uint64_t dur = e.ts_ns - stack.back();
@@ -322,27 +331,30 @@ writeSpanSection(std::ostream &os, const TraceData &trace)
 }
 
 void
-writeProfileSection(std::ostream &os, const ProfileData &p, int topN)
+writeHostSection(std::ostream &os, const std::vector<HostCost> &rows,
+                 int topN)
 {
-    os << "Events dispatched: " << p.eventsTotal
-       << "; host time in dispatch: " << p.hostNsTotal / 1000000
-       << " ms; queue pressure max " << p.maxPending << ", avg "
-       << p.avgPending << ".\n\n";
+    std::uint64_t events = 0, hostNs = 0;
+    for (const HostCost &r : rows) {
+        events += r.events;
+        hostNs += r.hostNs;
+    }
+    os << "Events dispatched: " << events
+       << "; host time in dispatch: " << hostNs / 1000000 << " ms.\n\n";
     os << "| rank | subsystem | events | host ms | ns/event | share |\n";
     os << "|---:|---|---:|---:|---:|---:|\n";
     int rank = 0;
-    for (const ProfileRow &r : p.rows) {
+    for (const HostCost &r : rows) {
         if (++rank > topN)
             break;
         double share =
-            p.hostNsTotal ? 100.0 * double(r.hostNs) / double(p.hostNsTotal)
-                          : 0.0;
+            hostNs ? 100.0 * double(r.hostNs) / double(hostNs) : 0.0;
         char ms[32], npe[32], pct[32];
         std::snprintf(ms, sizeof(ms), "%.2f", double(r.hostNs) / 1e6);
         std::snprintf(npe, sizeof(npe), "%.1f",
                       r.events ? double(r.hostNs) / double(r.events) : 0.0);
         std::snprintf(pct, sizeof(pct), "%.1f%%", share);
-        os << "| " << rank << " | " << r.name << " | " << r.events
+        os << "| " << rank << " | " << r.tag << " | " << r.events
            << " | " << ms << " | " << npe << " | " << pct << " |\n";
     }
 }
@@ -350,36 +362,41 @@ writeProfileSection(std::ostream &os, const ProfileData &p, int topN)
 void
 writeCounterSection(std::ostream &os, const TraceData &trace, int topN)
 {
-    // The event queues' own pending count is a gauge, not a counter:
-    // it gets its maximum, not a row.
-    const auto pending = trace.counters.find("queue.pending");
-    if (pending == trace.counters.end()) {
+    // The event queues' own pending count is a gauge, not a counter: it
+    // gets its maximum, not a row. The host tracks have their own
+    // section.
+    std::uint64_t samples = 0, maxPending = 0;
+    bool pending = false;
+    using Entry = std::pair<const CounterKey, CounterTrack>;
+    std::vector<std::pair<std::int64_t, const Entry *>> rows;
+    for (const Entry &e : trace.counters) {
+        samples += e.second.samples;
+        const std::string &name = e.first.second;
+        if (name == "queue.pending") {
+            pending = true;
+            maxPending = std::max(maxPending, e.second.max);
+        } else if (name.rfind("host.", 0) != 0) {
+            rows.emplace_back(std::int64_t(e.second.last - e.second.first),
+                              &e);
+        }
+    }
+    if (!pending) {
         os << "No counter events in the trace.\n";
         return;
     }
-    std::uint64_t samples = 0;
-    for (const auto &[name, c] : trace.counters)
-        samples += c.samples;
     os << samples << " counter sample(s) on " << trace.counters.size()
-       << " track(s); max queue pending " << pending->second.max
-       << ".\n\n";
+       << " track(s); max queue pending " << maxPending << ".\n\n";
     // Rows ranked by delta: the counters that moved most come first.
-    using Entry = std::pair<const std::string, CounterTrack>;
-    std::vector<std::pair<std::int64_t, const Entry *>> rows;
-    for (const Entry &e : trace.counters) {
-        if (&e != &*pending)
-            rows.emplace_back(std::int64_t(e.second.last - e.second.first),
-                              &e);
-    }
     std::stable_sort(rows.begin(), rows.end(),
                      [](const auto &a, const auto &b) {
                          return a.first > b.first;
                      });
-    os << "| counter | first | last | delta |\n";
-    os << "|---|---:|---:|---:|\n";
+    os << "| process | counter | first | last | delta |\n";
+    os << "|---|---|---:|---:|---:|\n";
     for (std::size_t i = 0; i < rows.size() && i < std::size_t(topN); ++i) {
-        const auto &[name, c] = *rows[i].second;
-        os << "| " << name << " | " << c.first << " | " << c.last << " | "
+        const auto &[key, c] = *rows[i].second;
+        os << "| " << trace.process(key.first) << " | " << key.second
+           << " | " << c.first << " | " << c.last << " | "
            << rows[i].first << " |\n";
     }
     if (rows.size() > std::size_t(topN))
@@ -389,24 +406,22 @@ writeCounterSection(std::ostream &os, const TraceData &trace, int topN)
 } // namespace
 
 void
-writeReport(std::ostream &os, const TraceData *trace,
-            const ProfileData *profile, int topN)
+writeReport(std::ostream &os, const TraceData &trace, int topN)
 {
     os << "# shrimp run report\n";
-    if (profile) {
+    const std::vector<HostCost> host = hostCost(trace);
+    if (!host.empty()) {
         os << "\n## Host-cost profile\n\n";
-        writeProfileSection(os, *profile, topN);
+        writeHostSection(os, host, topN);
     }
-    if (trace) {
-        os << "\n## Stage latencies (trace Begin/End pairs, by total "
-              "time)\n\n";
-        writeStageLatencies(os, *trace, topN);
-        os << "\n## Span chains (sampled message flows)\n\n";
-        writeSpanSection(os, *trace);
-        os << "\n## Counter tracks (stat counters over simulated "
-              "time)\n\n";
-        writeCounterSection(os, *trace, topN);
-    }
+    os << "\n## Stage latencies (trace Begin/End pairs, by total "
+          "time)\n\n";
+    writeStageLatencies(os, trace, topN);
+    os << "\n## Span chains (sampled message flows)\n\n";
+    writeSpanSection(os, trace);
+    os << "\n## Counter tracks (stat counters over simulated "
+          "time)\n\n";
+    writeCounterSection(os, trace, topN);
 }
 
 } // namespace shrimp::report
