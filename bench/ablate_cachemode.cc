@@ -51,9 +51,8 @@ int
 main(int argc, char **argv)
 {
     using namespace shrimp::bench;
-    shrimp::bench::parseBenchFlags(argc, argv);
-    (void)argc;
-    (void)argv;
+    parseBenchFlags(argc, argv);
+    rejectUnparsedFlags(argc, argv);
 
     printBanner("Ablation: cache modes on the AU path",
                 "one-word AU latency by receive-page cache mode",

@@ -90,9 +90,8 @@ int
 main(int argc, char **argv)
 {
     using namespace shrimp::bench;
-    shrimp::bench::parseBenchFlags(argc, argv);
-    (void)argc;
-    (void)argv;
+    parseBenchFlags(argc, argv);
+    rejectUnparsedFlags(argc, argv);
 
     printBanner("Ablation: AU write combining",
                 "combining on/off and flush-timer sweep (raw VMMC AU)",

@@ -146,9 +146,8 @@ int
 main(int argc, char **argv)
 {
     using namespace shrimp::bench;
-    shrimp::bench::parseBenchFlags(argc, argv);
-    (void)argc;
-    (void)argv;
+    parseBenchFlags(argc, argv);
+    rejectUnparsedFlags(argc, argv);
 
     // The registered measurement set; doubles as the determinism gate.
     auto measureSeconds = [](const std::string &curve,

@@ -71,9 +71,8 @@ int
 main(int argc, char **argv)
 {
     using namespace shrimp::bench;
-    shrimp::bench::parseBenchFlags(argc, argv);
-    (void)argc;
-    (void)argv;
+    parseBenchFlags(argc, argv);
+    rejectUnparsedFlags(argc, argv);
 
     printBanner("Ablation: polling vs notification",
                 "one-word receive latency by control-transfer regime",

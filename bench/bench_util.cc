@@ -55,6 +55,8 @@ parseBenchFlags(int &argc, char **argv)
     argc = out;
     argv[argc] = nullptr;
     trace::parseCliFlags(argc, argv);
+    if (gCheckDeterminism)
+        rejectUnparsedFlags(argc, argv);
     if (!profile_requested)
         return;
     // Host-cost profiling reads a wall clock. Readings never feed back
@@ -72,6 +74,23 @@ parseBenchFlags(int &argc, char **argv)
         warn(logging::format("--profile is ignored %s", refusal));
     else
         sim::profile::setTiming(true);
+}
+
+void
+rejectUnparsedFlags(int argc, char **argv)
+{
+    bool unparsed = false;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--benchmark_", 12) == 0)
+            continue;
+        // google-benchmark's wording (ReportUnrecognizedArguments).
+        std::fprintf(stderr,
+                     "%s: error: unrecognized command-line flag: %s\n",
+                     argv[0], argv[i]);
+        unparsed = true;
+    }
+    if (unparsed)
+        std::exit(1);
 }
 
 bool
@@ -339,6 +358,8 @@ runGoogleBenchmarks(int argc, char **argv,
         }
     }
     benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

@@ -99,9 +99,20 @@ void printTable(const std::string &header,
  * plus everything trace::parseCliFlags handles (--trace=, --stats; a
  * trace file also carries the sampled stat counters as counter
  * tracks). Every bench main calls this before doing any work, so
- * google-benchmark never sees these flags.
+ * google-benchmark never sees these flags. Under --check-determinism,
+ * which runs no google-benchmark, any argument left over other than a
+ * --benchmark_* flag is refused (see rejectUnparsedFlags).
  */
 void parseBenchFlags(int &argc, char **argv);
+
+/**
+ * For a bench or a mode that runs no google-benchmark: print an
+ * "unrecognized command-line flag" error for every argument of @p argv
+ * after parseBenchFlags that is not a --benchmark_* flag, and exit 1 if
+ * there was one. --benchmark_* flags pass, so every bench takes the
+ * same --benchmark_filter (the table.* ctest cases pass one to all).
+ */
+void rejectUnparsedFlags(int argc, char **argv);
 
 /** Whether --check-determinism was requested. */
 bool checkDeterminismRequested();
@@ -139,8 +150,10 @@ int runDeterminismCheck(const std::vector<Curve> &curves,
 /**
  * Register one google-benchmark entry per (curve, size) that replays a
  * measurement function and reports the simulated time via manual
- * timing, then run the benchmark library. Under --check-determinism,
- * runs the determinism verifier over the same entries instead.
+ * timing, then run the benchmark library; returns 1 before any entry
+ * runs if an argument is left that the library does not recognise.
+ * Under --check-determinism, runs the determinism verifier over the
+ * same entries instead.
  */
 int runGoogleBenchmarks(int argc, char **argv,
                         const std::vector<Curve> &curves,

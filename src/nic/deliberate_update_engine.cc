@@ -25,7 +25,7 @@ DeliberateUpdateEngine::DeliberateUpdateEngine(const MachineConfig &cfg,
 }
 
 sim::Task<>
-DeliberateUpdateEngine::send(const OptEntry &dst, std::size_t dst_off,
+DeliberateUpdateEngine::send(OptEntry dst, std::size_t dst_off,
                              PAddr src, std::size_t len, bool notify,
                              span::SpanId span)
 {

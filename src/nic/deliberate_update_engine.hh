@@ -38,6 +38,8 @@ class DeliberateUpdateEngine
      * Execute one deliberate-update transfer.
      *
      * @param dst OPT import slot describing the destination window
+     *        (a copy: an import during the transfer may reallocate the
+     *        slot table)
      * @param dst_off byte offset into the destination window
      * @param src source physical address (word aligned)
      * @param len transfer length in bytes (rounded up to whole words on
@@ -49,7 +51,7 @@ class DeliberateUpdateEngine
      *
      * Completes when the source data has been fully read from memory.
      */
-    sim::Task<> send(const OptEntry &dst, std::size_t dst_off, PAddr src,
+    sim::Task<> send(OptEntry dst, std::size_t dst_off, PAddr src,
                      std::size_t len, bool notify, span::SpanId span = 0);
 
     std::uint64_t transfers() const { return transfers_; }

@@ -47,23 +47,18 @@ OutgoingPageTable::allocSlot(const OptEntry &entry)
 {
     if (!entry.valid)
         panic("OPT allocSlot: entry must be valid");
-    std::uint32_t id = nextSlot_++;
-    slots_[id] = entry;
-    return id;
+    slots_.push_back(entry);
+    ++liveSlots_;
+    return std::uint32_t(slots_.size() - 1);
 }
 
 void
 OutgoingPageTable::freeSlot(std::uint32_t slot)
 {
-    if (slots_.erase(slot) == 0)
+    if (slot >= slots_.size() || !slots_[slot].valid)
         panic("OPT freeSlot: no such slot");
-}
-
-const OptEntry *
-OutgoingPageTable::slot(std::uint32_t slot) const
-{
-    auto it = slots_.find(slot);
-    return it == slots_.end() ? nullptr : &it->second;
+    slots_[slot].valid = false;
+    --liveSlots_;
 }
 
 } // namespace shrimp::nic

@@ -10,14 +10,16 @@
  *    hardware flush timer enable, and the destination-interrupt flag.
  *  - Import slots describe an imported remote buffer and are referenced
  *    by the deliberate-update initiation sequence to select the
- *    destination.
+ *    destination. Slot ids are handed out in sequence and never
+ *    reused, so the table is a vector indexed by id: a freed slot's
+ *    entry stays behind, marked invalid, and every deliberate-update
+ *    send looks its slot up by index.
  */
 
 #ifndef SHRIMP_NIC_OUTGOING_PAGE_TABLE_HH
 #define SHRIMP_NIC_OUTGOING_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "base/types.hh"
@@ -70,22 +72,30 @@ class OutgoingPageTable
 
     // --- import slots (deliberate-update destinations) -----------------
 
-    /** Allocate a slot describing an imported buffer. */
+    /** Allocate a slot describing an imported buffer; ids run 0, 1,
+     *  2, ... and a freed id is never handed out again. */
     std::uint32_t allocSlot(const OptEntry &entry);
 
-    /** Free an import slot. */
+    /** Free an import slot (panics if it is not live). */
     void freeSlot(std::uint32_t slot);
 
-    /** Look up an import slot; nullptr if free. */
-    const OptEntry *slot(std::uint32_t slot) const;
+    /** Look up an import slot; nullptr if freed or never allocated. */
+    const OptEntry *
+    slot(std::uint32_t slot) const
+    {
+        if (slot >= slots_.size() || !slots_[slot].valid)
+            return nullptr;
+        return &slots_[slot];
+    }
 
-    std::size_t numSlots() const { return slots_.size(); }
+    /** Number of live (allocated, not freed) import slots. */
+    std::size_t numSlots() const { return liveSlots_; }
 
   private:
     std::vector<OptEntry> pageEntries_;
     std::size_t numBindings_ = 0;
-    std::map<std::uint32_t, OptEntry> slots_;
-    std::uint32_t nextSlot_ = 0;
+    std::vector<OptEntry> slots_; //!< index = slot id; freed: !valid
+    std::size_t liveSlots_ = 0;
 };
 
 } // namespace shrimp::nic

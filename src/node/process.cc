@@ -1,7 +1,7 @@
 #include "node/process.hh"
 
 #include <algorithm>
-#include <vector>
+#include <memory>
 
 #include "base/logging.hh"
 #include "check/check.hh"
@@ -115,10 +115,12 @@ Process::copy(VAddr dst, VAddr src, std::size_t n)
 {
     // Read the (local) source and push it through the store path; the
     // copy cost is charged by write() according to the destination
-    // page's cache mode, modelling an overlapped load/store memcpy.
-    std::vector<std::uint8_t> tmp(n);
-    peek(src, tmp.data(), n);
-    co_await write(dst, tmp.data(), n);
+    // page's cache mode, modelling an overlapped load/store memcpy. The
+    // whole source is snapshot before the first suspension; the peek
+    // fills every byte, so the buffer starts uninitialised.
+    auto tmp = std::make_unique_for_overwrite<std::uint8_t[]>(n);
+    peek(src, tmp.get(), n);
+    co_await write(dst, tmp.get(), n);
 }
 
 sim::Task<>

@@ -76,6 +76,8 @@ Connection::exportSide()
 {
     region_ = ep_.proc().alloc(regionBytes());
     dataPa_ = ep_.proc().as().translateRange(region_, dataAreaBytes());
+    ctlPa_ = ep_.proc().as().translateRange(
+        ctlBase(), ep_.proc().config().pageBytes);
     // Export with a no-op handler so the pages' interrupt bits are set:
     // the library is prepared to take the "out of buffers" prod
     // interrupt (paper section 6, "Interrupts").
@@ -230,22 +232,67 @@ Connection::sendFragment(int buf_idx, const NxDesc &desc,
     }
 }
 
+int
+Connection::ringFind(std::size_t ring_off, std::size_t entry_bytes,
+                     int entries, std::uint32_t stamp, RingMiss &miss)
+{
+    node::Process &proc = ep_.proc();
+    const mem::Memory &m = proc.node().memory();
+    const bool cached =
+        miss.stamp == stamp &&
+        !m.writtenSince(ctlPa_, proc.config().pageBytes, miss.seq);
+#ifndef SHRIMP_CHECK
+    if (cached)
+        return -1;
+#endif
+    int found = -1;
+    for (int i = 0; i < entries; ++i) {
+        VAddr e = VAddr(ctlBase() + ring_off + std::size_t(i) * entry_bytes);
+        if (proc.peek32(e) == stamp) {
+            found = i;
+            break;
+        }
+    }
+#ifdef SHRIMP_CHECK
+    // Checked builds read the ring on every lookup, as the race
+    // detector's observation edges expect, and cross-check the miss.
+    if (cached && check::on()) {
+        check::SimChecker::instance().noteCheck();
+        if (found >= 0)
+            check::SimChecker::instance().report(logging::format(
+                "nx: rank %d's ring at control offset %zu for peer %d "
+                "holds stamp %u without a write to its control page "
+                "since the lookup that missed it",
+                myRank_, ring_off, peerRank_, unsigned(stamp)));
+    }
+#endif
+    if (found < 0)
+        miss = RingMiss{stamp, m.writeCount()};
+    return found;
+}
+
 bool
 Connection::findReply(std::uint32_t stamp, ReplyEntry &out)
 {
+    int i = ringFind(replyRingOff(), sizeof(ReplyEntry), nxReplyRing, stamp,
+                     replyMiss_);
+    if (i < 0)
+        return false;
     node::Process &proc = ep_.proc();
-    for (int i = 0; i < nxReplyRing; ++i) {
-        VAddr e = VAddr(ctlBase() + replyRingOff() + i * sizeof(ReplyEntry));
-        if (proc.peek32(e) == stamp) {
-            out.stamp = stamp;
-            out.key = proc.peek32(e + 4);
-            out.off = proc.peek32(e + 8);
-            out.pad = proc.peek32(e + 12); // accepted length
-            proc.poke32(e, 0); // consume the slot
-            return true;
-        }
-    }
-    return false;
+    VAddr e = VAddr(ctlBase() + replyRingOff() + i * sizeof(ReplyEntry));
+    out.stamp = stamp;
+    out.key = proc.peek32(e + 4);
+    out.off = proc.peek32(e + 8);
+    out.pad = proc.peek32(e + 12); // accepted length
+    proc.poke32(e, 0); // consume the slot
+    return true;
+}
+
+bool
+Connection::hasReply(std::uint32_t stamp)
+{
+    return ringFind(replyRingOff(), sizeof(ReplyEntry), nxReplyRing, stamp,
+                    replyMiss_) >= 0;
 }
 
 sim::Task<>
@@ -294,38 +341,15 @@ Connection::peekStamp(int i) const
     return ep_.proc().peek32(descAddr(i));
 }
 
-void
-Connection::rereadSlots()
+std::uint64_t
+Connection::occupiedSlots() const
 {
-    slotMask_ = 0;
+    std::uint64_t mask = 0;
     for (int i = 0; i < opt_.numBufs; ++i) {
         if (peekStamp(i) != 0)
-            slotMask_ |= std::uint64_t(1) << i;
+            mask |= std::uint64_t(1) << i;
     }
-    slotSeq_ = ep_.proc().node().memory().writeCount();
-}
-
-std::uint64_t
-Connection::occupiedSlots()
-{
-    const mem::Memory &m = ep_.proc().node().memory();
-    bool current = !m.writtenSince(dataPa_, dataAreaBytes(), slotSeq_);
-#ifdef SHRIMP_CHECK
-    // Checked builds read every stamp on every scan, as the race
-    // detector's observation edges expect, and cross-check the cache.
-    std::uint64_t cached = slotMask_;
-    rereadSlots();
-    if (current && slotMask_ != cached && check::on())
-        check::SimChecker::instance().report(logging::format(
-            "nx: rank %d's slot mask for peer %d changed without a write "
-            "to its packet buffers (cached 0x%llx, read 0x%llx)",
-            myRank_, peerRank_, static_cast<unsigned long long>(cached),
-            static_cast<unsigned long long>(slotMask_)));
-#else
-    if (!current)
-        rereadSlots();
-#endif
-    return slotMask_;
+    return mask;
 }
 
 sim::Task<>
@@ -384,15 +408,11 @@ Connection::postReply(std::uint32_t stamp, std::uint32_t key,
 bool
 Connection::findDone(std::uint32_t stamp)
 {
-    node::Process &proc = ep_.proc();
-    for (int i = 0; i < nxDoneRing; ++i) {
-        VAddr e = VAddr(ctlBase() + doneRingOff() + i * 8);
-        if (proc.peek32(e) == stamp) {
-            proc.poke32(e, 0);
-            return true;
-        }
-    }
-    return false;
+    int i = ringFind(doneRingOff(), 8, nxDoneRing, stamp, doneMiss_);
+    if (i < 0)
+        return false;
+    ep_.proc().poke32(VAddr(ctlBase() + doneRingOff() + i * 8), 0);
+    return true;
 }
 
 } // namespace shrimp::nx

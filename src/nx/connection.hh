@@ -26,6 +26,12 @@
  * sequence number; stamp 0 means "buffer empty". Because SHRIMP delivers
  * packets in order and the descriptor is written after the payload, a
  * nonzero stamp guarantees the payload is in place.
+ *
+ * Polls that find nothing cost no memory reads while the memory they
+ * read is unchanged: a reply- or done-ring miss is kept with the node's
+ * write count and stands until a write touches the control page
+ * (Memory::writtenSince), and the occupied-slot masks of the packet
+ * buffers are cached the same way in NxProc's per-peer scan table.
  */
 
 #ifndef SHRIMP_NX_CONNECTION_HH
@@ -133,8 +139,13 @@ class Connection
     /** Next stamp for a message/fragment I send. */
     std::uint32_t takeStamp() { return nextSendStamp_++; }
 
-    /** Scan the reply ring for an answer to scout @p stamp. */
+    /** Take the reply ring's answer to scout @p stamp, if it has come:
+     *  copy it to @p out and clear its slot. */
     bool findReply(std::uint32_t stamp, ReplyEntry &out);
+
+    /** Whether the reply ring holds an answer to scout @p stamp; the
+     *  slot is left as it is. */
+    bool hasReply(std::uint32_t stamp);
 
     /** Write a done flag for scout @p stamp into the peer's done ring. */
     sim::Task<> postDone(std::uint32_t stamp);
@@ -154,12 +165,18 @@ class Connection
 
     /**
      * Bit i set iff buffer i's descriptor stamp is nonzero, i.e. the
-     * slots a receive scan has to look at. The mask is re-read only
-     * when a write has touched the packet-buffer pages since the last
-     * read (Memory::writtenSince), so it is exact while a rescan after
-     * a write elsewhere in node memory costs no stamp reads.
+     * slots a receive scan has to look at. Reads every stamp; NxProc's
+     * scan table calls it only when a write has touched the packet
+     * buffers since its last call (Memory::writtenSince).
      */
-    std::uint64_t occupiedSlots();
+    std::uint64_t occupiedSlots() const;
+
+    /** Physical start of the packet buffers (fixed at exportSide()). */
+    PAddr dataPa() const { return dataPa_; }
+
+    /** Packet buffers, rounded up to whole pages (the scans and every
+     *  control-page address use it, so it is computed once). */
+    std::size_t dataAreaBytes() const { return dataBytes_; }
 
     /** Virtual address of buffer @p i's payload end (descriptor start). */
     VAddr descAddr(int i) const;
@@ -179,7 +196,8 @@ class Connection
     sim::Task<> postReply(std::uint32_t stamp, std::uint32_t key,
                           std::uint32_t off, std::uint32_t accept);
 
-    /** Scan the done ring for the sender's completion of @p stamp. */
+    /** Take the sender's done flag for scout @p stamp, if it is up,
+     *  and clear its slot. */
     bool findDone(std::uint32_t stamp);
 
     // ---- bookkeeping -----------------------------------------------------
@@ -193,9 +211,6 @@ class Connection
     static std::uint32_t regionKey(int importer_rank, int exporter_rank);
 
     std::size_t bufStride() const { return opt_.pktDataBytes + nxDescBytes; }
-    /** Packet buffers, rounded up to whole pages (the scans and every
-     *  control-page address use it, so it is computed once). */
-    std::size_t dataAreaBytes() const { return dataBytes_; }
     std::size_t regionBytes() const;
 
     // Control-area offsets, relative to the control page. AU writes go
@@ -209,9 +224,25 @@ class Connection
     /** Local (receive-side) address of the control page. */
     VAddr ctlBase() const { return VAddr(region_ + dataAreaBytes()); }
 
-    /** Read every descriptor stamp into slotMask_ and note the node's
-     *  write count the mask is current as of. */
-    void rereadSlots();
+    /**
+     * A ring lookup that found nothing: the stamp it looked for and the
+     * node's writeCount() the read was current as of. Until a write
+     * touches the control page (Memory::writtenSince), a lookup of the
+     * same stamp is the same miss, so it reads nothing. A consuming hit
+     * clears its slot with a write, so a hit never leaves a stale miss.
+     */
+    struct RingMiss
+    {
+        std::uint32_t stamp = 0; //!< 0 matches no lookup: stamps start at 1
+        std::uint64_t seq = 0;
+    };
+
+    /** The slot of the ring at control-page offset @p ring_off
+     *  (@p entries entries of @p entry_bytes, the stamp word first)
+     *  that holds @p stamp, or -1; @p miss caches the last miss. The
+     *  one scan behind findReply, hasReply and findDone. */
+    int ringFind(std::size_t ring_off, std::size_t entry_bytes, int entries,
+                 std::uint32_t stamp, RingMiss &miss);
 
     vmmc::Endpoint &ep_;
     int myRank_;
@@ -226,6 +257,7 @@ class Connection
     VAddr stage_ = 0;     //!< staging area for DU marshalling
     int importHandle_ = -1;
     PAddr dataPa_ = 0;    //!< physical start of the packet buffers
+    PAddr ctlPa_ = 0;     //!< physical address of the control page
 
     /** Import cache for peers' exported user receive buffers (the
      *  "if it hasn't done so already, the sender imports that buffer"
@@ -237,9 +269,10 @@ class Connection
     std::uint32_t creditsTaken_ = 0; //!< credits consumed from the ring
     std::uint32_t nextSendStamp_ = 1;
 
+    RingMiss replyMiss_; //!< send side: last reply-ring miss
+    RingMiss doneMiss_;  //!< receive side: last done-ring miss
+
     // receive-side state
-    std::uint64_t slotMask_ = 0; //!< occupiedSlots() as of slotSeq_
-    std::uint64_t slotSeq_ = 0;  //!< Memory::writeCount() at last reread
     std::uint32_t creditsReturned_ = 0;
     std::uint32_t repliesPosted_ = 0;
     std::uint32_t donesPosted_ = 0;

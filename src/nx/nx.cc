@@ -6,6 +6,7 @@
 
 #include "base/logging.hh"
 #include "base/span.hh"
+#include "check/check.hh"
 
 namespace shrimp::nx
 {
@@ -106,7 +107,8 @@ NxProc::csend(long type, VAddr buf, std::size_t len, int dest)
     statSentBytes_ += len;
     statCsendBytes_.sample(double(len));
     co_await proc.compute(proc.config().libCallCost + nxSendOverhead);
-    co_await progress();
+    if (progressDue())
+        co_await progress();
     if (dest == rank_)
         panic("NX: send to self is not supported");
     SendMode m = resolveMode(buf, len);
@@ -238,14 +240,37 @@ NxProc::sendLarge(int dest, long type, VAddr buf, std::size_t len)
 std::optional<NxProc::Match>
 NxProc::scanMatch(long typesel)
 {
-    for (int peer = 0; peer < numnodes(); ++peer) {
+    const mem::Memory &m = ep_.proc().node().memory();
+    for (int peer = 0; peer < int(scan_.size()); ++peer) {
         if (peer == rank_)
             continue;
-        Connection &c = conn(peer);
+        PeerScan &s = scan_[peer];
+        const bool current = !m.writtenSince(s.dataPa, s.dataBytes, s.seq);
+#ifdef SHRIMP_CHECK
+        // Checked builds read every stamp on every scan, as the race
+        // detector's observation edges expect, and cross-check the
+        // table.
+        const std::uint64_t cached = s.slots;
+        s.slots = conns_[peer]->occupiedSlots();
+        s.seq = m.writeCount();
+        if (current && s.slots != cached && check::on())
+            check::SimChecker::instance().report(logging::format(
+                "nx: rank %d's slot mask for peer %d changed without a "
+                "write to its packet buffers (cached 0x%llx, read 0x%llx)",
+                rank_, peer, static_cast<unsigned long long>(cached),
+                static_cast<unsigned long long>(s.slots)));
+#else
+        if (!current) {
+            s.slots = conns_[peer]->occupiedSlots();
+            s.seq = m.writeCount();
+        }
+#endif
+        if (s.slots == 0)
+            continue;
+        Connection &c = *conns_[peer];
         std::optional<Match> best;
-        // Walk only the occupied slots, lowest index first; the mask
-        // costs no memory reads unless the buffers changed.
-        for (std::uint64_t slots = c.occupiedSlots(); slots != 0;
+        // Walk only the occupied slots, lowest index first.
+        for (std::uint64_t slots = s.slots; slots != 0;
              slots &= slots - 1) {
             int i = std::countr_zero(slots);
             NxDesc d = c.peekDesc(i);
@@ -427,7 +452,8 @@ NxProc::crecvInPlace(long typesel)
     node::Process &proc = ep_.proc();
     co_await proc.compute(proc.config().libCallCost);
     for (;;) {
-        co_await progress();
+        if (progressDue())
+            co_await progress();
         std::optional<Match> m = scanMatch(typesel);
         if (!m) {
             co_await proc.pollSleep();
@@ -449,7 +475,8 @@ NxProc::waitDone(int peer, std::uint32_t stamp)
     Connection &c = conn(peer);
     node::Process &proc = ep_.proc();
     for (;;) {
-        co_await progress();
+        if (progressDue())
+            co_await progress();
         if (c.findDone(stamp))
             co_return;
         co_await proc.pollSleep();
@@ -464,7 +491,8 @@ NxProc::crecv(long typesel, VAddr buf, std::size_t maxlen)
     statCrecvs_ += 1;
     co_await proc.compute(proc.config().libCallCost);
     for (;;) {
-        co_await progress();
+        if (progressDue())
+            co_await progress();
         std::optional<Match> m = scanMatch(typesel);
         if (!m) {
             co_await proc.pollSleep();
@@ -497,6 +525,26 @@ NxProc::progress()
 {
     co_await progressSends();
     co_await progressRecvs();
+}
+
+bool
+NxProc::progressDue()
+{
+    for (const PostedRecv &p : posted_) {
+        if (!p.done)
+            return true;
+    }
+    return replyArrived();
+}
+
+bool
+NxProc::replyArrived()
+{
+    for (const PendingLarge &p : pendingLarge_) {
+        if (conn(p.peer).hasReply(p.stamp))
+            return true;
+    }
+    return false;
 }
 
 sim::Task<>
@@ -569,7 +617,8 @@ NxProc::completionAgent()
 {
     node::Process &proc = ep_.proc();
     while (!pendingLarge_.empty()) {
-        co_await progressSends();
+        if (replyArrived())
+            co_await progressSends();
         if (pendingLarge_.empty())
             break;
         co_await proc.pollSleep();
@@ -602,7 +651,8 @@ NxProc::irecv(long typesel, VAddr buf, std::size_t maxlen)
     p.buf = buf;
     p.maxlen = maxlen;
     posted_.push_back(p);
-    co_await progress();
+    if (progressDue())
+        co_await progress();
     co_return p.id;
 }
 
@@ -628,7 +678,8 @@ NxProc::msgwait(int msg_id)
             posted_.erase(pit);
             co_return;
         }
-        co_await progress();
+        if (progressDue())
+            co_await progress();
         pit = std::find_if(posted_.begin(), posted_.end(),
                            [msg_id](const PostedRecv &p) {
                                return p.id == msg_id;
@@ -641,7 +692,8 @@ NxProc::msgwait(int msg_id)
 sim::Task<bool>
 NxProc::msgdone(int msg_id)
 {
-    co_await progress();
+    if (progressDue())
+        co_await progress();
     if (std::find(doneIds_.begin(), doneIds_.end(), msg_id) !=
         doneIds_.end()) {
         co_return true;
@@ -659,7 +711,8 @@ NxProc::cprobe(long typesel)
     node::Process &proc = ep_.proc();
     co_await proc.compute(proc.config().libCallCost);
     for (;;) {
-        co_await progress();
+        if (progressDue())
+            co_await progress();
         std::optional<Match> m = scanMatch(typesel);
         if (m) {
             info_.type = long(m->desc.type);
@@ -693,7 +746,8 @@ NxProc::iprobe(long typesel)
 {
     node::Process &proc = ep_.proc();
     co_await proc.compute(proc.config().libCallCost);
-    co_await progress();
+    if (progressDue())
+        co_await progress();
     co_return scanMatch(typesel).has_value();
 }
 
@@ -787,6 +841,7 @@ NxSystem::NxSystem(vmmc::System &sys, int nprocs, NxOptions opt)
     for (int r = 0; r < nprocs; ++r) {
         NxProc &p = *procs_[r];
         p.conns_.resize(nprocs);
+        p.scan_.resize(nprocs);
         for (int peer = 0; peer < nprocs; ++peer) {
             if (peer == r)
                 continue;
@@ -802,9 +857,16 @@ NxSystem::init()
     // NX sets up one set of buffers for each pair of processes at
     // initialization time (paper section 6).
     for (auto &p : procs_) {
-        for (auto &c : p->conns_) {
-            if (c)
-                co_await c->exportSide();
+        for (std::size_t peer = 0; peer < p->conns_.size(); ++peer) {
+            Connection *c = p->conns_[peer].get();
+            if (!c)
+                continue;
+            co_await c->exportSide();
+            // Fresh memory is zero, so an empty mask is exact as of
+            // writeCount() 0: the first scan after any write to the
+            // buffers re-reads it.
+            p->scan_[peer] =
+                NxProc::PeerScan{c->dataPa(), c->dataAreaBytes()};
         }
     }
     for (auto &p : procs_) {

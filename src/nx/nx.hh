@@ -23,6 +23,14 @@
  * msgwait, iprobe, and the NX global operations gsync()/gdsum() are
  * provided; infocount()/infotype()/infonode() report on the last
  * message received, as in NX.
+ *
+ * A process has a connection to every other process, and every poll
+ * rescans them all, so a poll that finds nothing is kept independent of
+ * the peer count: the receive scan reads a dense per-peer table of
+ * occupied-slot masks, each re-read only after a write to its packet
+ * buffers; ring lookups cache their misses (Connection::ringFind); and
+ * an entry point skips the progress engine, coroutine frames included,
+ * when progressDue() says it has nothing to do.
  */
 
 #ifndef SHRIMP_NX_NX_HH
@@ -139,8 +147,17 @@ class NxProc
     sim::Task<double> gdhigh(double value);
 
     /** Per-library progress: completes pending large-message transfers
-     *  and fills posted irecvs. Called from every NX entry point. */
+     *  and fills posted irecvs. Called from every NX entry point for
+     *  which progressDue() holds. */
     sim::Task<> progress();
+
+    /**
+     * Whether progress() has anything to do: a pending large send's
+     * reply is in its ring, or a posted receive is unfilled. When it is
+     * false, progress() would reach no co_await that suspends or
+     * charges time, so skipping it changes no simulated event.
+     */
+    bool progressDue();
 
     /** Complete pending large sends whose scout replies have arrived. */
     sim::Task<> progressSends();
@@ -185,8 +202,28 @@ class NxProc
         NxDesc desc;
     };
 
+    /**
+     * One peer's entry in the receive scan table: where that
+     * connection's packet buffers lie in node memory, which of them
+     * hold a descriptor, and the node's writeCount() the mask is
+     * current as of. The mask is exact until a write touches the range
+     * (Memory::writtenSince), so a scan re-reads only the masks whose
+     * buffers were written.
+     */
+    struct PeerScan
+    {
+        PAddr dataPa = 0;
+        std::size_t dataBytes = 0; //!< 0 for the self entry
+        std::uint64_t slots = 0;   //!< Connection::occupiedSlots()
+        std::uint64_t seq = 0;
+    };
+
     /** Scan all connections for the best matching descriptor. */
     std::optional<Match> scanMatch(long typesel);
+
+    /** Whether a pending large send's reply is in its ring, i.e.
+     *  progressSends() has a transfer to finish. */
+    bool replyArrived();
 
     /** Resolve Auto into a concrete mode for this message. */
     SendMode resolveMode(VAddr buf, std::size_t len) const;
@@ -248,6 +285,7 @@ class NxProc
     int rank_;
     NxSystem &system_;
     std::vector<std::unique_ptr<Connection>> conns_; //!< index = peer rank
+    std::vector<PeerScan> scan_; //!< index = peer rank; set by init()
     std::vector<VAddr> safePool_; //!< reusable safe-copy buffers
     VAddr scratch_ = 0;    //!< staging for global ops
     std::vector<PendingLarge> pendingLarge_;

@@ -257,14 +257,12 @@ Simulator::~Simulator()
     SHRIMP_CHECK_HOOK(
         check::SimChecker::instance().onSimulatorDestroyed(this));
     // Reclaim wrappers that never completed (deadlocked or abandoned
-    // simulations). destroy() unregisters each frame via ~promise_type,
-    // so iterate over a copy.
-    auto live = liveDetached_;
-    // analyze: allow(determinism) — teardown-only sweep after the event
-    // loop is done: destruction order can no longer affect simulated
-    // state or trace output.
-    for (void *frame : live)
-        std::coroutine_handle<>::from_address(frame).destroy();
+    // simulations), oldest first. destroy() unlinks each frame via
+    // ~promise_type.
+    while (liveHead_) {
+        std::coroutine_handle<Detached::promise_type>::from_promise(
+            *liveHead_).destroy();
+    }
 }
 
 void

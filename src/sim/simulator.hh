@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <exception>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -28,7 +27,8 @@ class Simulator
     Simulator() = default;
 
     /** Destroys the frames of detached tasks that never completed
-     *  (deadlocked simulations would otherwise leak them). */
+     *  (deadlocked simulations would otherwise leak them), in spawn
+     *  order. */
     ~Simulator();
 
     Simulator(const Simulator &) = delete;
@@ -78,6 +78,10 @@ class Simulator
         struct promise_type : detail::RecycledFrame
         {
             Simulator &sim;
+            /** Neighbours in the simulator's list of live wrappers,
+             *  which runs in spawn order. */
+            promise_type *prev = nullptr;
+            promise_type *next = nullptr;
 
             /** Mirrors runDetached()'s parameter list (the implicit
              *  object parameter first), per the coroutine promise
@@ -86,9 +90,8 @@ class Simulator
 
             ~promise_type()
             {
-                sim.liveDetached_.erase(
-                    std::coroutine_handle<promise_type>::from_promise(
-                        *this).address());
+                (prev ? prev->next : sim.liveHead_) = next;
+                (next ? next->prev : sim.liveTail_) = prev;
             }
 
             Detached
@@ -96,9 +99,9 @@ class Simulator
             {
                 // Track the live frame so ~Simulator can reclaim it if
                 // the task never finishes (see runDetached()).
-                sim.liveDetached_.insert(
-                    std::coroutine_handle<promise_type>::from_promise(
-                        *this).address());
+                prev = sim.liveTail_;
+                (prev ? prev->next : sim.liveHead_) = this;
+                sim.liveTail_ = this;
                 return {};
             }
 
@@ -118,9 +121,11 @@ class Simulator
     std::exception_ptr firstError_;
     std::vector<Task<>> daemons_;
 
-    /** Frames of detached wrappers still suspended; owned for cleanup
-     *  only (frames normally free themselves at completion). */
-    std::unordered_set<void *> liveDetached_;
+    /** Detached wrappers still suspended, oldest first, linked through
+     *  their promises; owned for cleanup only (frames normally free
+     *  themselves at completion). */
+    Detached::promise_type *liveHead_ = nullptr;
+    Detached::promise_type *liveTail_ = nullptr;
 };
 
 /** Awaitable: suspend the current task for @p delay ticks. When the

@@ -73,6 +73,16 @@ TEST(OutgoingPageTable, ImportSlots)
     EXPECT_EQ(opt.slot(a), nullptr);
     EXPECT_THROW(opt.freeSlot(a), PanicError);
     EXPECT_EQ(opt.numSlots(), 1u);
+    // Ids are never reused: the next slot takes the next id, the freed
+    // one stays dead, and numSlots() counts only live slots.
+    std::uint32_t c = opt.allocSlot(entryTo(3, 0x4000, kPage));
+    EXPECT_EQ(c, b + 1);
+    EXPECT_EQ(opt.slot(a), nullptr);
+    ASSERT_NE(opt.slot(c), nullptr);
+    EXPECT_EQ(opt.slot(c)->destNode, 3);
+    EXPECT_EQ(opt.slot(c + 1), nullptr); // never allocated
+    EXPECT_THROW(opt.freeSlot(c + 1), PanicError);
+    EXPECT_EQ(opt.numSlots(), 2u);
 }
 
 TEST(IncomingPageTable, EnableAndInterruptBits)

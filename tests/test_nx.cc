@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/check.hh"
 #include "nx/nx.hh"
 #include "test_util.hh"
 
@@ -318,6 +319,84 @@ TEST_F(NxTest, PokedDescriptorIsSeenAndHiddenByTheNextScan)
     }(*this));
     runAll(std::move(tasks));
 }
+
+TEST_F(NxTest, ReplyArrivingAfterACachedMissIsFound)
+{
+    // A reply-ring miss is cached until the control page is written;
+    // the peer's reply is such a write, so the next lookup reads the
+    // ring again and takes it.
+    std::vector<sim::Task<>> tasks;
+    tasks.push_back([](NxTest &t) -> sim::Task<> {
+        Connection &c = t.nx_.proc(1).conn(0);
+        ReplyEntry e;
+        EXPECT_FALSE(c.findReply(7, e)); // caches the miss
+        EXPECT_FALSE(c.hasReply(7));     // the same miss
+        co_await t.proc(1).compute(units::ms);
+        EXPECT_TRUE(c.hasReply(7)); // arrived, and not consumed
+        EXPECT_TRUE(c.findReply(7, e));
+        EXPECT_EQ(e.key, 0x1234u);
+        EXPECT_EQ(e.off, 16u);
+        EXPECT_EQ(e.pad, 64u);
+        EXPECT_FALSE(c.findReply(7, e)); // consumed
+    }(*this));
+    tasks.push_back([](NxTest &t) -> sim::Task<> {
+        co_await t.nx_.proc(0).conn(1).postReply(7, 0x1234, 16, 64);
+    }(*this));
+    runAll(std::move(tasks));
+}
+
+TEST_F(NxTest, DoneFlagArrivingAfterACachedMissIsFound)
+{
+    // The same for the done ring: a cached miss gives way to the done
+    // flag the peer raises afterwards.
+    std::vector<sim::Task<>> tasks;
+    tasks.push_back([](NxTest &t) -> sim::Task<> {
+        Connection &c = t.nx_.proc(1).conn(0);
+        EXPECT_FALSE(c.findDone(9)); // caches the miss
+        EXPECT_FALSE(c.findDone(9)); // the same miss
+        co_await t.proc(1).compute(units::ms);
+        EXPECT_TRUE(c.findDone(9));
+        EXPECT_FALSE(c.findDone(9)); // consumed
+    }(*this));
+    tasks.push_back([](NxTest &t) -> sim::Task<> {
+        co_await t.nx_.proc(0).conn(1).postDone(9);
+    }(*this));
+    runAll(std::move(tasks));
+}
+
+#ifdef SHRIMP_CHECK
+TEST_F(NxTest, CheckedBuildHoldsEveryCachedRingMissAgainstTheRing)
+{
+    // Checked builds read the ring on every lookup: a lookup the cache
+    // answers counts one check, and a cached miss the read contradicts
+    // (a cache that ignored the control page's writes) is a violation.
+    check::SimChecker &checker = check::SimChecker::instance();
+    checker.setAbortOnViolation(false);
+    const std::size_t violations = checker.violations().size();
+    std::vector<sim::Task<>> tasks;
+    tasks.push_back([](NxTest &t, check::SimChecker &checker)
+                        -> sim::Task<> {
+        Connection &c = t.nx_.proc(1).conn(0);
+        ReplyEntry e;
+        EXPECT_FALSE(c.findReply(7, e));
+        EXPECT_FALSE(c.findDone(9));
+        std::uint64_t checks = checker.numChecks();
+        EXPECT_FALSE(c.hasReply(7));
+        EXPECT_FALSE(c.findDone(9));
+        EXPECT_EQ(checker.numChecks() - checks, 2u);
+        co_await t.proc(1).compute(units::ms);
+        EXPECT_TRUE(c.findReply(7, e));
+        EXPECT_TRUE(c.findDone(9));
+    }(*this, checker));
+    tasks.push_back([](NxTest &t) -> sim::Task<> {
+        co_await t.nx_.proc(0).conn(1).postReply(7, 0x1234, 16, 64);
+        co_await t.nx_.proc(0).conn(1).postDone(9);
+    }(*this));
+    runAll(std::move(tasks));
+    EXPECT_EQ(checker.violations().size(), violations);
+    checker.setAbortOnViolation(true);
+}
+#endif // SHRIMP_CHECK
 
 TEST_F(NxTest, MultipleSendersToOneReceiver)
 {

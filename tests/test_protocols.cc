@@ -239,6 +239,61 @@ TEST(NxProgress, LargeSendCompletesAfterSenderExits)
     sys.sim().runAll();
 }
 
+/** Property: seeded shift exchanges deliver every payload from the
+ *  right rank. 16 ranks on a 4x4 mesh; in each of 20 shifts every rank
+ *  r sends S bytes to rank r+k and receives from rank r-k, with k and S
+ *  in [256 B, 4 KB] drawn per shift, so every rank's scans walk 15
+ *  connections while one or two of them carry traffic, and messages
+ *  take both the small-message path and the scout path. */
+TEST(NxShift, SeededShiftsDeliverEveryPayloadFromTheRightRank)
+{
+    constexpr int ranks = 16;
+    constexpr int shifts = 20;
+    constexpr std::size_t maxMsg = 4096;
+    MachineConfig cfg;
+    cfg.meshWidth = 4;
+    cfg.meshHeight = 4;
+    vmmc::System sys(cfg);
+    nx::NxSystem nxs(sys, ranks);
+    test::runTask(sys.sim(), nxs.init());
+    std::vector<VAddr> sbuf(ranks), rbuf(ranks);
+    for (int r = 0; r < ranks; ++r) {
+        sbuf[r] = nxs.proc(r).endpoint().proc().alloc(maxMsg);
+        rbuf[r] = nxs.proc(r).endpoint().proc().alloc(maxMsg);
+    }
+
+    std::mt19937 rng(30);
+    int small = 0;
+    for (int i = 0; i < shifts; ++i) {
+        const int k = 1 + int(rng() % (ranks - 1));
+        const std::size_t size = 4 * (64 + rng() % (maxMsg / 4 - 64 + 1));
+        small += size <= nxs.options().largeThreshold;
+        for (int r = 0; r < ranks; ++r) {
+            auto data = test::pattern(size, std::uint32_t(i * ranks + r));
+            nxs.proc(r).endpoint().proc().poke(sbuf[r], data.data(), size);
+            sys.sim().spawn([](nx::NxProc &p, VAddr sbuf, VAddr rbuf,
+                               std::size_t size, int dest, int src,
+                               std::vector<std::uint8_t> expect)
+                                -> sim::Task<> {
+                co_await p.csend(1, sbuf, size, dest);
+                std::size_t n = co_await p.crecv(1, rbuf, maxMsg);
+                EXPECT_EQ(n, size);
+                EXPECT_EQ(p.infonode(), src);
+                std::vector<std::uint8_t> got(n);
+                p.endpoint().proc().peek(rbuf, got.data(), n);
+                EXPECT_EQ(got, expect) << "rank " << p.mynode();
+            }(nxs.proc(r), sbuf[r], rbuf[r], size, (r + k) % ranks,
+              (r - k + ranks) % ranks,
+              test::pattern(size, std::uint32_t(
+                                      i * ranks + (r - k + ranks) % ranks))));
+        }
+        sys.sim().runAll();
+    }
+    // The draw covers both protocols (a new seed must keep it so).
+    EXPECT_GT(small, 0);
+    EXPECT_LT(small, shifts);
+}
+
 /** Property: the socket byte stream is transparent to arbitrary
  *  read/write size interleavings. */
 class SockFuzz : public ::testing::TestWithParam<std::uint32_t>

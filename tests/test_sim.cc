@@ -12,6 +12,7 @@
 #include <functional>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "base/config.hh"
 #include "base/logging.hh"
@@ -166,6 +167,32 @@ TEST(Simulator, DeadlockDetected)
     Condition never(s.queue());
     s.spawn([](Condition &c) -> Task<> { co_await c.wait(); }(never));
     EXPECT_THROW(s.runAll(), PanicError);
+}
+
+TEST(Simulator, DestructionReclaimsParkedTasksOnceInSpawnOrder)
+{
+    // Each task parks forever holding a guard that logs its id when the
+    // frame is destroyed: ~Simulator must reclaim every frame exactly
+    // once, the oldest spawn first.
+    struct Guard
+    {
+        std::vector<int> &log;
+        int id;
+        ~Guard() { log.push_back(id); }
+    };
+    std::vector<int> log;
+    {
+        Simulator s;
+        for (int id : {7, 3, 5}) {
+            s.spawn([](std::vector<int> &log, int id) -> Task<> {
+                Guard g{log, id};
+                co_await std::suspend_always{};
+            }(log, id));
+        }
+        EXPECT_EQ(s.activeTasks(), 3u);
+        EXPECT_TRUE(log.empty());
+    }
+    EXPECT_EQ(log, (std::vector<int>{7, 3, 5}));
 }
 
 TEST(Simulator, BlockedDaemonIsNotADeadlock)
