@@ -21,6 +21,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace shrimp::stats
@@ -138,6 +139,39 @@ class Group
     std::map<std::string, Counter> counters_;
     std::map<std::string, Distribution> dists_;
 };
+
+/**
+ * A stat of a Group registered on its first use. A component that
+ * counts on a hot path holds one instead of looking the stat up by
+ * name each time; as with that lookup, a stat never used is never
+ * registered, so it shows in no dump. The group must outlive it.
+ */
+template <class Stat>
+class Lazy
+{
+  public:
+    Lazy(Group &group, const char *name) : group_(group), name_(name) {}
+
+    Stat &
+    get()
+    {
+        if (!stat_) {
+            if constexpr (std::is_same_v<Stat, Counter>)
+                stat_ = &group_.counter(name_);
+            else
+                stat_ = &group_.distribution(name_);
+        }
+        return *stat_;
+    }
+
+  private:
+    Group &group_;
+    const char *name_;
+    Stat *stat_ = nullptr;
+};
+
+using LazyCounter = Lazy<Counter>;
+using LazyDistribution = Lazy<Distribution>;
 
 /**
  * Process-wide registry of all live stat Groups plus retired totals.

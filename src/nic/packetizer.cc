@@ -1,6 +1,7 @@
 #include "nic/packetizer.hh"
 
 #include <cstring>
+#include <utility>
 
 #include "base/logging.hh"
 #include "base/span.hh"
@@ -53,6 +54,10 @@ Packetizer::auWrite(const OptEntry &e, PAddr dest_addr, const void *data,
             SHRIMP_CHECK_HOOK(check::SimChecker::instance().onShadowAppend(
                 this, e.destNode, dest_addr, data, len));
             const auto *bytes = static_cast<const std::uint8_t *>(data);
+            // The first store that extends a packet reserves its limit,
+            // where 4-byte XDR stores would reallocate at 8, 16, 32 and
+            // 64 bytes; most packets never grow and keep their size.
+            pending_->payload.reserve(cfg_.auCombineLimit);
             pending_->payload.insert(pending_->payload.end(), bytes,
                                      bytes + len);
             ++writesCombined_;
@@ -103,21 +108,30 @@ Packetizer::armTimer()
 {
     if (!pendingTimerEnabled_)
         return;
-    std::uint64_t gen = ++timerGen_;
+    // A re-arm restarts the timeout: the earlier timer goes, so the
+    // queue holds at most one timer event per packetizer.
+    cancelTimer();
     // The flush timer belongs to the packetizer even though it is armed
     // from inside the CPU's store (Scope, not retag: the rest of the
     // store stays attributed to the CPU).
     sim::profile::Scope prof(sim::profile::Subsys::Packetizer);
-    sim_.queue().scheduleIn(cfg_.auCombineTimeout, [this, gen] {
-        if (pending_ && gen == timerGen_) {
-            ++timerFlushes_;
-            statTimerFlushes_ += 1;
-            SHRIMP_DEBUG("node%d packetizer: timer flush at %llu ns",
-                         int(self_),
-                         (unsigned long long)sim_.queue().now());
-            flushPending();
-        }
+    timer_ = sim_.queue().scheduleIn(cfg_.auCombineTimeout, [this] {
+        timer_ = {};
+        // Every flush cancels the timer, so one that fires has a packet.
+        SHRIMP_ASSERT(pending_, "packetizer timer fired with no packet");
+        ++timerFlushes_;
+        statTimerFlushes_ += 1;
+        SHRIMP_DEBUG("node%d packetizer: timer flush at %llu ns",
+                     int(self_), (unsigned long long)sim_.queue().now());
+        flushPending();
     });
+}
+
+void
+Packetizer::cancelTimer()
+{
+    if (timer_)
+        sim_.queue().cancel(std::exchange(timer_, {}));
 }
 
 void
@@ -132,7 +146,7 @@ Packetizer::flushPending()
     SHRIMP_CHECK_HOOK(pending_->raceClock =
                           check::RaceDetector::instance().snapshot(
                               raceActor_));
-    ++timerGen_; // cancel any armed timer
+    cancelTimer();
     ++packetsFormed_;
     statPacketsFormed_ += 1;
     statBytesFormed_ += pending_->payload.size();

@@ -8,7 +8,11 @@
  * is appended instead of starting a new packet. A non-consecutive write
  * (or a write through a different OPT entry) flushes the pending packet
  * first, preserving program order. A hardware timer flushes a pending
- * packet when no subsequent update arrives within the timeout.
+ * packet when no subsequent update arrives within the timeout. The
+ * timer is one queue event per packetizer: a store that extends the
+ * packet cancels the armed event and schedules the next, and a flush
+ * cancels it (EventQueue::cancel), so a timer event that runs always
+ * has a packet to flush.
  *
  * Deliberate-update packets are never combined; emitting one flushes any
  * pending automatic-update packet first so that all data leaves the node
@@ -68,6 +72,7 @@ class Packetizer
     void startPending(const OptEntry &e, PAddr dest_addr, const void *data,
                       std::size_t len);
     void armTimer();
+    void cancelTimer();
 
     sim::Simulator &sim_;
     const MachineConfig &cfg_;
@@ -77,7 +82,8 @@ class Packetizer
     std::optional<net::Packet> pending_;
     std::uint32_t raceActor_ = 0xffffffffu; // check::noActor
     bool pendingTimerEnabled_ = false;
-    std::uint64_t timerGen_ = 0;
+    //! The armed flush timer's event; empty while none is pending.
+    sim::EventQueue::Handle timer_;
 
     std::uint64_t packetsFormed_ = 0;
     std::uint64_t writesCombined_ = 0;

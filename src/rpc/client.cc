@@ -37,7 +37,7 @@ VrpcClient::call(std::uint32_t proc, EncodeFn encode_args,
         panic("clnt_call on an unconnected client");
     node::Process &p = ep_.proc();
     trace::ScopedSpan span(p.sim(), track_, "call");
-    stats_.counter("calls") += 1;
+    statCalls_.get() += 1;
 
     // "About 7 usecs are spent in preparing the header and making the
     // call": library entry plus the header fields encoded below.

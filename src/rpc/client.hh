@@ -64,6 +64,8 @@ class VrpcClient
     std::uint64_t calls_ = 0;
     stats::Group stats_;
     trace::TrackId track_;
+    //! Counted per call; looked up by name once, at the first call.
+    stats::LazyCounter statCalls_{stats_, "calls"};
 };
 
 } // namespace shrimp::rpc

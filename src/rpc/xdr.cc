@@ -39,12 +39,6 @@ BufferSink::put(const void *data, std::size_t n)
 }
 
 sim::Task<>
-BufferSink::chargeOp()
-{
-    co_return;
-}
-
-sim::Task<>
 BufferSource::get(void *out, std::size_t n)
 {
     if (pos_ + n > buf_.size())
@@ -55,23 +49,22 @@ BufferSource::get(void *out, std::size_t n)
 }
 
 sim::Task<>
-BufferSource::chargeOp()
+StreamSink::put(const void *data, std::size_t n)
 {
-    co_return;
+    // Deferred publish: the control word goes out once per transfer.
+    if (proto_ == sock::StreamProto::AuTwoCopy)
+        return stream_.sendHost(data, n, proto_, /*publish=*/false);
+    return append(data, n);
 }
 
 sim::Task<>
-StreamSink::put(const void *data, std::size_t n)
+StreamSink::append(const void *data, std::size_t n)
 {
-    if (proto_ != sock::StreamProto::AuTwoCopy) {
-        // DU configurations marshal the record first; drain() sends it
-        // with one deliberate update.
-        const auto *p = static_cast<const std::uint8_t *>(data);
-        pending_.insert(pending_.end(), p, p + n);
-        co_return;
-    }
-    // Deferred publish: the control word goes out once per transfer.
-    co_await stream_.sendHost(data, n, proto_, /*publish=*/false);
+    // DU configurations marshal the record first; drain() sends it
+    // with one deliberate update.
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    pending_.insert(pending_.end(), p, p + n);
+    co_return;
 }
 
 sim::Task<>
@@ -86,21 +79,9 @@ StreamSink::drain()
 }
 
 sim::Task<>
-StreamSink::chargeOp()
-{
-    co_await proc_.compute(xdrOpCost);
-}
-
-sim::Task<>
 StreamSource::get(void *out, std::size_t n)
 {
-    co_await stream_.recvHost(out, n);
-}
-
-sim::Task<>
-StreamSource::chargeOp()
-{
-    co_await proc_.compute(xdrOpCost);
+    return stream_.recvHost(out, n);
 }
 
 // ---- encoder -------------------------------------------------------------
@@ -110,14 +91,15 @@ XdrEncoder::putU32(std::uint32_t v)
 {
     std::uint8_t b[4];
     storeBe32(b, v);
-    co_await sink_.chargeOp();
+    if (node::Process *p = sink_.process())
+        co_await p->compute(xdrOpCost);
     co_await sink_.put(b, 4);
 }
 
 sim::Task<>
 XdrEncoder::putI32(std::int32_t v)
 {
-    co_await putU32(std::uint32_t(v));
+    return putU32(std::uint32_t(v));
 }
 
 sim::Task<>
@@ -130,13 +112,13 @@ XdrEncoder::putU64(std::uint64_t v)
 sim::Task<>
 XdrEncoder::putI64(std::int64_t v)
 {
-    co_await putU64(std::uint64_t(v));
+    return putU64(std::uint64_t(v));
 }
 
 sim::Task<>
 XdrEncoder::putBool(bool v)
 {
-    co_await putU32(v ? 1 : 0);
+    return putU32(v ? 1 : 0);
 }
 
 sim::Task<>
@@ -145,7 +127,7 @@ XdrEncoder::putFloat(float v)
     std::uint32_t bits;
     static_assert(sizeof(bits) == sizeof(v));
     std::memcpy(&bits, &v, sizeof(bits));
-    co_await putU32(bits);
+    return putU32(bits);
 }
 
 sim::Task<>
@@ -154,14 +136,15 @@ XdrEncoder::putDouble(double v)
     std::uint64_t bits;
     static_assert(sizeof(bits) == sizeof(v));
     std::memcpy(&bits, &v, sizeof(bits));
-    co_await putU64(bits);
+    return putU64(bits);
 }
 
 sim::Task<>
 XdrEncoder::putOpaque(const void *data, std::size_t n)
 {
     static const std::uint8_t zeros[4] = {0, 0, 0, 0};
-    co_await sink_.chargeOp();
+    if (node::Process *p = sink_.process())
+        co_await p->compute(xdrOpCost);
     if (n > 0)
         co_await sink_.put(data, n);
     std::size_t pad = (4 - n % 4) % 4;
@@ -179,7 +162,7 @@ XdrEncoder::putBytes(const void *data, std::size_t n)
 sim::Task<>
 XdrEncoder::putString(const std::string &s)
 {
-    co_await putBytes(s.data(), s.size());
+    return putBytes(s.data(), s.size());
 }
 
 // ---- decoder -------------------------------------------------------------
@@ -188,7 +171,8 @@ sim::Task<std::uint32_t>
 XdrDecoder::getU32()
 {
     std::uint8_t b[4];
-    co_await source_.chargeOp();
+    if (node::Process *p = source_.process())
+        co_await p->compute(xdrOpCost);
     co_await source_.get(b, 4);
     co_return loadBe32(b);
 }
@@ -243,7 +227,8 @@ XdrDecoder::getDouble()
 sim::Task<>
 XdrDecoder::getOpaque(void *out, std::size_t n)
 {
-    co_await source_.chargeOp();
+    if (node::Process *p = source_.process())
+        co_await p->compute(xdrOpCost);
     if (n > 0)
         co_await source_.get(out, n);
     std::size_t pad = (4 - n % 4) % 4;

@@ -8,6 +8,14 @@
  * XDR: the encoder writes fields *directly* into the AU-bound cyclic
  * queue (StreamSink), so there is no sender-side copy. For tests and
  * in-memory marshalling a host-buffer sink/source is also provided.
+ *
+ * A field costs the coroutine frames that do work and no others: the
+ * encoder or decoder call itself, and, on a stream, the ByteStream
+ * transfer that StreamSink::put and StreamSource::get return as is
+ * (on an AU stream, sendHost and the one Process::write that stores
+ * the field). The per-field bookkeeping charge is a Process::compute
+ * hold in the encoder's or decoder's own frame, on the CPU of the
+ * process a timed sink or source names (none for host buffers).
  */
 
 #ifndef SHRIMP_RPC_XDR_HH
@@ -37,25 +45,41 @@ class XdrSink
     /** Append @p n bytes. */
     virtual sim::Task<> put(const void *data, std::size_t n) = 0;
 
-    /** Charge per-field bookkeeping cost (no-op for host buffers). */
-    virtual sim::Task<> chargeOp() = 0;
+    /** The process whose CPU each field's bookkeeping (xdrOpCost)
+     *  occupies; null for an untimed host buffer. */
+    node::Process *process() const { return proc_; }
+
+  protected:
+    explicit XdrSink(node::Process *proc) : proc_(proc) {}
+
+  private:
+    node::Process *proc_;
 };
 
-/** Abstract byte source for the decoder. */
+/** Abstract, possibly timed, byte source for the decoder. */
 class XdrSource
 {
   public:
     virtual ~XdrSource() = default;
     virtual sim::Task<> get(void *out, std::size_t n) = 0;
-    virtual sim::Task<> chargeOp() = 0;
+
+    /** As XdrSink::process(). */
+    node::Process *process() const { return proc_; }
+
+  protected:
+    explicit XdrSource(node::Process *proc) : proc_(proc) {}
+
+  private:
+    node::Process *proc_;
 };
 
 /** Untimed host-buffer sink (tests, golden-byte checks). */
 class BufferSink : public XdrSink
 {
   public:
+    BufferSink() : XdrSink(nullptr) {}
+
     sim::Task<> put(const void *data, std::size_t n) override;
-    sim::Task<> chargeOp() override;
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
 
   private:
@@ -67,11 +91,10 @@ class BufferSource : public XdrSource
 {
   public:
     explicit BufferSource(std::vector<std::uint8_t> bytes)
-        : buf_(std::move(bytes))
+        : XdrSource(nullptr), buf_(std::move(bytes))
     {}
 
     sim::Task<> get(void *out, std::size_t n) override;
-    sim::Task<> chargeOp() override;
     std::size_t remaining() const { return buf_.size() - pos_; }
 
   private:
@@ -91,18 +114,20 @@ class StreamSink : public XdrSink
   public:
     StreamSink(sock::ByteStream &stream, node::Process &proc,
                sock::StreamProto proto = sock::StreamProto::AuTwoCopy)
-        : stream_(stream), proc_(proc), proto_(proto)
+        : XdrSink(&proc), stream_(stream), proto_(proto)
     {}
 
+    /** AU: the stream's sendHost task itself; DU: append to the
+     *  marshal buffer. */
     sim::Task<> put(const void *data, std::size_t n) override;
-    sim::Task<> chargeOp() override;
 
     /** Flush any DU-mode marshal buffer into the queue. */
     sim::Task<> drain();
 
   private:
+    sim::Task<> append(const void *data, std::size_t n);
+
     sock::ByteStream &stream_;
-    node::Process &proc_;
     sock::StreamProto proto_;
     std::vector<std::uint8_t> pending_;
 };
@@ -112,15 +137,14 @@ class StreamSource : public XdrSource
 {
   public:
     StreamSource(sock::ByteStream &stream, node::Process &proc)
-        : stream_(stream), proc_(proc)
+        : XdrSource(&proc), stream_(stream)
     {}
 
+    /** The stream's recvHost task itself. */
     sim::Task<> get(void *out, std::size_t n) override;
-    sim::Task<> chargeOp() override;
 
   private:
     sock::ByteStream &stream_;
-    node::Process &proc_;
 };
 
 /** XDR encoder: the xdr_* ENCODE direction. */

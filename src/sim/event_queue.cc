@@ -132,6 +132,55 @@ EventQueue::enqueue(EventNode *n)
     file(n, std::bit_width(n->when ^ now_));
 }
 
+bool
+EventQueue::unlink(EventNode *n)
+{
+    // A pending node sits in bucket bit_width(when ^ now_): filing puts
+    // it there, and a pop or an advance re-files exactly the nodes
+    // whose bucket the move of now_ changes.
+    const int b = std::bit_width(n->when ^ now_);
+    Bucket &bk = buckets_[b];
+    EventNode *prev = nullptr;
+    bool found = false;
+    Tick min = maxTick;
+    for (EventNode *e = bk.head, *before = nullptr; e;
+         before = e, e = e->next) {
+        if (e == n) {
+            prev = before;
+            found = true;
+        } else {
+            min = std::min(min, e->when);
+        }
+    }
+    if (!found)
+        return false;
+    (prev ? prev->next : bk.head) = n->next;
+    if (bk.tail == n)
+        bk.tail = prev;
+    if (bk.head)
+        bk.min = min;
+    else if (b != 0)
+        occupied_ &= ~(std::uint64_t(1) << (b - 1));
+    return true;
+}
+
+void
+EventQueue::cancel(Handle h)
+{
+    EventNode *n = h.node_;
+    // A node that ran is free or recycled: a recycled one carries a
+    // later seq, and a free one (or the running one) is in no bucket.
+    if (!n || n->seq != h.seq_ || !unlink(n))
+        panic(logging::format(
+            "cancel of an event that is not pending (seq %llu) at "
+            "now=%llu ns: it already ran, or the handle names none",
+            (unsigned long long)h.seq_, (unsigned long long)now_));
+    if (n->destroy)
+        n->destroy(*n);
+    freeNode(n);
+    --size_;
+}
+
 EventQueue::EventNode *
 EventQueue::popEarliest()
 {

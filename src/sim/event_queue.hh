@@ -36,6 +36,17 @@
  * Each bucket keeps its minimum `when` as nodes are filed, so neither
  * a pop nor tryAdvance() scans a bucket to find it.
  *
+ * cancel() removes a pending event, named by the Handle schedule()
+ * returned, as if it had never been scheduled. The handle carries the
+ * node and its seq, and seqs are never reused, so a handle whose event
+ * ran (the node free or recycled) panics instead of unlinking the
+ * node's next user. A pending node always sits in bucket
+ * bit_width(when ^ now()), so cancel() walks that one bucket to unlink
+ * it and re-takes the bucket's minimum over the nodes that stay; the
+ * others keep their FIFO order. Every remaining event then pops, and
+ * tryAdvance() decides, exactly as it would had the cancelled one never
+ * been scheduled.
+ *
  * now() moves at a pop or at an in-place advance (tryAdvance()), and
  * each re-files every node whose bucket the move changes. An advance
  * replaces an event that would be popped next anyway: a coroutine that
@@ -107,6 +118,8 @@ class EagerStart
 
 class EventQueue
 {
+    struct EventNode; // defined in the private section below
+
   public:
     // Defined out of line: construction and destruction register the
     // queue with the invariant checker in SHRIMP_CHECK builds.
@@ -122,24 +135,47 @@ class EventQueue
     /** This queue's trace process id (base/trace.hh). */
     std::uint32_t process() const { return process_; }
 
+    /** A scheduled event's identity, for cancel(). A default-built
+     *  handle names no event. */
+    class Handle
+    {
+      public:
+        Handle() = default;
+
+        explicit operator bool() const { return node_ != nullptr; }
+
+      private:
+        friend class EventQueue;
+        explicit Handle(EventNode *n) : node_(n), seq_(n->seq) {}
+
+        EventNode *node_ = nullptr;
+        std::uint64_t seq_ = 0;
+    };
+
     /** Schedule @p fn to run at absolute time @p when (>= now());
      *  panics with tick/task attribution if @p when is in the past. */
     template <typename F>
-    void
+    Handle
     schedule(Tick when, F &&fn)
     {
         EventNode *n = prepare(when);
         bind(*n, std::forward<F>(fn));
         enqueue(n);
+        return Handle(n);
     }
 
     /** Schedule @p fn to run @p delay ticks from now. */
     template <typename F>
-    void
+    Handle
     scheduleIn(Tick delay, F &&fn)
     {
-        schedule(now_ + delay, std::forward<F>(fn));
+        return schedule(now_ + delay, std::forward<F>(fn));
     }
+
+    /** Remove the pending event @p h names: its callable is destroyed
+     *  without running and the event never counts in run(). Panics if
+     *  the event already ran (or is running) or @p h names none. */
+    void cancel(Handle h);
 
     /**
      * Move now() forward by @p span in place of an event at now() +
@@ -226,6 +262,11 @@ class EventQueue
 
     /** File a bound node into bucket bit_width(when ^ now_). */
     void enqueue(EventNode *n);
+
+    /** Take pending node @p n out of its bucket, keeping the bucket's
+     *  order and minimum exact. @return false if @p n is in no
+     *  bucket. */
+    bool unlink(EventNode *n);
 
     template <typename F>
     void

@@ -139,14 +139,11 @@ ByteStream::putChunk(const void *host, VAddr src, std::size_t len,
     switch (proto) {
       case StreamProto::AuTwoCopy: {
         // Copy into the AU-bound send buffer; the copy acts as the send.
-        std::vector<std::uint8_t> tmp;
-        const void *data = host;
-        if (!data) {
-            tmp.resize(len);
-            proc.peek(src, tmp.data(), len);
-            data = tmp.data();
-        }
-        co_await proc.write(VAddr(auData_ + off), data, len);
+        // (sendHost stores host bytes itself.)
+        SHRIMP_ASSERT(host == nullptr, "AU chunk needs a simulated source");
+        std::vector<std::uint8_t> tmp(len);
+        proc.peek(src, tmp.data(), len);
+        co_await proc.write(VAddr(auData_ + off), tmp.data(), len);
         break;
       }
       case StreamProto::DuOneCopy: {
@@ -191,7 +188,9 @@ ByteStream::send(VAddr src, std::size_t len, StreamProto proto)
     while (sent < len) {
         // Reserve space; a deliberate update rounds to whole words, so
         // only hand it word-multiple chunks that fit the reservation.
-        std::size_t free = co_await waitSpace(4);
+        std::size_t free = freeSpace();
+        if (free < 4)
+            free = co_await waitSpace(4);
         std::size_t to_edge = ringBytes_ - (written_ % ringBytes_);
         std::size_t chunk = std::min({len - sent, free, to_edge});
 
@@ -234,7 +233,9 @@ ByteStream::sendHost(const void *data, std::size_t len, StreamProto proto,
     std::size_t sent = 0;
     while (sent < len) {
         std::size_t min_need = proto == StreamProto::AuTwoCopy ? 1 : 4;
-        std::size_t free = co_await waitSpace(min_need);
+        std::size_t free = freeSpace();
+        if (free < min_need)
+            free = co_await waitSpace(min_need);
         std::size_t to_edge = ringBytes_ - (written_ % ringBytes_);
         std::size_t chunk = std::min({len - sent, free, to_edge});
         if (proto != StreamProto::AuTwoCopy && chunk % 4 != 0) {
@@ -248,7 +249,15 @@ ByteStream::sendHost(const void *data, std::size_t len, StreamProto proto,
                     proto = StreamProto::AuTwoCopy;
             }
         }
-        co_await putChunk(p + sent, 0, chunk, proto);
+        if (proto == StreamProto::AuTwoCopy) {
+            // The AU store, made here rather than through putChunk: per
+            // XDR field, this write is the one frame the transfer adds.
+            co_await ep_.proc().write(VAddr(auData_ + written_ % ringBytes_),
+                                      p + sent, chunk);
+            written_ += std::uint32_t(chunk);
+        } else {
+            co_await putChunk(p + sent, 0, chunk, proto);
+        }
         sent += chunk;
         if (publish || written_ - publishedTail_ >= ringBytes_ / 2)
             co_await publishTail();

@@ -115,12 +115,14 @@ class ByteStream
   private:
     std::size_t ctlOff() const { return ringBytes_; }
 
-    /** Reserve @p want sendable bytes (waits for acks); returns the
-     *  contiguous chunk [ring offset, length] to write next. */
+    /** Wait for acks until at least @p min_bytes can be sent; @return
+     *  the free space. Senders check freeSpace() first and call this
+     *  only when short, so a send with room takes no frame here. */
     sim::Task<std::size_t> waitSpace(std::size_t min_bytes);
 
     /** Write one contiguous chunk into the peer ring at our write
-     *  position. Host pointer or simulated address, per protocol. */
+     *  position, from simulated address @p src; DU-2copy may take host
+     *  bytes @p host instead (sendHost makes its AU stores itself). */
     sim::Task<> putChunk(const void *host, VAddr src, std::size_t len,
                          StreamProto proto);
 

@@ -163,8 +163,8 @@ SocketLib::send(int fd, VAddr buf, std::size_t len)
     // Message origin: the staged id is claimed by whichever packet the
     // stream's first store (or deliberate transfer) forms.
     span::stage(span::origin(track_, "sock.send", proc.sim().now()));
-    stats_.counter("sends") += 1;
-    stats_.counter("sentBytes") += len;
+    statSends_.get() += 1;
+    statSentBytes_.get() += len;
     co_await proc.compute(proc.config().libCallCost);
     Sock &s = sock(fd);
     if (s.state != State::Connected)
@@ -179,7 +179,7 @@ SocketLib::recv(int fd, VAddr buf, std::size_t maxlen)
 {
     node::Process &proc = ep_.proc();
     trace::ScopedSpan span(proc.sim(), track_, "recv");
-    stats_.counter("recvs") += 1;
+    statRecvs_.get() += 1;
     co_await proc.compute(proc.config().libCallCost);
     Sock &s = sock(fd);
     if (s.state != State::Connected && s.state != State::ShutDown)

@@ -129,6 +129,11 @@ class SocketLib
     std::uint32_t keyCount_ = 0;
     stats::Group stats_;
     trace::TrackId track_;
+    // Counted per send()/recv(); each is looked up by name once, at
+    // its first use.
+    stats::LazyCounter statSends_{stats_, "sends"};
+    stats::LazyCounter statSentBytes_{stats_, "sentBytes"};
+    stats::LazyCounter statRecvs_{stats_, "recvs"};
 };
 
 } // namespace shrimp::sock

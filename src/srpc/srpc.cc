@@ -201,7 +201,7 @@ SrpcClient::call(std::uint32_t proc, std::vector<Param> params)
         panic("SRPC call before bind");
     node::Process &p = ep_.proc();
     trace::ScopedSpan span(p.sim(), track_, "call");
-    stats_.counter("calls") += 1;
+    statCalls_.get() += 1;
     const Signature &sig = iface_.signature(proc);
     if (params.size() != sig.params.size())
         panic("SRPC call with wrong parameter count");

@@ -150,6 +150,8 @@ class SrpcClient
     std::uint32_t seq_ = 0;
     stats::Group stats_;
     trace::TrackId track_;
+    //! Counted per call; looked up by name once, at the first call.
+    stats::LazyCounter statCalls_{stats_, "calls"};
 };
 
 /** Server-side view of one in-progress call: by-reference access to the

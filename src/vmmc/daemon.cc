@@ -121,7 +121,7 @@ Daemon::registerExport(ExportRecord rec)
 {
     const MachineConfig &cfg = node_.config();
     trace::ScopedSpan span(node_.sim(), track_, "registerExport");
-    stats_.counter("exportsRegistered") += 1;
+    statExportsRegistered_.get() += 1;
     co_await node_.cpu().use(cfg.libCallCost);
     if (rec.paddr % cfg.pageBytes != 0 || rec.len % cfg.pageBytes != 0 ||
         rec.len == 0) {
@@ -154,7 +154,7 @@ Daemon::unexport(std::uint32_t key, int pid)
 {
     const MachineConfig &cfg = node_.config();
     trace::ScopedSpan span(node_.sim(), track_, "unexport");
-    stats_.counter("unexports") += 1;
+    statUnexports_.get() += 1;
     co_await node_.cpu().use(cfg.libCallCost);
     ExportRecord *rec = registry_.find(key);
     if (!rec || rec->pid != pid)
@@ -197,7 +197,7 @@ Daemon::importRemote(NodeId remote, std::uint32_t key, int pid,
 {
     const MachineConfig &cfg = node_.config();
     trace::ScopedSpan span(node_.sim(), track_, "importRemote");
-    stats_.counter("importsRequested") += 1;
+    statImportsRequested_.get() += 1;
     co_await node_.cpu().use(cfg.libCallCost);
     DaemonMsg m;
     m.kind = DaemonMsg::Kind::ImportReq;
@@ -224,7 +224,7 @@ Daemon::unimport(NodeId remote, std::uint32_t key, std::uint32_t slot,
 {
     const MachineConfig &cfg = node_.config();
     trace::ScopedSpan span(node_.sim(), track_, "unimport");
-    stats_.counter("unimports") += 1;
+    statUnimports_.get() += 1;
     co_await node_.cpu().use(cfg.libCallCost);
     auto it = imports_.find({remote, key});
     if (it == imports_.end())
@@ -362,7 +362,7 @@ sim::Task<>
 Daemon::freezeService(net::Packet pkt, PageNum page)
 {
     ++freezesHandled_;
-    stats_.counter("freezesHandled") += 1;
+    statFreezesHandled_.get() += 1;
     trace::ScopedSpan span(node_.sim(), track_, "freezeService");
     SHRIMP_DEBUG("node%u daemon: servicing freeze for page %u",
                  unsigned(id()), unsigned(page));

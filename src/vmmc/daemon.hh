@@ -139,6 +139,13 @@ class Daemon
 
     stats::Group stats_;
     trace::TrackId track_;
+    // Each stat is looked up by name once, at its first use, not per
+    // request.
+    stats::LazyCounter statExportsRegistered_{stats_, "exportsRegistered"};
+    stats::LazyCounter statUnexports_{stats_, "unexports"};
+    stats::LazyCounter statImportsRequested_{stats_, "importsRequested"};
+    stats::LazyCounter statUnimports_{stats_, "unimports"};
+    stats::LazyCounter statFreezesHandled_{stats_, "freezesHandled"};
 };
 
 /** Serialize/deserialize daemon messages for the Ethernet. */

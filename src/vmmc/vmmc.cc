@@ -28,7 +28,7 @@ Endpoint::exportBuffer(std::uint32_t key, VAddr addr, std::size_t len,
 {
     const MachineConfig &cfg = proc_.config();
     trace::ScopedSpan span(proc_.sim(), track_, "export");
-    stats_.counter("exports") += 1;
+    statExports_.get() += 1;
     co_await proc_.compute(cfg.libCallCost);
     if (len == 0)
         co_return Status::BadRange;
@@ -76,7 +76,7 @@ sim::Task<ImportResult>
 Endpoint::import(NodeId remote, std::uint32_t key)
 {
     trace::ScopedSpan span(proc_.sim(), track_, "import");
-    stats_.counter("imports") += 1;
+    statImports_.get() += 1;
     co_await proc_.compute(proc_.config().libCallCost);
     Daemon::ImportOutcome out =
         co_await daemon_.importRemote(remote, key, pid(), this);
@@ -165,9 +165,9 @@ Endpoint::send(int handle, std::size_t dst_off, VAddr src, std::size_t len,
     if (dst_off + wire_len > rec->len)
         co_return Status::BadRange;
 
-    stats_.counter("sends") += 1;
-    stats_.counter("sentBytes") += len;
-    stats_.distribution("sendBytes").sample(double(len));
+    statSends_.get() += 1;
+    statSentBytes_.get() += len;
+    statSendBytes_.get().sample(double(len));
     // The two-access transfer-initiation sequence: programmed I/O to
     // addresses decoded by the network interface on the EISA bus.
     co_await proc_.compute(2 * cfg.eisaPioCost);
@@ -233,7 +233,7 @@ Endpoint::bindAu(VAddr local, std::size_t len, int handle,
                 proc_.sim().now());
         });
     bindings_.push_back(AuBinding{local, len, handle});
-    stats_.counter("auBindings") += 1;
+    statAuBindings_.get() += 1;
     co_return Status::Ok;
 }
 
@@ -309,7 +309,7 @@ void
 Endpoint::deliverNotification(const Notification &n,
                               const NotifyHandler &handler)
 {
-    stats_.counter("notifications") += 1;
+    statNotifications_.get() += 1;
     trace::instant(track_, "notification", proc_.sim().now());
     // Notification handoff: the receiving process's handler runs after
     // the delivering DMA (the current actor when this is reached through

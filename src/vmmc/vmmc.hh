@@ -156,6 +156,15 @@ class Endpoint
     NotificationQueue notif_;
     stats::Group stats_;
     trace::TrackId track_;
+    // Every send and notification counts; each stat is looked up by
+    // name once, at its first use.
+    stats::LazyCounter statExports_{stats_, "exports"};
+    stats::LazyCounter statImports_{stats_, "imports"};
+    stats::LazyCounter statSends_{stats_, "sends"};
+    stats::LazyCounter statSentBytes_{stats_, "sentBytes"};
+    stats::LazyCounter statAuBindings_{stats_, "auBindings"};
+    stats::LazyCounter statNotifications_{stats_, "notifications"};
+    stats::LazyDistribution statSendBytes_{stats_, "sendBytes"};
 };
 
 /**

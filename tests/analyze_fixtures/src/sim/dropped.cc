@@ -2,9 +2,11 @@
  * @file
  * Analyzer fixture for the dropped-task rule: two seeded violations in
  * runsNothing() (a bare discarded call and a stored-but-never-awaited
- * local) and one in sends() (an ambiguous name whose typed receiver
- * returns a Task), surrounded by every consumed shape the rule must
- * NOT flag.
+ * local), one in sends() (an ambiguous name whose typed receiver
+ * returns a Task) and four in appends() (a name that is a Task in every
+ * declaration, called on its class, on a subclass and through an
+ * `auto &` alias, beside std::string calls of the same name),
+ * surrounded by every consumed shape the rule must NOT flag.
  */
 
 #include "sim/tasks.hh"
@@ -65,6 +67,22 @@ sends(Endpoint &ep, Channel &ch)
 {
     ep.send(1); // seeded: Endpoint::send returns a Task
     ch.send(2); // negative: Channel::send returns void
+}
+
+void
+appends(Sink &sink, std::string &text, int n)
+{
+    std::string line = "x";
+    text.append(line);             // negative: std::string::append
+    line.append("y").append("z");  // negative: a chain on std::string
+    while (n-- > 0)
+        text.append(line);         // negative: a control head ends first
+    sink.append(3);                // seeded: Sink::append returns a Task
+    LoudSink loud;
+    loud.append(4);                // seeded: inherited from Sink
+    auto &alias = sink;
+    alias.append(5);               // seeded: an untyped receiver counts
+    auto kept = alias.append(6);   // seeded: stored, never awaited
 }
 
 } // namespace shrimpfix

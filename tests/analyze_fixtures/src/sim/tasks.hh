@@ -7,6 +7,10 @@
  * and calls to it, which have no receiver to resolve, must not be
  * flagged. `send` is ambiguous too, but its calls go through typed
  * receivers: Endpoint::send returns a Task, Channel::send does not.
+ * `append` is a Task wherever the index declares it (Sink::append),
+ * so only a receiver of a standard-library class (`std::string`)
+ * clears a call to it; LoudSink may inherit it, and an `auto &`
+ * receiver has no class to clear it.
  */
 
 #ifndef SHRIMP_SIM_TASKS_HH
@@ -36,6 +40,16 @@ class Channel
 {
   public:
     void send(int n);
+};
+
+class Sink
+{
+  public:
+    Task<> append(int n);
+};
+
+class LoudSink : public Sink
+{
 };
 
 } // namespace shrimpfix

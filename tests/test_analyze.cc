@@ -59,6 +59,10 @@ TEST(Analyze, FixtureCorpusYieldsExactlyTheSeededViolations)
         "determinism-taint|jitters/scheduleIn/delay",
         "determinism-taint|schedulesHost/scheduleIn/t",
         "determinism-taint|waitsNoisy/Delay/span",
+        "dropped-task|appends/append",
+        "dropped-task|appends/append",
+        "dropped-task|appends/append",
+        "dropped-task|appends/append/stored",
         "dropped-task|bracedArgs/pump",
         "dropped-task|bracedArgs/tick",
         "dropped-task|dropsViaCall/tick/passed",

@@ -80,6 +80,29 @@ TEST(Stats, CounterReferencesAreStable)
     EXPECT_EQ(g.get("a"), 1u);
 }
 
+TEST(Stats, LazyStatsRegisterAtFirstUse)
+{
+    stats::Group g("lazy");
+    stats::LazyCounter sends(g, "sends");
+    stats::LazyDistribution bytes(g, "bytes");
+    // Until used, a lazy stat is in no dump, as with a lookup by name
+    // at each use.
+    EXPECT_TRUE(g.counters().empty());
+    EXPECT_TRUE(g.distributions().empty());
+
+    const std::uint64_t gen = stats::StatRegistry::global().generation();
+    sends.get() += 2;
+    EXPECT_EQ(stats::StatRegistry::global().generation(), gen + 1);
+    sends.get() += 3;
+    EXPECT_EQ(stats::StatRegistry::global().generation(), gen + 1);
+    EXPECT_EQ(&sends.get(), &g.counter("sends"));
+    EXPECT_EQ(g.get("sends"), 5u);
+
+    bytes.get().sample(4.0);
+    EXPECT_EQ(&bytes.get(), &g.distribution("bytes"));
+    EXPECT_EQ(g.distributions().at("bytes").count(), 1u);
+}
+
 TEST(Stats, DistributionTracksMoments)
 {
     stats::Distribution d;

@@ -208,6 +208,57 @@ TEST_F(PacketizerTest, TimerFlushesIdlePending)
     EXPECT_GE(sim_.now(), cfg_.auCombineTimeout);
 }
 
+TEST_F(PacketizerTest, CombiningStoresLeaveOneTimerEvent)
+{
+    OptEntry e = entryTo(1, 0x2000, kPage);
+    std::uint32_t w = 4;
+    for (int i = 0; i < 8; ++i) {
+        pktzr_.auWrite(e, 0x2000 + 4 * i, &w, 4);
+        // The re-arm cancels the timer it replaces.
+        EXPECT_EQ(sim_.queue().pending(), 1u) << "after store " << i;
+    }
+    EXPECT_EQ(sim_.run(), 1u); // the timer, and it flushes
+    EXPECT_EQ(pktzr_.timerFlushes(), 1u);
+    auto pkts = drain();
+    ASSERT_EQ(pkts.size(), 1u);
+    EXPECT_EQ(pkts[0].payload.size(), 32u);
+}
+
+TEST_F(PacketizerTest, RearmedTimerFlushesOneTimeoutAfterTheLastStore)
+{
+    OptEntry e = entryTo(1, 0x2000, kPage);
+    std::uint32_t w = 5;
+    const Tick at[] = {0, 300, 700};
+    for (int i = 0; i < 3; ++i)
+        sim_.queue().schedule(at[i], [this, &e, &w, i] {
+            pktzr_.auWrite(e, 0x2000 + 4 * PAddr(i), &w, 4);
+        });
+    EXPECT_EQ(sim_.run(), 4u); // three stores and one timer
+    EXPECT_EQ(sim_.now(), 700 + cfg_.auCombineTimeout);
+    EXPECT_EQ(pktzr_.timerFlushes(), 1u);
+    auto pkts = drain();
+    ASSERT_EQ(pkts.size(), 1u);
+    EXPECT_EQ(pkts[0].payload.size(), 12u);
+}
+
+TEST_F(PacketizerTest, FlushesCancelTheTimer)
+{
+    OptEntry e = entryTo(1, 0x2000, kPage);
+    std::uint32_t w = 6;
+    pktzr_.auWrite(e, 0x2000, &w, 4);
+    pktzr_.auWrite(e, 0x2100, &w, 4); // not consecutive: flush, reopen
+    EXPECT_EQ(sim_.queue().pending(), 1u); // the new packet's timer only
+    net::Packet du;
+    du.dst = 1;
+    du.destAddr = 0x3000;
+    du.payload.assign(8, 2);
+    pktzr_.duPacket(std::move(du)); // flushes the AU packet first
+    EXPECT_EQ(sim_.queue().pending(), 0u);
+    EXPECT_EQ(sim_.run(), 0u);
+    EXPECT_EQ(pktzr_.timerFlushes(), 0u);
+    EXPECT_EQ(drain().size(), 3u);
+}
+
 TEST_F(PacketizerTest, TimerDisabledLeavesPending)
 {
     OptEntry e = entryTo(1, 0x2000, kPage);

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -732,6 +733,233 @@ TEST(EventQueueAdvance, EndlessDelayLoopStillHitsTheEventLimit)
     }
     // As with every wake-up scheduled: the panic follows event 1001.
     EXPECT_EQ(s.now(), 10'010u);
+}
+
+// ---- cancellation (EventQueue::cancel) --------------------------------
+
+/** A callable that counts its runs and the destruction of its one live
+ *  copy; @p Pad bytes push it past the node's inline buffer. */
+template <std::size_t Pad>
+struct Counted
+{
+    int *runs;
+    int *destroyed;
+    bool live = true;
+    std::array<char, Pad> pad{};
+
+    Counted(int *r, int *d) : runs(r), destroyed(d) {}
+    Counted(Counted &&o) noexcept
+        : runs(o.runs), destroyed(o.destroyed),
+          live(std::exchange(o.live, false))
+    {}
+    ~Counted()
+    {
+        if (live)
+            ++*destroyed;
+    }
+    void operator()() { ++*runs; }
+};
+
+TEST(EventQueueCancel, HeadMiddleOrTailOfABucketLeavesTheRestInOrder)
+{
+    // Three events in one bucket: bucket 0 (all at now()), or bucket 7
+    // (100-102 from now=0, 100 its minimum). Whichever is cancelled,
+    // the other two run in order, and an event filed afterwards still
+    // lands behind them, so the bucket's tail is right too.
+    for (Tick base : {Tick(0), Tick(100)}) {
+        const Tick step = base == 0 ? 0 : 1;
+        for (int victim = 0; victim < 3; ++victim) {
+            EventQueue q;
+            std::vector<int> ran;
+            std::vector<EventQueue::Handle> h;
+            for (int i = 0; i < 3; ++i)
+                h.push_back(q.schedule(base + step * Tick(i),
+                                       [&ran, i] { ran.push_back(i); }));
+            q.cancel(h[victim]);
+            EXPECT_EQ(q.pending(), 2u);
+            q.schedule(base + 2 * step, [&ran] { ran.push_back(3); });
+            EXPECT_EQ(q.run(), 3u);
+            std::vector<int> want;
+            for (int i = 0; i < 4; ++i) {
+                if (i != victim)
+                    want.push_back(i);
+            }
+            EXPECT_EQ(ran, want) << "base " << base << ", cancelled "
+                                 << victim;
+        }
+    }
+}
+
+TEST(EventQueueCancel, CancelsKeepTheRestInExactOrder)
+{
+    EventQueue q;
+    // As LogUniformDelaysPopInExactOrder, but dispatches cancel: every
+    // third cancels the earliest pending event (the lowest bucket's
+    // minimum, or the next of bucket 0), every third + 1 the latest
+    // scheduled one still pending. The survivors must pop in (when,
+    // schedule index) order.
+    std::vector<std::pair<Tick, int>> scheduled;
+    std::vector<std::pair<Tick, int>> fired;
+    std::vector<EventQueue::Handle> handles;
+    std::set<std::pair<Tick, int>> pending;
+    std::set<int> cancelled;
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    auto draw = [&x] {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        return x >> 33;
+    };
+    auto logDelay = [&draw] {
+        const int width = int(draw() % 41);
+        if (width == 0)
+            return Tick(0);
+        const Tick top = Tick(1) << (width - 1);
+        const Tick low = (Tick(draw()) << 31) | Tick(draw());
+        return top | (low & (top - 1));
+    };
+    auto cancel = [&](std::pair<Tick, int> victim) {
+        q.cancel(handles[std::size_t(victim.second)]);
+        pending.erase(victim);
+        cancelled.insert(victim.second);
+    };
+    std::function<void(Tick)> add = [&](Tick when) {
+        const int i = int(scheduled.size());
+        scheduled.push_back({when, i});
+        pending.insert({when, i});
+        handles.push_back(q.schedule(when, [&, when, i] {
+            fired.push_back({when, i});
+            pending.erase({when, i});
+            if (pending.empty() || scheduled.size() >= 6000)
+                return;
+            if (i % 3 == 0) {
+                cancel(*pending.begin());
+                add(q.now());
+                add(q.now() + Tick(1 + draw() % 16));
+            } else if (i % 3 == 1) {
+                auto latest = std::max_element(
+                    pending.begin(), pending.end(),
+                    [](const auto &a, const auto &b) {
+                        return a.second < b.second;
+                    });
+                cancel(*latest);
+                add(q.now() + logDelay());
+            }
+        }));
+    };
+    for (int i = 0; i < 2000; ++i)
+        add(logDelay());
+    const std::uint64_t ran = q.run();
+    ASSERT_GT(cancelled.size(), 500u);
+    EXPECT_EQ(ran, scheduled.size() - cancelled.size());
+    std::vector<std::pair<Tick, int>> want;
+    for (const auto &e : scheduled) {
+        if (cancelled.count(e.second) == 0)
+            want.push_back(e);
+    }
+    std::stable_sort(want.begin(), want.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    EXPECT_EQ(fired, want);
+}
+
+TEST(EventQueueCancel, CancelledMinimumNoLongerBlocksAnAdvance)
+{
+    Simulator s;
+    MachineConfig cfg;
+    node::Cpu cpu(s.queue(), cfg, "cancel_cpu");
+    std::vector<std::string> log;
+    // From now=0, 150 and 250 share bucket 8, and 150 is its minimum.
+    // Cancelled, it must not keep the hold below from running in place
+    // across its tick.
+    EventQueue::Handle stale =
+        s.queue().schedule(150, [&] { log.push_back("stale"); });
+    s.queue().schedule(250, [&] {
+        log.push_back("pending@" + std::to_string(s.now()));
+    });
+    s.queue().cancel(stale);
+    s.spawn([](Simulator &s, node::Cpu &cpu,
+               std::vector<std::string> &log) -> Task<> {
+        co_await Delay{s.queue(), 100};
+        co_await cpu.use(100); // in tail position, ends at 200
+        log.push_back("hold@" + std::to_string(s.now()));
+    }(s, cpu, log));
+    EXPECT_EQ(s.run(), 3u); // the delay, the hold in place, the 250
+    EXPECT_EQ(s.queue().advancedInPlace(), 1u);
+    EXPECT_EQ(log, (std::vector<std::string>{"hold@200", "pending@250"}));
+}
+
+TEST(EventQueueCancel, CancelledCallableIsDestroyedOnceAndNeverRuns)
+{
+    int runs = 0, destroyed = 0;
+    EventQueue q;
+    EventQueue::Handle inl = q.schedule(10, Counted<0>(&runs, &destroyed));
+    EventQueue::Handle heap =
+        q.schedule(10, Counted<64>(&runs, &destroyed));
+    q.schedule(20, Counted<0>(&runs, &destroyed));
+    EXPECT_EQ(q.heapCallables(), 1u);
+    EXPECT_EQ(destroyed, 0);
+    q.cancel(inl);
+    q.cancel(heap);
+    EXPECT_EQ(destroyed, 2);
+    EXPECT_EQ(q.pending(), 1u);
+    EXPECT_EQ(q.run(), 1u);
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(destroyed, 3);
+    EXPECT_EQ(q.now(), 20u);
+}
+
+TEST(EventQueueCancel, DestructionAfterCancelsDestroysEachCallableOnce)
+{
+    int runs = 0, destroyed = 0;
+    {
+        EventQueue q;
+        std::vector<EventQueue::Handle> h;
+        for (int i = 0; i < 4; ++i) {
+            h.push_back(
+                q.schedule(Tick(5 * i), Counted<0>(&runs, &destroyed)));
+            h.push_back(
+                q.schedule(Tick(5 * i), Counted<64>(&runs, &destroyed)));
+        }
+        q.cancel(h[1]);
+        q.cancel(h[6]);
+        EXPECT_EQ(destroyed, 2);
+    } // ~EventQueue destroys the six that never ran
+    EXPECT_EQ(runs, 0);
+    EXPECT_EQ(destroyed, 8);
+}
+
+TEST(EventQueueCancel, CancellingAnEventThatIsNotPendingPanics)
+{
+    EventQueue q;
+    int ran = 0;
+    EventQueue::Handle first = q.schedule(1, [&ran] { ++ran; });
+    EXPECT_EQ(q.run(), 1u);
+    try {
+        q.cancel(first); // its node is free now
+        FAIL() << "expected a panic";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("not pending"),
+                  std::string::npos)
+            << e.what();
+    }
+    // The free node goes to the next event; the stale handle must not
+    // unlink it.
+    q.schedule(2, [&ran] { ++ran; });
+    EXPECT_THROW(q.cancel(first), PanicError);
+    EXPECT_THROW(q.cancel(EventQueue::Handle{}), PanicError);
+    // An event is not pending while it runs either.
+    EventQueue::Handle self;
+    bool panicked = false;
+    self = q.schedule(3, [&] {
+        try {
+            q.cancel(self);
+        } catch (const PanicError &) {
+            panicked = true;
+        }
+    });
+    EXPECT_EQ(q.run(), 2u);
+    EXPECT_EQ(ran, 2);
+    EXPECT_TRUE(panicked);
 }
 
 TEST(FrameArena, RecyclesCoroutineFrames)

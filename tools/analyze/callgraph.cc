@@ -86,6 +86,32 @@ splitArgs(const Tokens &toks, std::size_t argsBegin, std::size_t argsEnd)
 namespace
 {
 
+/** Index of the `(` matching the `)` at @p close; 0 if unbalanced. */
+std::size_t
+matchingOpen(const Tokens &toks, std::size_t close)
+{
+    int depth = 0;
+    for (std::size_t q = close + 1; q-- > 0;) {
+        if (toks[q].is(")"))
+            ++depth;
+        else if (toks[q].is("(") && --depth == 0)
+            return q;
+    }
+    return 0;
+}
+
+/** Does the `)` at @p close end an `if`/`while`/`for`/`switch` head? */
+bool
+endsControlHead(const Tokens &toks, std::size_t close)
+{
+    const std::size_t open = matchingOpen(toks, close);
+    if (open == 0)
+        return false;
+    const Token &kw = toks[open - 1];
+    return kw.is("if") || kw.is("while") || kw.is("for") ||
+           kw.is("switch");
+}
+
 /** Resolve the class of the receiver chain ending just before token
  *  @p dotIdx (a `.`/`->`/`::`); "" when unknown. */
 std::string
@@ -109,14 +135,7 @@ resolveReceiver(const Project &p, const SourceFile &f, const FnDef &fn,
         bool isCall = false;
         if (toks[end - 1].is(")")) {
             // Walk back over the balanced parens of a call hop.
-            int depth = 0;
-            std::size_t q = end;
-            while (q-- > 0) {
-                if (toks[q].is(")"))
-                    ++depth;
-                else if (toks[q].is("(") && --depth == 0)
-                    break;
-            }
+            const std::size_t q = matchingOpen(toks, end - 1);
             if (q == 0 || !toks[q - 1].ident())
                 break;
             segs.push_back({toks[q - 1].text, true});
@@ -134,8 +153,11 @@ resolveReceiver(const Project &p, const SourceFile &f, const FnDef &fn,
             continue;
         }
         // Chain starts here; make sure it is not `foo().bar` glued to
-        // a longer expression we cannot resolve anyway.
-        if (end >= 1 && (toks[end - 1].is("]") || toks[end - 1].is(")")))
+        // a longer expression we cannot resolve anyway. A `)` that ends
+        // a control head starts a statement: `while (c) s.append(b);`.
+        if (end >= 1 &&
+            (toks[end - 1].is("]") ||
+             (toks[end - 1].is(")") && !endsControlHead(toks, end - 1))))
             segs.clear();
         break;
     }
@@ -168,6 +190,10 @@ resolveReceiver(const Project &p, const SourceFile &f, const FnDef &fn,
                 return "";
             continue;
         }
+        // A hop on a standard-library class stays on it: no project
+        // class is reached through its members (`s.append(a).append(b)`).
+        if (isStdClass(cls))
+            continue;
         std::string type;
         if (s.isCall) {
             auto cit = p.types.methods.find(cls);

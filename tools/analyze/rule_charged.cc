@@ -5,7 +5,7 @@
  * charging simulated time silently deflates results. The rule: a
  * *public* Task-returning member declared in a nic/ or mem/ header
  * must charge CPU or bus time — directly (co_await Delay{...},
- * Cpu::use, Bus::transfer, Xdr chargeOp) or through any callee,
+ * Cpu::use, Bus::transfer, Process::compute) or through any callee,
  * computed as a fixpoint over the name-based call graph — or carry an
  * explicit `// analyze: free` annotation explaining why waiting (not
  * working) is all it does.
@@ -25,7 +25,7 @@ namespace
 
 /** Primitives that charge simulated time when called/awaited. */
 const std::set<std::string> chargePrimitives = {
-    "Delay", "use", "transfer", "chargeOp", "compute", "copy",
+    "Delay", "use", "transfer", "compute", "copy",
 };
 
 } // namespace

@@ -8,10 +8,15 @@
  * followed by nothing; this pass catches both, plus the shapes that
  * need type information:
  *
- *   - a name that returns a Task in one class and not in another
- *     (`send`) is checked where the call's receiver resolves to a
- *     class whose method returns a Task; an untyped receiver (`auto &`)
- *     stays silent and is left to `[[nodiscard]]`,
+ *   - a member call whose receiver resolves to a class with a method
+ *     of that name counts where that method returns a Task: a name
+ *     that returns a Task in one class and not in another (`send`) is
+ *     checked there alone. A name that every declaration makes a Task
+ *     (`append`) is no Task call through a standard-library receiver
+ *     (`std::string::append`), but still one through any other class,
+ *     which may inherit it (the index records no base classes), and
+ *     through an untyped receiver (`auto &`, a template parameter),
+ *     which leaves an ambiguous name to `[[nodiscard]]`,
  *   - a call nested in another call's arguments is consumed ONLY when
  *     the receiving parameter actually consumes it — the enclosing
  *     function's interprocedural summary (dataflow.hh) is consulted,
@@ -129,33 +134,41 @@ callConsumesArg(const Project &p, const Tokens &toks, const CallSite &cs,
     return s.consumesTaskParam.count(arg) != 0;
 }
 
-/** Does the call named by token @p k return a Task? A name every
- *  declaration agrees on comes from the Task index. An ambiguous name
- *  (a Task in one class, not in another) counts only where the call's
- *  receiver resolves to a class whose method of that name returns a
- *  Task; an unresolved receiver stays silent. */
+/** Does the call named by token @p k return a Task? Only a name the
+ *  Task index holds can. Where the call resolves to a class (through
+ *  its receiver or its qualifier), that class's method of the name
+ *  decides; a standard-library class lacking it (`std::string`) makes
+ *  no Task call. Otherwise a name every declaration agrees on counts,
+ *  and an ambiguous one (a Task in one class, not in another) stays
+ *  silent. */
 bool
 callsTask(const Project &p, const std::vector<CallSite> &calls,
           const std::string &name, std::size_t k)
 {
-    if (p.taskFns.count(name) != 0)
-        return true;
-    if (p.ambiguousTaskFns.count(name) == 0)
+    const bool everyDecl = p.taskFns.count(name) != 0;
+    if (!everyDecl && p.ambiguousTaskFns.count(name) == 0)
         return false;
     for (const CallSite &cs : calls) {
         if (cs.nameIdx != k)
             continue;
         const std::size_t sep = cs.key.rfind("::");
         if (sep == std::string::npos)
-            return false;
-        auto cit = p.types.methods.find(cs.key.substr(0, sep));
-        if (cit == p.types.methods.end())
-            return false;
-        auto mit = cit->second.find(name);
-        return mit != cit->second.end() &&
-               typeIsTask(p.types, mit->second);
+            return everyDecl;
+        const std::string cls = cs.key.substr(0, sep);
+        auto cit = p.types.methods.find(cls);
+        if (cit != p.types.methods.end()) {
+            auto mit = cit->second.find(name);
+            if (mit != cit->second.end())
+                return typeIsTask(p.types, mit->second);
+        }
+        // The class lacks the name. A standard-library one
+        // (`std::string`) makes no Task call; any other may inherit it
+        // (the index records no base classes) or be no class the index
+        // knows (`auto`, a template parameter), so there a name every
+        // declaration makes a Task still counts.
+        return everyDecl && !isStdClass(cls);
     }
-    return false;
+    return everyDecl;
 }
 
 /** Scan the statement (or statement fragment) [@p s, @p e), which

@@ -315,7 +315,17 @@ typeClassName(const TypeIndex &ix, const std::string &type)
     }
     if (t.find('<') != std::string::npos)
         return ""; // other templates: not a project class
+    // A standard-library class keeps its namespace: it is the one
+    // class known not to be the project's (isStdClass).
+    if (t.rfind("std::", 0) == 0)
+        return "std::" + outerName(t);
     return outerName(t);
+}
+
+bool
+isStdClass(const std::string &cls)
+{
+    return cls.rfind("std::", 0) == 0;
 }
 
 } // namespace shrimp::analyze

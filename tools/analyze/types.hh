@@ -41,9 +41,13 @@ bool typeIsTask(const TypeIndex &ix, const std::string &type);
 bool typeIsTaskContainer(const TypeIndex &ix, const std::string &type);
 
 /** The class a member access on a value of @p type resolves against:
- *  namespaces stripped, unique_ptr/shared_ptr/pointer/reference
- *  unwrapped. Empty when @p type is not class-shaped. */
+ *  namespaces stripped (`std::` kept), unique_ptr/shared_ptr/pointer/
+ *  reference unwrapped. Empty when @p type is not class-shaped. */
 std::string typeClassName(const TypeIndex &ix, const std::string &type);
+
+/** Is @p cls, a typeClassName() result, a standard-library class
+ *  (`std::string`)? No project method is declared on one. */
+bool isStdClass(const std::string &cls);
 
 } // namespace shrimp::analyze
 
