@@ -272,6 +272,8 @@ Tracer::writeJson(std::ostream &os) const
 namespace
 {
 
+// analyze: allow(shared-mutable-static) — the run's one trace file and
+// stats flag: set once from the command line, read by the exit hook
 std::string gOutputPath;
 bool gStatsDump = false;
 

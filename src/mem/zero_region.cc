@@ -33,11 +33,14 @@ struct ParkedRegion
 // configuration doesn't pin memory forever; regions are parked and
 // evicted in FIFO order.
 constexpr std::size_t poolCapBytes = 256 * 1024 * 1024;
+// analyze: allow(shared-mutable-static) — the pool hands regions from
+// one Machine to the next on purpose; it holds no simulated state
 std::vector<ParkedRegion> pool;
 std::size_t poolResidentBytes = 0;
 
 // Lifetime counters (never reset; drainPool keeps them so a stats dump
 // after teardown still reflects the run).
+// analyze: allow(shared-mutable-static) — process-lifetime totals
 std::size_t poolReuses = 0;
 std::size_t poolFresh = 0;
 std::size_t poolRezeroed = 0;

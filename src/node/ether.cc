@@ -19,18 +19,19 @@ EtherNet::send(NodeId from, std::uint16_t from_port, NodeId to,
 {
     if (int(from) >= numNodes_ || int(to) >= numNodes_)
         panic("ether frame with out-of-range node id");
-    EtherFrame frame{from, from_port, std::move(data)};
-    sim_.spawn(deliver(to, port, std::move(frame)));
+    sim_.spawn(
+        deliver(EtherFrame{from, from_port, to, port, std::move(data)}));
 }
 
 sim::Task<>
-EtherNet::deliver(NodeId to, std::uint16_t port, EtherFrame frame)
+EtherNet::deliver(EtherFrame frame)
 {
     // One shared 10 Mb/s segment: serialization plus protocol-stack
     // latency per frame.
     co_await segment_.transfer(frame.data.size() + 64, cfg_.etherLatency);
     ++delivered_;
-    rxQueue(to, port).send(std::move(frame));
+    sim::Channel<EtherFrame> &rx = rxQueue(frame.dst, frame.dstPort);
+    rx.send(std::move(frame));
 }
 
 sim::Channel<EtherFrame> &
@@ -48,6 +49,22 @@ EtherNet::recvOnce(NodeId node, std::uint16_t port)
     EtherFrame frame = co_await rxQueue(node, port).recv();
     rx_.erase(queueKey(node, port));
     co_return frame;
+}
+
+sim::Task<HelloFrame>
+EtherNet::listen(NodeId node, std::uint16_t port, std::uint32_t magic)
+{
+    sim::Channel<EtherFrame> &rx = rxQueue(node, port);
+    for (;;) {
+        EtherFrame frame = co_await rx.recv();
+        const std::optional<Hello> hello = decode<Hello>(frame);
+        if (hello && hello->magic == magic)
+            co_return HelloFrame{std::move(frame), *hello};
+        warn(logging::format("node %d port %u: dropped a malformed "
+                             "hello (%zu bytes) from node %d",
+                             int(node), unsigned(port), frame.data.size(),
+                             int(frame.src)));
+    }
 }
 
 std::uint16_t

@@ -64,7 +64,6 @@ struct NxOptions
     std::size_t largeThreshold = 1024; //!< Auto: scout protocol above this
     std::size_t auThreshold = 256;     //!< Auto: AU marshal below this
     std::size_t safeCopyBytes = 64 * 1024; //!< sender-side safe buffer
-    SendMode mode = SendMode::Auto;
 };
 
 /** On-wire message descriptor (one per packet buffer). */

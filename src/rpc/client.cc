@@ -18,10 +18,10 @@ VrpcClient::connect(NodeId server, std::uint16_t port, std::uint32_t prog,
                     std::uint32_t vers)
 {
     co_await ep_.proc().compute(ep_.proc().config().libCallCost);
-    transport_ = std::make_unique<VrpcTransport>(ep_, opt_.queueBytes);
-    bool up = co_await transport_->connect(server, port);
-    if (!up) {
-        transport_.reset();
+    stream_ = std::make_unique<sock::ByteStream>(ep_, opt_.queueBytes);
+    vmmc::Status st = co_await stream_->connect(server, port, vrpcMagic);
+    if (st != vmmc::Status::Ok) {
+        stream_.reset();
         co_return false;
     }
     prog_ = prog;
@@ -33,7 +33,7 @@ sim::Task<AcceptStat>
 VrpcClient::call(std::uint32_t proc, EncodeFn encode_args,
                  DecodeFn decode_results)
 {
-    if (!transport_)
+    if (!stream_)
         panic("clnt_call on an unconnected client");
     node::Process &p = ep_.proc();
     trace::ScopedSpan span(p.sim(), track_, "call");
@@ -43,7 +43,7 @@ VrpcClient::call(std::uint32_t proc, EncodeFn encode_args,
     // call": library entry plus the header fields encoded below.
     co_await p.compute(p.config().libCallCost);
 
-    StreamSink sink(transport_->stream(), p, opt_.proto);
+    StreamSink sink(*stream_, p, opt_.proto);
     XdrEncoder enc(sink);
     CallHeader hdr;
     hdr.xid = nextXid_++;
@@ -55,18 +55,18 @@ VrpcClient::call(std::uint32_t proc, EncodeFn encode_args,
         co_await encode_args(enc);
     // One control transfer publishes the whole call record.
     co_await sink.drain();
-    co_await transport_->stream().flushTail();
+    co_await stream_->flushTail();
     ++calls_;
 
     // Wait for and decode the reply.
-    StreamSource source(transport_->stream(), p);
+    StreamSource source(*stream_, p);
     XdrDecoder dec(source);
     ReplyHeader rh = co_await ReplyHeader::decode(dec);
     if (rh.xid != hdr.xid)
         panic("RPC reply xid mismatch");
     if (rh.stat == AcceptStat::Success && decode_results)
         co_await decode_results(dec);
-    co_await transport_->stream().flushAck();
+    co_await stream_->flushAck();
     // "1-2 usecs in returning from the call."
     co_await p.compute(2 * p.config().cpuOpCost);
     co_return rh.stat;
@@ -75,9 +75,9 @@ VrpcClient::call(std::uint32_t proc, EncodeFn encode_args,
 sim::Task<>
 VrpcClient::close()
 {
-    if (transport_) {
-        co_await transport_->close();
-        transport_.reset();
+    if (stream_) {
+        co_await stream_->close();
+        stream_.reset();
     }
 }
 

@@ -4,7 +4,8 @@
  * layer) with the stream layer folded into XDR. clnt_call() becomes
  * call(): encode the RFC 1057 call header and the arguments straight
  * into the outgoing cyclic queue, then decode the reply header and
- * results from the incoming queue.
+ * results from the incoming queue. The queues are one sock::ByteStream
+ * pair, bound at clnt_create time by its connect().
  */
 
 #ifndef SHRIMP_RPC_CLIENT_HH
@@ -16,10 +17,13 @@
 #include "base/stats.hh"
 #include "base/trace.hh"
 #include "rpc/rpc_msg.hh"
-#include "rpc/vrpc_stream.hh"
+#include "sock/ring.hh"
 
 namespace shrimp::rpc
 {
+
+/** The magic of VRPC's binding hello. */
+constexpr std::uint32_t vrpcMagic = 0x56525043; // "VRPC"
 
 struct VrpcOptions
 {
@@ -51,13 +55,13 @@ class VrpcClient
     /** clnt_destroy. */
     sim::Task<> close();
 
-    bool connected() const { return bool(transport_); }
+    bool connected() const { return bool(stream_); }
     std::uint64_t callsMade() const { return calls_; }
 
   private:
     vmmc::Endpoint &ep_;
     VrpcOptions opt_;
-    std::unique_ptr<VrpcTransport> transport_;
+    std::unique_ptr<sock::ByteStream> stream_;
     std::uint32_t prog_ = 0;
     std::uint32_t vers_ = 0;
     std::uint32_t nextXid_ = 1;

@@ -31,27 +31,24 @@ VrpcServer::start()
 sim::Task<>
 VrpcServer::acceptLoop()
 {
-    node::EtherNet &ether = ep_.proc().node().ether();
-    auto &rx = ether.rxQueue(ep_.nodeId(), port_);
     for (;;) {
-        node::EtherFrame syn = co_await rx.recv();
-        auto transport =
-            std::make_unique<VrpcTransport>(ep_, opt_.queueBytes);
-        bool ok = co_await transport->acceptFrom(syn, port_);
-        if (!ok) {
-            warn("VRPC server rejected a malformed binding");
+        auto stream =
+            std::make_unique<sock::ByteStream>(ep_, opt_.queueBytes);
+        vmmc::Status st = co_await stream->accept(port_, vrpcMagic);
+        if (st != vmmc::Status::Ok) {
+            warn(std::string("VRPC server could not bind a client: ") +
+                 vmmc::statusName(st));
             continue;
         }
-        transports_.push_back(std::move(transport));
-        ep_.proc().sim().spawnDaemon(serve(transports_.back().get()));
+        streams_.push_back(std::move(stream));
+        ep_.proc().sim().spawnDaemon(serve(*streams_.back()));
     }
 }
 
 sim::Task<>
-VrpcServer::serve(VrpcTransport *transport)
+VrpcServer::serve(sock::ByteStream &stream)
 {
     node::Process &p = ep_.proc();
-    sock::ByteStream &stream = transport->stream();
 
     for (;;) {
         // Wait for the next call (or an orderly shutdown).
@@ -102,7 +99,7 @@ VrpcServer::serve(VrpcTransport *transport)
         if (!handler) {
             // Unknown program/procedure: the argument bytes cannot be
             // skipped without a framing layer; drop the binding.
-            co_await transport->close();
+            co_await stream.close();
             co_return;
         }
     }

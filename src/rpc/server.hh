@@ -53,11 +53,11 @@ class VrpcServer
     void start();
 
     std::uint64_t callsServed() const { return calls_; }
-    std::size_t connections() const { return transports_.size(); }
+    std::size_t connections() const { return streams_.size(); }
 
   private:
     sim::Task<> acceptLoop();
-    sim::Task<> serve(VrpcTransport *transport);
+    sim::Task<> serve(sock::ByteStream &stream);
 
     vmmc::Endpoint &ep_;
     std::uint16_t port_;
@@ -66,7 +66,7 @@ class VrpcServer
              Handler>
         procs_;
     std::set<std::pair<std::uint32_t, std::uint32_t>> programs_;
-    std::vector<std::unique_ptr<VrpcTransport>> transports_;
+    std::vector<std::unique_ptr<sock::ByteStream>> streams_;
     std::uint64_t calls_ = 0;
     bool started_ = false;
 };

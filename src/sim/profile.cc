@@ -18,10 +18,13 @@ bool gTiming = false;
 namespace
 {
 
+// analyze: allow(shared-mutable-static) — the host profile accumulates
+// over the whole run, across Machines, like the one trace it joins
 std::array<Row, numSubsys> gRows{};
 
 //! sample()'s counter tracks per tag (registered by its first call),
 //! and the totals it last recorded.
+// analyze: allow(shared-mutable-static) — see gRows
 bool gTracked = false;
 std::array<trace::TrackId, numSubsys> gNsTrack{}, gEventsTrack{};
 std::array<Row, numSubsys> gSampled{};

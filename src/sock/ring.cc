@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "node/ether.hh"
 
 namespace shrimp::sock
 {
@@ -29,6 +30,48 @@ ByteStream::ByteStream(vmmc::Endpoint &ep, std::size_t ring_bytes)
 }
 
 sim::Task<vmmc::Status>
+ByteStream::connect(NodeId server, std::uint16_t port, std::uint32_t magic)
+{
+    const std::uint32_t key = ep_.newKey();
+    vmmc::Status st =
+        co_await exportLocal(key, vmmc::Perm::onlyNode(server));
+    if (st != vmmc::Status::Ok)
+        co_return st;
+    const std::optional<node::Hello> ack =
+        co_await ep_.proc().node().ether().request<node::Hello>(
+            ep_.nodeId(), server, port, node::Hello{magic, key});
+    if (!ack || ack->magic != magic)
+        co_return vmmc::Status::BadReply;
+    co_return co_await attachRemote(server, ack->key);
+}
+
+sim::Task<vmmc::Status>
+ByteStream::accept(std::uint16_t port, std::uint32_t magic)
+{
+    node::EtherNet &ether = ep_.proc().node().ether();
+    const node::HelloFrame req =
+        co_await ether.listen(ep_.nodeId(), port, magic);
+    const NodeId peer = req.frame.src;
+    const std::uint32_t key = ep_.newKey();
+    vmmc::Status st = co_await exportLocal(key, vmmc::Perm::onlyNode(peer));
+    if (st == vmmc::Status::Ok)
+        st = co_await attachRemote(peer, req.hello.key);
+    if (st == vmmc::Status::Ok)
+        ether.reply(req.frame, node::Hello{magic, key});
+    co_return st;
+}
+
+sim::Task<>
+ByteStream::close()
+{
+    if (!attached())
+        co_return;
+    if (!finSent_)
+        co_await sendFin();
+    co_await detachRemote();
+}
+
+sim::Task<vmmc::Status>
 ByteStream::exportLocal(std::uint32_t key, vmmc::Perm perm)
 {
     const MachineConfig &cfg = ep_.proc().config();
@@ -50,16 +93,20 @@ ByteStream::attachRemote(NodeId peer, std::uint32_t key)
     vmmc::AuOptions data_opts; // combining on: streams like big packets
     vmmc::Status s = co_await ep_.bindAu(auData_, ringBytes_,
                                          importHandle_, 0, data_opts);
-    if (s != vmmc::Status::Ok)
+    if (s != vmmc::Status::Ok) {
+        co_await detachRemote(); // leave no half-attached stream
         co_return s;
+    }
 
     auCtl_ = ep_.proc().alloc(cfg.pageBytes);
     vmmc::AuOptions ctl_opts;
     ctl_opts.combinable = false; // control words leave immediately
     s = co_await ep_.bindAu(auCtl_, cfg.pageBytes, importHandle_,
                             ringBytes_, ctl_opts);
-    if (s != vmmc::Status::Ok)
+    if (s != vmmc::Status::Ok) {
+        co_await detachRemote();
         co_return s;
+    }
 
     stage_ = ep_.proc().alloc(std::min<std::size_t>(ringBytes_, 8192));
     co_return vmmc::Status::Ok;
@@ -267,6 +314,7 @@ ByteStream::sendHost(const void *data, std::size_t len, StreamProto proto,
 sim::Task<>
 ByteStream::sendFin()
 {
+    finSent_ = true;
     std::uint32_t one = 1;
     co_await ep_.proc().write(VAddr(auCtl_ + 16), &one, sizeof(one));
 }

@@ -2,7 +2,10 @@
  * @file
  * ByteStream: one endpoint of a full-duplex, flow-controlled byte stream
  * over VMMC — the circular-buffer building block of the sockets library
- * (paper section 4.3) and of the VRPC stream layer (section 4.2).
+ * (paper section 4.3) and of the VRPC stream layer (section 4.2). Both
+ * bind a stream with connect()/accept(): each side exports its region,
+ * the two trade hellos over the Ethernet, and each attaches to the
+ * other's region.
  *
  * Each side owns a local receive region: a circular data buffer followed
  * by a control page. Only the *peer* writes a side's region:
@@ -44,11 +47,28 @@ class ByteStream
 
     std::size_t ringBytes() const { return ringBytes_; }
 
+    /** Client side of a binding: export the local region to @p server,
+     *  send a hello under @p magic to its listener on @p port, and
+     *  attach to the region the answer names. A malformed answer fails
+     *  with BadReply. */
+    sim::Task<vmmc::Status> connect(NodeId server, std::uint16_t port,
+                                    std::uint32_t magic);
+
+    /** Server side: wait on @p port for a hello under @p magic (others
+     *  are dropped with a warning), export the local region to its
+     *  sender, attach to the region it names, and answer. */
+    sim::Task<vmmc::Status> accept(std::uint16_t port, std::uint32_t magic);
+
+    /** Raise FIN (unless sendFin() already did) and drop the import; a
+     *  stream that never attached has nothing to close. */
+    sim::Task<> close();
+
     /** Allocate and export the local receive region under @p key. */
     sim::Task<vmmc::Status> exportLocal(std::uint32_t key, vmmc::Perm perm);
 
     /** Import the peer's region (exported under @p key on @p peer) and
-     *  set up the AU bindings for data staging and control. */
+     *  set up the AU bindings for data staging and control; on failure
+     *  the stream is left unattached. */
     sim::Task<vmmc::Status> attachRemote(NodeId peer, std::uint32_t key);
 
     /** Tear down the import (close path). */
@@ -145,6 +165,7 @@ class ByteStream
     std::uint32_t readCount_ = 0; //!< bytes consumed locally (cumulative)
     std::uint32_t publishedTail_ = 0; //!< last control word sent
     std::uint32_t publishedAck_ = 0;  //!< last acknowledgement sent
+    bool finSent_ = false;
 };
 
 } // namespace shrimp::sock

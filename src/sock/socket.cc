@@ -1,19 +1,13 @@
 #include "sock/socket.hh"
 
-#include <cstring>
-
 #include "base/logging.hh"
 #include "base/span.hh"
-#include "node/ether.hh"
 
 namespace shrimp::sock
 {
 
 namespace
 {
-
-constexpr std::uint32_t synMagic = 0x53594e31;    // "SYN1"
-constexpr std::uint32_t synAckMagic = 0x53594e32; // "SYN2"
 
 /** Measured software overhead of the send/recv paths beyond the raw
  *  transfer: procedure calls, error checks, and socket data-structure
@@ -22,33 +16,10 @@ constexpr std::uint32_t synAckMagic = 0x53594e32; // "SYN2"
 constexpr Tick sendPathOverhead = 5300;
 constexpr Tick recvPathOverhead = 5600;
 
-template <typename T>
-std::vector<std::uint8_t>
-pack(const T &v)
-{
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::uint8_t> out(sizeof(T));
-    std::memcpy(out.data(), &v, sizeof(T));
-    return out;
-}
-
-template <typename T>
-T
-unpack(const std::vector<std::uint8_t> &data)
-{
-    T v{};
-    if (data.size() != sizeof(T))
-        panic("malformed socket handshake frame");
-    std::memcpy(&v, data.data(), sizeof(T));
-    return v;
-}
-
 } // namespace
 
 SocketLib::SocketLib(vmmc::Endpoint &ep, SockOptions opt)
     : ep_(ep), opt_(opt),
-      keyBase_(0x534b0000u + (std::uint32_t(ep.nodeId()) << 12) +
-               (std::uint32_t(ep.pid()) << 8)),
       stats_("node" + std::to_string(ep.nodeId()) + ".p" +
              std::to_string(ep.pid()) + ".sock"),
       track_(trace::track(stats_.name()))
@@ -92,33 +63,15 @@ SocketLib::accept(int fd)
     if (listener.state != State::Listening)
         co_return -1;
 
-    // Wait for a SYN on the listening "internet" port.
-    node::EtherNet &ether = proc.node().ether();
-    node::EtherFrame frame =
-        co_await ether.rxQueue(ep_.nodeId(), listener.port).recv();
-    Syn syn = unpack<Syn>(frame.data);
-    if (syn.magic != synMagic)
-        panic("socket accept: bad SYN");
-
-    // Build the connected socket: export our ring, import the client's.
-    fds_.push_back(std::make_unique<Sock>());
-    int cfd = int(fds_.size() - 1);
-    Sock &c = *fds_[cfd];
-    c.stream = std::make_unique<ByteStream>(ep_, opt_.ringBytes);
-    std::uint32_t my_key = nextKey();
-    vmmc::Status st = co_await c.stream->exportLocal(
-        my_key, vmmc::Perm::onlyNode(frame.src));
+    // Wait for a hello on the listening "internet" port, then export
+    // our ring and import the client's.
+    auto stream = std::make_unique<ByteStream>(ep_, opt_.ringBytes);
+    vmmc::Status st = co_await stream->accept(listener.port, sockMagic);
     if (st != vmmc::Status::Ok)
-        panic("socket accept: export failed");
-    st = co_await c.stream->attachRemote(frame.src, syn.key);
-    if (st != vmmc::Status::Ok)
-        panic("socket accept: attach failed");
-
-    SynAck ack{synAckMagic, my_key, 1};
-    ether.send(ep_.nodeId(), listener.port, frame.src, frame.srcPort,
-               pack(ack));
-    c.state = State::Connected;
-    co_return cfd;
+        co_return -1;
+    fds_.push_back(std::make_unique<Sock>(
+        Sock{State::Connected, 0, std::move(stream)}));
+    co_return int(fds_.size() - 1);
 }
 
 sim::Task<int>
@@ -129,26 +82,8 @@ SocketLib::connect(int fd, NodeId node, std::uint16_t port)
     Sock &s = sock(fd);
     if (s.state != State::Fresh)
         co_return -1;
-
-    node::EtherNet &ether = proc.node().ether();
     s.stream = std::make_unique<ByteStream>(ep_, opt_.ringBytes);
-    std::uint32_t my_key = nextKey();
-    vmmc::Status st = co_await s.stream->exportLocal(
-        my_key, vmmc::Perm::onlyNode(node));
-    if (st != vmmc::Status::Ok)
-        co_return -1;
-
-    std::uint16_t reply_port = ether.allocPort(ep_.nodeId());
-    Syn syn{synMagic, my_key, reply_port, 0};
-    ether.send(ep_.nodeId(), reply_port, node, port, pack(syn));
-
-    node::EtherFrame frame =
-        co_await ether.recvOnce(ep_.nodeId(), reply_port);
-    SynAck ack = unpack<SynAck>(frame.data);
-    if (ack.magic != synAckMagic || !ack.ok)
-        co_return -1;
-
-    st = co_await s.stream->attachRemote(node, ack.key);
+    vmmc::Status st = co_await s.stream->connect(node, port, sockMagic);
     if (st != vmmc::Status::Ok)
         co_return -1;
     s.state = State::Connected;
@@ -222,10 +157,8 @@ SocketLib::close(int fd)
 {
     co_await ep_.proc().compute(ep_.proc().config().libCallCost);
     Sock &s = sock(fd);
-    if (s.state == State::Connected)
-        co_await s.stream->sendFin();
-    if (s.stream && s.stream->attached())
-        co_await s.stream->detachRemote();
+    if (s.stream)
+        co_await s.stream->close();
     s.state = State::Closed;
     co_return 0;
 }

@@ -3,11 +3,13 @@
  * SocketLib: the SHRIMP stream-sockets compatibility library (paper
  * section 4.3), implemented entirely at user level on VMMC.
  *
- * Connection establishment uses a regular internet-domain socket on the
- * Ethernet to exchange the data needed to set up the two VMMC mappings
- * (one per direction); the Ethernet connection stays open to detect a
- * broken peer. Data then flows through circular buffers (ByteStream),
- * two per connection.
+ * Connection establishment uses the Ethernet, as the paper's regular
+ * internet-domain socket does, to exchange the data needed to set up
+ * the two VMMC mappings (one per direction): ByteStream::connect and
+ * accept trade the export keys in one hello each way. (The paper keeps
+ * that Ethernet connection open to detect a broken peer; the model does
+ * not.) Data then flows through circular buffers (ByteStream), two per
+ * connection.
  *
  * Three data protocols are provided, as in the paper: two-copy DU (the
  * sender-side copy dodges alignment restrictions), one-copy DU (direct
@@ -30,6 +32,9 @@
 
 namespace shrimp::sock
 {
+
+/** The magic of the sockets library's binding hello. */
+constexpr std::uint32_t sockMagic = 0x534f434b; // "SOCK"
 
 struct SockOptions
 {
@@ -103,30 +108,11 @@ class SocketLib
         std::unique_ptr<ByteStream> stream;
     };
 
-    /** Wire handshake messages (POD over the Ethernet). */
-    struct Syn
-    {
-        std::uint32_t magic;
-        std::uint32_t key;       //!< client's exported region key
-        std::uint16_t replyPort; //!< client's ephemeral Ethernet port
-        std::uint16_t pad;
-    };
-
-    struct SynAck
-    {
-        std::uint32_t magic;
-        std::uint32_t key; //!< server's exported region key
-        std::uint32_t ok;
-    };
-
     Sock &sock(int fd);
-    std::uint32_t nextKey() { return keyBase_ + keyCount_++; }
 
     vmmc::Endpoint &ep_;
     SockOptions opt_;
     std::vector<std::unique_ptr<Sock>> fds_;
-    std::uint32_t keyBase_;
-    std::uint32_t keyCount_ = 0;
     stats::Group stats_;
     trace::TrackId track_;
     // Counted per send()/recv(); each is looked up by name once, at

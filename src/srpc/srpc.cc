@@ -17,36 +17,6 @@ round4(std::size_t v)
     return (v + 3) & ~std::size_t(3);
 }
 
-std::uint32_t srpcKeyCounter = 0;
-
-std::uint32_t
-nextKey(vmmc::Endpoint &ep)
-{
-    return 0x53520000u + (std::uint32_t(ep.nodeId()) << 14) +
-           (std::uint32_t(ep.pid()) << 10) + (srpcKeyCounter++ & 0x3FF);
-}
-
-template <typename T>
-std::vector<std::uint8_t>
-pack(const T &v)
-{
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::uint8_t> out(sizeof(T));
-    std::memcpy(out.data(), &v, sizeof(T));
-    return out;
-}
-
-template <typename T>
-T
-unpack(const std::vector<std::uint8_t> &data)
-{
-    T v{};
-    if (data.size() != sizeof(T))
-        panic("malformed SRPC handshake frame");
-    std::memcpy(&v, data.data(), sizeof(T));
-    return v;
-}
-
 } // namespace
 
 // ---- Signature / Interface ---------------------------------------------
@@ -165,26 +135,22 @@ sim::Task<bool>
 SrpcClient::bind(NodeId server, std::uint16_t port)
 {
     node::Process &proc = ep_.proc();
-    node::EtherNet &ether = proc.node().ether();
     std::size_t bytes = iface_.bufBytes(proc.config().pageBytes);
 
     buf_ = proc.alloc(bytes);
-    std::uint32_t key = nextKey(ep_);
+    const std::uint32_t key = ep_.newKey();
     vmmc::Status es = co_await ep_.exportBuffer(
         key, buf_, bytes, vmmc::Perm::onlyNode(server));
     if (es != vmmc::Status::Ok)
         co_return false;
 
-    std::uint16_t reply_port = ether.allocPort(ep_.nodeId());
-    SrpcHello hello{srpcMagic, key, reply_port, 0};
-    ether.send(ep_.nodeId(), reply_port, server, port, pack(hello));
-    node::EtherFrame frame =
-        co_await ether.recvOnce(ep_.nodeId(), reply_port);
-    SrpcHello ack = unpack<SrpcHello>(frame.data);
-    if (ack.magic != srpcMagic)
+    const std::optional<node::Hello> ack =
+        co_await proc.node().ether().request<node::Hello>(
+            ep_.nodeId(), server, port, node::Hello{srpcMagic, key});
+    if (!ack || ack->magic != srpcMagic)
         co_return false;
 
-    auto imp = co_await ep_.import(server, ack.key);
+    auto imp = co_await ep_.import(server, ack->key);
     if (imp.status != vmmc::Status::Ok)
         co_return false;
     importHandle_ = imp.handle;
@@ -319,25 +285,21 @@ SrpcServer::acceptLoop()
 {
     node::Process &proc = ep_.proc();
     node::EtherNet &ether = proc.node().ether();
-    auto &rx = ether.rxQueue(ep_.nodeId(), port_);
     for (;;) {
-        node::EtherFrame frame = co_await rx.recv();
-        SrpcHello hello = unpack<SrpcHello>(frame.data);
-        if (hello.magic != srpcMagic) {
-            warn("SRPC server ignored a malformed binding request");
-            continue;
-        }
+        const node::HelloFrame req =
+            co_await ether.listen(ep_.nodeId(), port_, srpcMagic);
+        const NodeId peer = req.frame.src;
         std::size_t bytes = iface_.bufBytes(proc.config().pageBytes);
         auto binding = std::make_shared<Binding>();
         binding->buf = proc.alloc(bytes);
-        std::uint32_t key = nextKey(ep_);
+        const std::uint32_t key = ep_.newKey();
         vmmc::Status es = co_await ep_.exportBuffer(
-            key, binding->buf, bytes, vmmc::Perm::onlyNode(frame.src));
+            key, binding->buf, bytes, vmmc::Perm::onlyNode(peer));
         if (es != vmmc::Status::Ok) {
             warn("SRPC server could not export a binding buffer");
             continue;
         }
-        auto imp = co_await ep_.import(frame.src, hello.key);
+        auto imp = co_await ep_.import(peer, req.hello.key);
         if (imp.status != vmmc::Status::Ok)
             continue;
         binding->importHandle = imp.handle;
@@ -345,9 +307,7 @@ SrpcServer::acceptLoop()
             binding->buf, bytes, binding->importHandle, 0);
         if (bs != vmmc::Status::Ok)
             continue;
-        SrpcHello ack{srpcMagic, key, 0, 0};
-        ether.send(ep_.nodeId(), port_, frame.src, hello.replyPort,
-                   pack(ack));
+        ether.reply(req.frame, node::Hello{srpcMagic, key});
         proc.sim().spawnDaemon(serve(binding));
     }
 }

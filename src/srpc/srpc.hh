@@ -215,15 +215,7 @@ class SrpcServer
     bool started_ = false;
 };
 
-/** Binding handshake frame. */
-struct SrpcHello
-{
-    std::uint32_t magic;
-    std::uint32_t key;
-    std::uint16_t replyPort;
-    std::uint16_t pad;
-};
-
+/** The magic of SRPC's binding hello (node::Hello). */
 constexpr std::uint32_t srpcMagic = 0x53525043; // "SRPC"
 
 } // namespace shrimp::srpc

@@ -27,6 +27,8 @@ statusName(Status s)
         return "AlreadyBound";
       case Status::NotBound:
         return "NotBound";
+      case Status::BadReply:
+        return "BadReply";
     }
     return "?";
 }

@@ -1,7 +1,5 @@
 #include "vmmc/daemon.hh"
 
-#include <cstring>
-
 #include "base/logging.hh"
 #include "check/check.hh"
 #include "check/race.hh"
@@ -9,27 +7,6 @@
 
 namespace shrimp::vmmc
 {
-
-static_assert(std::is_trivially_copyable_v<DaemonMsg>,
-              "DaemonMsg must be memcpy-serializable");
-
-std::vector<std::uint8_t>
-packMsg(const DaemonMsg &m)
-{
-    std::vector<std::uint8_t> v(sizeof(DaemonMsg));
-    std::memcpy(v.data(), &m, sizeof(DaemonMsg));
-    return v;
-}
-
-DaemonMsg
-unpackMsg(const std::vector<std::uint8_t> &data)
-{
-    if (data.size() != sizeof(DaemonMsg))
-        panic("malformed daemon message");
-    DaemonMsg m;
-    std::memcpy(&m, data.data(), sizeof(DaemonMsg));
-    return m;
-}
 
 Daemon::Daemon(node::Node &node, node::EtherNet &ether)
     : node_(node), ether_(ether), registry_(node.config().pageBytes),
@@ -59,44 +36,43 @@ Daemon::serviceLoop()
     auto &rx = ether_.rxQueue(id(), node::EtherNet::daemonPort);
     for (;;) {
         node::EtherFrame frame = co_await rx.recv();
-        DaemonMsg m = unpackMsg(frame.data);
-        switch (m.kind) {
-          case DaemonMsg::Kind::ImportReq:
-            node_.sim().spawn(handleImportReq(m));
-            break;
-          case DaemonMsg::Kind::UnimportReq:
-            node_.sim().spawn(handleUnimportReq(m));
-            break;
-          case DaemonMsg::Kind::RevokeReq:
-            node_.sim().spawn(handleRevokeReq(m));
-            break;
-          default:
-            panic("unexpected daemon message kind on service port");
-        }
+        const std::optional<DaemonMsg> m =
+            node::EtherNet::decode<DaemonMsg>(frame);
+        using Kind = DaemonMsg::Kind;
+        if (m && m->kind == Kind::ImportReq)
+            node_.sim().spawn(handleImportReq(std::move(frame), *m));
+        else if (m && m->kind == Kind::UnimportReq)
+            node_.sim().spawn(handleUnimportReq(std::move(frame), *m));
+        else if (m && m->kind == Kind::RevokeReq)
+            node_.sim().spawn(handleRevokeReq(std::move(frame), *m));
+        else
+            warn(logging::format("node %u daemon: dropped a malformed "
+                                 "request (%zu bytes) from node %d",
+                                 unsigned(id()), frame.data.size(),
+                                 int(frame.src)));
     }
 }
 
 sim::Task<DaemonMsg>
 Daemon::request(NodeId remote, DaemonMsg m)
 {
-    std::uint16_t port = ether_.allocPort(id());
     m.reqId = nextReq_++;
-    m.replyPort = port;
-    ether_.send(id(), port, remote, node::EtherNet::daemonPort, packMsg(m));
-    node::EtherFrame frame = co_await ether_.recvOnce(id(), port);
-    DaemonMsg r = unpackMsg(frame.data);
-    if (r.reqId != m.reqId)
-        panic("daemon reply/request id mismatch");
-    co_return r;
+    const std::optional<DaemonMsg> r = co_await ether_.request<DaemonMsg>(
+        id(), remote, node::EtherNet::daemonPort, m);
+    if (r && r->reqId == m.reqId)
+        co_return *r;
+    DaemonMsg bad;
+    bad.status = Status::BadReply;
+    co_return bad;
 }
 
 void
-Daemon::reply(const DaemonMsg &req, DaemonMsg resp)
+Daemon::reply(const node::EtherFrame &req, const DaemonMsg &m,
+              DaemonMsg resp)
 {
-    resp.reqId = req.reqId;
+    resp.reqId = m.reqId;
     resp.srcNode = id();
-    ether_.send(id(), node::EtherNet::daemonPort, req.srcNode,
-                req.replyPort, packMsg(resp));
+    ether_.reply(req, resp);
 }
 
 sim::Task<>
@@ -273,7 +249,7 @@ Daemon::setExportInterrupts(std::uint32_t key, int pid, bool enabled)
 // ---- remote request handlers ----------------------------------------
 
 sim::Task<>
-Daemon::handleImportReq(DaemonMsg m)
+Daemon::handleImportReq(node::EtherFrame req, DaemonMsg m)
 {
     co_await node_.cpu().use(node_.config().libCallCost);
     DaemonMsg resp;
@@ -290,11 +266,11 @@ Daemon::handleImportReq(DaemonMsg m)
         resp.base = rec->paddr;
         resp.len = std::uint32_t(rec->len);
     }
-    reply(m, resp);
+    reply(req, m, resp);
 }
 
 sim::Task<>
-Daemon::handleUnimportReq(DaemonMsg m)
+Daemon::handleUnimportReq(node::EtherFrame req, DaemonMsg m)
 {
     co_await node_.cpu().use(node_.config().libCallCost);
     DaemonMsg resp;
@@ -313,11 +289,11 @@ Daemon::handleUnimportReq(DaemonMsg m)
         co_await drainPages(rec->paddr, rec->len);
     }
     resp.status = Status::Ok;
-    reply(m, resp);
+    reply(req, m, resp);
 }
 
 sim::Task<>
-Daemon::handleRevokeReq(DaemonMsg m)
+Daemon::handleRevokeReq(node::EtherFrame req, DaemonMsg m)
 {
     co_await node_.cpu().use(node_.config().libCallCost);
     auto it = imports_.find({m.srcNode, m.key});
@@ -333,7 +309,7 @@ Daemon::handleRevokeReq(DaemonMsg m)
     DaemonMsg resp;
     resp.kind = DaemonMsg::Kind::RevokeAck;
     resp.status = Status::Ok;
-    reply(m, resp);
+    reply(req, m, resp);
 }
 
 // ---- NIC interrupt service ------------------------------------------

@@ -29,7 +29,7 @@
 namespace shrimp::vmmc
 {
 
-/** The daemons' wire message (POD; memcpy-serialized onto Ethernet). */
+/** The daemons' wire message (POD; EtherNet::encode/decode carry it). */
 struct DaemonMsg
 {
     enum class Kind : std::uint32_t
@@ -111,11 +111,13 @@ class Daemon
     };
 
     sim::Task<> serviceLoop();
-    sim::Task<> handleImportReq(DaemonMsg m);
-    sim::Task<> handleUnimportReq(DaemonMsg m);
-    sim::Task<> handleRevokeReq(DaemonMsg m);
+    sim::Task<> handleImportReq(node::EtherFrame req, DaemonMsg m);
+    sim::Task<> handleUnimportReq(node::EtherFrame req, DaemonMsg m);
+    sim::Task<> handleRevokeReq(node::EtherFrame req, DaemonMsg m);
+    /** Ask @p remote's daemon; a malformed reply reads as BadReply. */
     sim::Task<DaemonMsg> request(NodeId remote, DaemonMsg m);
-    void reply(const DaemonMsg &req, DaemonMsg resp);
+    void reply(const node::EtherFrame &req, const DaemonMsg &m,
+               DaemonMsg resp);
 
     /** Wait until traffic toward [paddr, paddr+len) has drained. */
     sim::Task<> drainPages(PAddr paddr, std::size_t len);
@@ -147,10 +149,6 @@ class Daemon
     stats::LazyCounter statUnimports_{stats_, "unimports"};
     stats::LazyCounter statFreezesHandled_{stats_, "freezesHandled"};
 };
-
-/** Serialize/deserialize daemon messages for the Ethernet. */
-std::vector<std::uint8_t> packMsg(const DaemonMsg &m);
-DaemonMsg unpackMsg(const std::vector<std::uint8_t> &data);
 
 } // namespace shrimp::vmmc
 

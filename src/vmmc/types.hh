@@ -31,6 +31,7 @@ enum class Status : std::uint32_t
     AlreadyExported,  //!< key already in use on this node
     AlreadyBound,     //!< local page already has an AU binding
     NotBound,         //!< unbind of a page with no AU binding
+    BadReply,         //!< a peer's Ethernet reply was malformed
 };
 
 const char *statusName(Status s);

@@ -20,6 +20,21 @@ Endpoint::Endpoint(node::Process &proc, Daemon &daemon)
         fatal("endpoint and daemon must live on the same node");
 }
 
+std::uint32_t
+Endpoint::newKey()
+{
+    // 1 | node:11 | pid:8 | serial:12
+    constexpr std::uint32_t nodes = 1u << 11, pids = 1u << 8,
+                            serials = 1u << 12;
+    if (nodeId() >= nodes || std::uint32_t(pid()) >= pids ||
+        keysIssued_ >= serials) {
+        fatal(logging::format("node %d pid %d: out of binding keys",
+                              int(nodeId()), pid()));
+    }
+    return 0x80000000u | std::uint32_t(nodeId()) << 20 |
+           std::uint32_t(pid()) << 12 | keysIssued_++;
+}
+
 // ---- export side ------------------------------------------------------
 
 sim::Task<Status>

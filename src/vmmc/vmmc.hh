@@ -44,6 +44,13 @@ class Endpoint
     NodeId nodeId() const { return proc_.nodeId(); }
     int pid() const { return proc_.pid(); }
 
+    /** A fresh export key for a library binding (sockets, VRPC, SRPC).
+     *  It holds the node and the pid and never repeats on this
+     *  endpoint; its top bit keeps it clear of NX's derived keys
+     *  (0x4E58..., 0x4E59...) and of small hand-picked ones. Fatal
+     *  once the endpoint has used them all. */
+    std::uint32_t newKey();
+
     // ---- export side ----------------------------------------------------
 
     /**
@@ -151,6 +158,7 @@ class Endpoint
 
     node::Process &proc_;
     Daemon &daemon_;
+    std::uint32_t keysIssued_ = 0;
     std::vector<ImportRec> imports_;
     std::vector<AuBinding> bindings_;
     NotificationQueue notif_;

@@ -1,9 +1,25 @@
 // shared-mutable-static fixtures: an unannotated function-local
-// static (finding), an allowlisted singleton and a const static
-// (negatives).
+// static and a variable at the top of an anonymous namespace
+// (findings), an allowlisted singleton, a const static, and constexpr
+// data and a function in the anonymous namespace (negatives).
 
 namespace fix
 {
+
+namespace
+{
+
+int lookups = 0; // internal linkage and process lifetime, like a static
+
+constexpr int maxLookups = 8; // negative: immutable
+
+int
+bump(int v) // negative: a function
+{
+    return v + 1;
+}
+
+} // namespace
 
 struct Reg
 {
@@ -30,7 +46,8 @@ int
 capacity()
 {
     static const int cap = 64; // negative: immutable static
-    return cap;
+    lookups = bump(lookups);
+    return lookups < maxLookups ? cap : 0;
 }
 
 } // namespace fix
