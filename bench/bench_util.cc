@@ -204,21 +204,31 @@ printTable(const std::string &header,
 namespace
 {
 
-/** Golden rows for this binary: "curve/size" -> hash. Lines are
- *  "<bench> <curve>/<size> <hash16>"; other benches' rows are skipped. */
-std::map<std::string, std::uint64_t>
+/** One point's pinned trace stream: its hash and its event count. */
+struct GoldenRow
+{
+    std::uint64_t hash = 0;
+    std::size_t events = 0;
+};
+
+/** Golden rows for this binary: "curve/size" -> row. Lines are
+ *  "<bench> <curve>/<size> <hash16> <events>"; other benches' rows are
+ *  skipped. */
+std::map<std::string, GoldenRow>
 loadGolden(const std::string &path)
 {
-    std::map<std::string, std::uint64_t> golden;
+    std::map<std::string, GoldenRow> golden;
     std::FILE *f = std::fopen(path.c_str(), "r");
     if (!f)
         fatal(logging::format("cannot open golden hash file '%s'",
               path.c_str()));
     char bench[128], key[256];
     unsigned long long hash;
-    while (std::fscanf(f, "%127s %255s %llx", bench, key, &hash) == 3) {
+    std::size_t events;
+    while (std::fscanf(f, "%127s %255s %llx %zu", bench, key, &hash,
+                       &events) == 4) {
         if (gProgName == bench)
-            golden[key] = hash;
+            golden[key] = GoldenRow{hash, events};
     }
     std::fclose(f);
     return golden;
@@ -235,7 +245,7 @@ runDeterminismCheck(const std::vector<Curve> &curves,
     bool was_enabled = tracer.enabled();
     tracer.setEnabled(true);
 
-    std::map<std::string, std::uint64_t> golden;
+    std::map<std::string, GoldenRow> golden;
     if (!gGoldenFile.empty()) {
         golden = loadGolden(gGoldenFile);
         std::printf("verifying trace hashes against %zu golden row(s) "
@@ -297,19 +307,22 @@ runDeterminismCheck(const std::vector<Curve> &curves,
                     std::printf("  %s: NO GOLDEN ROW (got %016llx; "
                                 "regenerate with --update-golden)\n",
                                 key.c_str(), (unsigned long long)h1);
-                } else if (it->second != h1) {
+                } else if (it->second.hash != h1 ||
+                           it->second.events != n1) {
                     ++failures;
-                    std::printf("  %s: GOLDEN MISMATCH (golden %016llx "
-                                "vs run %016llx) — simulated behaviour "
-                                "changed\n",
+                    std::printf("  %s: GOLDEN MISMATCH (golden %016llx, "
+                                "%zu events vs run %016llx, %zu events) — "
+                                "simulated behaviour changed\n",
                                 key.c_str(),
-                                (unsigned long long)it->second,
-                                (unsigned long long)h1);
+                                (unsigned long long)it->second.hash,
+                                it->second.events, (unsigned long long)h1,
+                                n1);
                 }
             }
             if (update)
-                std::fprintf(update, "%s %s %016llx\n", gProgName.c_str(),
-                             key.c_str(), (unsigned long long)h1);
+                std::fprintf(update, "%s %s %016llx %zu\n",
+                             gProgName.c_str(), key.c_str(),
+                             (unsigned long long)h1, n1);
         }
     }
     if (update)

@@ -80,11 +80,13 @@ void printTable(const std::string &header,
  *                         captured, hash the trace streams (see
  *                         trace::Tracer::hash), and fail the process
  *                         if any pair diverges
- *   --golden=FILE         also verify every point's hash against FILE
- *                         (rows "<bench> <curve>/<size> <hash16>");
- *                         a missing row or a mismatch fails the run.
- *                         Catches changes to *simulated* behaviour that
- *                         are individually deterministic. Implies
+ *   --golden=FILE         also verify every point's hash and event
+ *                         count against FILE (rows "<bench>
+ *                         <curve>/<size> <hash16> <events>"); a missing
+ *                         row or a mismatch fails the run, and a
+ *                         mismatch prints both counts. Catches changes
+ *                         to *simulated* behaviour that are
+ *                         individually deterministic. Implies
  *                         --check-determinism.
  *   --update-golden=FILE  append this binary's rows to FILE (run once
  *                         per bench to regenerate the golden set)

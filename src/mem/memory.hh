@@ -3,9 +3,10 @@
  * Memory: one node's physical memory. Holds real bytes (protocols in the
  * libraries move actual data, which tests verify end-to-end) and supports
  * write watchpoints: a task can sleep until a write lands in the byte
- * range it is polling (or anywhere, for multi-location scans), then
- * re-check the flag. A per-page write sequence (writtenSince) lets a
- * scanner that caches what it read skip re-reading unchanged pages.
+ * range it is polling, then re-check the flag. The range is the only
+ * wake rule: a write wakes exactly the waiters whose ranges it overlaps.
+ * A per-page write sequence (writtenSince) lets a scanner that caches
+ * what it read skip re-reading unchanged pages.
  * Timing is charged by the components that access memory (CPU, DMA
  * engines), not here.
  */
@@ -58,19 +59,11 @@ class Memory
     void write32(PAddr addr, std::uint32_t value);
 
     /**
-     * Suspend until the next write to this memory (any address).
-     * Users poll a predicate:  while (!flagSet()) co_await m.waitWrite();
-     * Pollers that watch a known location should use the targeted
-     * overload instead — it skips the wakeup entirely for unrelated
-     * writes.
+     * Suspend until a write overlapping [addr, addr+n) lands. Users poll
+     * a predicate over the bytes they read:
+     *   while (!flagSet()) co_await m.waitWrite(flag, 4);
+     * A write elsewhere never wakes them.
      */
-    sim::AddrCondition::WaitAwaiter
-    waitWrite()
-    {
-        return writeWaiters_.wait(0, data_.size());
-    }
-
-    /** Suspend until a write overlapping [addr, addr+n) lands. */
     sim::AddrCondition::WaitAwaiter
     waitWrite(PAddr addr, std::size_t n)
     {

@@ -137,20 +137,20 @@ Process::load32(VAddr addr)
 }
 
 sim::Task<>
-Process::pollSleep()
+Process::pollSleep(VAddr addr, std::size_t n)
+{
+    // Forward the task directly: no wrapper coroutine frame per call.
+    return pollSleepPhys(as_.translateRange(addr, n), n);
+}
+
+sim::Task<>
+Process::pollSleepPhys(PAddr pa, std::size_t n)
 {
     // Register the watchpoint *before* any suspension: the caller
     // checked its predicate synchronously just before awaiting us, so
     // no write can slip through unobserved. The poll-check cost is
     // charged on wakeup (it models the re-check that follows).
-    co_await node_.memory().waitWrite();
-    co_await node_.cpu().use(config().pollCheckCost);
-}
-
-sim::Task<>
-Process::pollSleep(VAddr addr, std::size_t n)
-{
-    co_await sleepUntilWrite(addr, n);
+    co_await node_.memory().waitWrite(pa, n);
     co_await node_.cpu().use(config().pollCheckCost);
 }
 

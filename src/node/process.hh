@@ -11,7 +11,9 @@
  *  - waitWord32Eq/Ne() are the polling receive primitives: they charge
  *    a poll cost per check and sleep on memory write watchpoints in
  *    between, plus the cache-invalidation penalty when the polled page
- *    is cached;
+ *    is cached; pollSleep(addr, n) is one iteration of a library's own
+ *    poll loop. Every poll sleeps on the bytes its rescan reads, so
+ *    only a write there wakes it;
  *  - peek()/poke() are untimed accessors for test setup and inspection.
  */
 
@@ -85,18 +87,18 @@ class Process
     sim::Task<std::uint32_t> waitWord32Eq(VAddr addr, std::uint32_t value);
 
     /**
-     * One iteration of a multi-location poll loop: sleep until the next
-     * write to node memory, then charge one poll check's cost. Callers
-     * rescan their predicate afterwards.
-     */
-    sim::Task<> pollSleep();
-
-    /**
-     * pollSleep for a rescan that reads only [addr, addr+n): sleep until
-     * a write overlaps that range. Scans over several buffers keep the
-     * any-write form.
+     * One iteration of a poll loop whose rescan reads [addr, addr+n):
+     * sleep until a write overlaps that range, then charge one poll
+     * check's cost. Callers rescan their predicate afterwards.
      */
     sim::Task<> pollSleep(VAddr addr, std::size_t n);
+
+    /**
+     * pollSleep on a range the caller translated once, [pa, pa+n) of
+     * node memory: a scan that sleeps on the same large range on every
+     * iteration keeps the page walk out of its loop.
+     */
+    sim::Task<> pollSleepPhys(PAddr pa, std::size_t n);
 
     /** Charge the cache-invalidation detection penalty for data that
      *  just arrived at @p addr (no charge for uncached pages). */

@@ -72,9 +72,9 @@ Connection::reqFlagOff() const
 }
 
 sim::Task<>
-Connection::exportSide()
+Connection::exportSide(VAddr region)
 {
-    region_ = ep_.proc().alloc(regionBytes());
+    region_ = region;
     dataPa_ = ep_.proc().as().translateRange(region_, dataAreaBytes());
     ctlPa_ = ep_.proc().as().translateRange(
         ctlBase(), ep_.proc().config().pageBytes);
@@ -162,7 +162,7 @@ Connection::acquireBuffer()
             drain();
             if (!freeBufs_.empty())
                 break;
-            co_await proc.pollSleep();
+            co_await proc.pollSleepPhys(ctlPa_, proc.config().pageBytes);
         }
     }
     co_await proc.compute(proc.config().cpuOpCost);

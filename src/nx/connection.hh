@@ -27,11 +27,18 @@
  * packets in order and the descriptor is written after the payload, a
  * nonzero stamp guarantees the payload is in place.
  *
+ * A process's receive regions, one per peer, are consecutive slices of
+ * one receive block (NxSystem::init), and every NX poll sleeps on that
+ * block: only a peer's deposit into it, or the library's own clearing
+ * of a slot, wakes a scan. A sender out of credits sleeps on its own
+ * control page, where the credits land.
+ *
  * Polls that find nothing cost no memory reads while the memory they
  * read is unchanged: a reply- or done-ring miss is kept with the node's
  * write count and stands until a write touches the control page
  * (Memory::writtenSince), and the occupied-slot masks of the packet
- * buffers are cached the same way in NxProc's per-peer scan table.
+ * buffers are cached the same way in NxProc's per-peer scan table. A
+ * wake by one peer's deposit so re-reads only that peer's region.
  */
 
 #ifndef SHRIMP_NX_CONNECTION_HH
@@ -106,8 +113,10 @@ class Connection
     Connection(vmmc::Endpoint &ep, int my_rank, int peer_rank,
                NodeId peer_node, const NxOptions &opt);
 
-    /** Export the local region (key derivation is symmetric). */
-    sim::Task<> exportSide();
+    /** Export @p region, this connection's slice of the process's
+     *  receive block, as the local receive region (key derivation is
+     *  symmetric). */
+    sim::Task<> exportSide(VAddr region);
 
     /** Import the peer's region and create the AU bindings; call after
      *  every rank finished exportSide(). */
@@ -170,6 +179,10 @@ class Connection
      */
     std::uint64_t occupiedSlots() const;
 
+    /** Bytes of the receive region: the packet buffers, then the
+     *  control page. */
+    std::size_t regionBytes() const;
+
     /** Physical start of the packet buffers (fixed at exportSide()). */
     PAddr dataPa() const { return dataPa_; }
 
@@ -210,7 +223,6 @@ class Connection
     static std::uint32_t regionKey(int importer_rank, int exporter_rank);
 
     std::size_t bufStride() const { return opt_.pktDataBytes + nxDescBytes; }
-    std::size_t regionBytes() const;
 
     // Control-area offsets, relative to the control page. AU writes go
     // through auCtl_ + off; local reads through ctlBase() + off.

@@ -216,7 +216,7 @@ NxProc::sendLarge(int dest, long type, VAddr buf, std::size_t len)
             co_return;
         }
         if (!can_copy) {
-            co_await proc.pollSleep();
+            co_await pollRecvBlock();
             continue;
         }
         if (copied < len) {
@@ -323,7 +323,7 @@ NxProc::consumeSmall(const Match &m, VAddr buf, std::size_t maxlen,
             }
             if (idx >= 0)
                 break;
-            co_await proc.pollSleep();
+            co_await pollRecvBlock();
         }
         NxDesc d = c.peekDesc(idx);
         co_await proc.compute(proc.config().cpuOpCost);
@@ -456,7 +456,7 @@ NxProc::crecvInPlace(long typesel)
             co_await progress();
         std::optional<Match> m = scanMatch(typesel);
         if (!m) {
-            co_await proc.pollSleep();
+            co_await pollRecvBlock();
             continue;
         }
         if (m->desc.frag == nxScoutFrag)
@@ -473,13 +473,12 @@ sim::Task<>
 NxProc::waitDone(int peer, std::uint32_t stamp)
 {
     Connection &c = conn(peer);
-    node::Process &proc = ep_.proc();
     for (;;) {
         if (progressDue())
             co_await progress();
         if (c.findDone(stamp))
             co_return;
-        co_await proc.pollSleep();
+        co_await pollRecvBlock();
     }
 }
 
@@ -495,7 +494,7 @@ NxProc::crecv(long typesel, VAddr buf, std::size_t maxlen)
             co_await progress();
         std::optional<Match> m = scanMatch(typesel);
         if (!m) {
-            co_await proc.pollSleep();
+            co_await pollRecvBlock();
             continue;
         }
         co_await proc.compute(2 * proc.config().cpuOpCost);
@@ -615,13 +614,12 @@ NxProc::armCompletion()
 sim::Task<>
 NxProc::completionAgent()
 {
-    node::Process &proc = ep_.proc();
     while (!pendingLarge_.empty()) {
         if (replyArrived())
             co_await progressSends();
         if (pendingLarge_.empty())
             break;
-        co_await proc.pollSleep();
+        co_await pollRecvBlock();
     }
     completionArmed_ = false;
 }
@@ -685,7 +683,7 @@ NxProc::msgwait(int msg_id)
                                return p.id == msg_id;
                            });
         if (pit != posted_.end() && !pit->done)
-            co_await proc.pollSleep();
+            co_await pollRecvBlock();
     }
 }
 
@@ -728,7 +726,7 @@ NxProc::cprobe(long typesel)
             }
             co_return;
         }
-        co_await proc.pollSleep();
+        co_await pollRecvBlock();
     }
 }
 
@@ -773,32 +771,17 @@ NxProc::gsync()
 sim::Task<double>
 NxProc::gdsum(double value)
 {
-    int n = numnodes();
-    node::Process &proc = ep_.proc();
-    double result = value;
-    if (n == 1)
-        co_return result;
-    if (rank_ == 0) {
-        for (int i = 1; i < n; ++i) {
-            co_await crecv(gopType, scratch_, sizeof(double));
-            double v;
-            proc.peek(scratch_, &v, sizeof(v));
-            result += v;
-        }
-        proc.poke(scratch_ + 64, &result, sizeof(result));
-        for (int i = 1; i < n; ++i)
-            co_await csend(gopResultType, scratch_ + 64, sizeof(double), i);
-    } else {
-        proc.poke(scratch_, &value, sizeof(value));
-        co_await csend(gopType, scratch_, sizeof(double), 0);
-        co_await crecv(gopResultType, scratch_ + 64, sizeof(double));
-        proc.peek(scratch_ + 64, &result, sizeof(result));
-    }
-    co_return result;
+    return reduce(value, [](double a, double b) { return a + b; });
 }
 
 sim::Task<double>
 NxProc::gdhigh(double value)
+{
+    return reduce(value, [](double a, double b) { return std::max(a, b); });
+}
+
+sim::Task<double>
+NxProc::reduce(double value, double (*combine)(double, double))
 {
     int n = numnodes();
     node::Process &proc = ep_.proc();
@@ -810,7 +793,7 @@ NxProc::gdhigh(double value)
             co_await crecv(gopType, scratch_, sizeof(double));
             double v;
             proc.peek(scratch_, &v, sizeof(v));
-            result = std::max(result, v);
+            result = combine(result, v);
         }
         proc.poke(scratch_ + 64, &result, sizeof(result));
         for (int i = 1; i < n; ++i)
@@ -855,13 +838,27 @@ sim::Task<>
 NxSystem::init()
 {
     // NX sets up one set of buffers for each pair of processes at
-    // initialization time (paper section 6).
+    // initialization time (paper section 6). A process's receive regions
+    // are one block, sliced in peer order; every poll sleeps on the
+    // whole block, translated here once.
     for (auto &p : procs_) {
+        std::size_t bytes = 0;
+        for (const auto &c : p->conns_) {
+            if (c)
+                bytes += c->regionBytes();
+        }
+        if (bytes == 0)
+            continue; // a lone rank has no peers
+        node::Process &proc = p->ep_.proc();
+        VAddr region = proc.alloc(bytes);
+        p->recvPa_ = proc.as().translateRange(region, bytes);
+        p->recvBytes_ = bytes;
         for (std::size_t peer = 0; peer < p->conns_.size(); ++peer) {
             Connection *c = p->conns_[peer].get();
             if (!c)
                 continue;
-            co_await c->exportSide();
+            co_await c->exportSide(region);
+            region += VAddr(c->regionBytes());
             // Fresh memory is zero, so an empty mask is exact as of
             // writeCount() 0: the first scan after any write to the
             // buffers re-reads it.

@@ -20,13 +20,17 @@
  * zone instead, copied out once the done flag is up.
  *
  * Typed receives (crecv/irecv with a type selector), isend/irecv with
- * msgwait, iprobe, and the NX global operations gsync()/gdsum() are
- * provided; infocount()/infotype()/infonode() report on the last
- * message received, as in NX.
+ * msgwait, iprobe, and the NX global operations gsync()/gdsum()/
+ * gdhigh() are provided; infocount()/infotype()/infonode() report on
+ * the last message received, as in NX.
  *
- * A process has a connection to every other process, and every poll
- * rescans them all, so a poll that finds nothing is kept independent of
- * the peer count: the receive scan reads a dense per-peer table of
+ * A process has a connection to every other process. Its N-1 receive
+ * regions form one receive block, and every poll sleeps on that block,
+ * which holds everything a rescan reads: a write elsewhere on the node
+ * (the process's own stores, data landing in a user buffer, another
+ * process's traffic) wakes no scan. A wake still rescans every
+ * connection, so a poll that finds nothing is kept independent of the
+ * peer count: the receive scan reads a dense per-peer table of
  * occupied-slot masks, each re-read only after a write to its packet
  * buffers; ring lookups cache their misses (Connection::ringFind); and
  * an entry point skips the progress engine, coroutine frames included,
@@ -221,6 +225,19 @@ class NxProc
     /** Scan all connections for the best matching descriptor. */
     std::optional<Match> scanMatch(long typesel);
 
+    /** One iteration of a poll loop: sleep until a write lands in the
+     *  receive block, then charge one poll check. */
+    sim::Task<> pollRecvBlock()
+    {
+        return ep_.proc().pollSleepPhys(recvPa_, recvBytes_);
+    }
+
+    /** The global reduction behind gdsum and gdhigh: rank 0 folds every
+     *  other rank's value into its own with @p combine and sends each
+     *  the result. */
+    sim::Task<double> reduce(double value,
+                             double (*combine)(double, double));
+
     /** Whether a pending large send's reply is in its ring, i.e.
      *  progressSends() has a transfer to finish. */
     bool replyArrived();
@@ -286,6 +303,8 @@ class NxProc
     NxSystem &system_;
     std::vector<std::unique_ptr<Connection>> conns_; //!< index = peer rank
     std::vector<PeerScan> scan_; //!< index = peer rank; set by init()
+    PAddr recvPa_ = 0;           //!< the receive block; set by init()
+    std::size_t recvBytes_ = 0;  //!< 0 for a lone rank (no peers)
     std::vector<VAddr> safePool_; //!< reusable safe-copy buffers
     VAddr scratch_ = 0;    //!< staging for global ops
     std::vector<PendingLarge> pendingLarge_;

@@ -52,10 +52,10 @@ VrpcServer::serve(sock::ByteStream &stream)
 
     for (;;) {
         // Wait for the next call (or an orderly shutdown).
-        while (stream.available() == 0) {
-            if (stream.finReceived())
+        if (stream.available() == 0) {
+            const std::size_t avail = co_await stream.waitReadable();
+            if (avail == 0)
                 co_return;
-            co_await p.pollSleep();
         }
         // The detecting read of freshly-DMAed data misses in the cache.
         co_await sim::Delay{p.sim().queue(), p.config().wtReceivePenalty};

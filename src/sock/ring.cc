@@ -335,33 +335,35 @@ ByteStream::finReceived() const
 }
 
 sim::Task<std::size_t>
+ByteStream::waitReadable()
+{
+    node::Process &proc = ep_.proc();
+    while (available() == 0 && !finReceived())
+        co_await proc.pollSleep(VAddr(region_ + ctlOff()), ctlSpanBytes);
+    co_return available();
+}
+
+sim::Task<std::size_t>
 ByteStream::recv(VAddr dst, std::size_t maxlen)
 {
     node::Process &proc = ep_.proc();
-    for (;;) {
-        std::size_t avail = available();
-        if (avail > 0) {
-            co_await proc.detectPenalty(region_);
-            std::size_t n = std::min(avail, maxlen);
-            std::size_t done = 0;
-            while (done < n) {
-                std::size_t off = readCount_ % ringBytes_;
-                std::size_t chunk = std::min(n - done, ringBytes_ - off);
-                co_await proc.copy(dst + VAddr(done),
-                                   VAddr(region_ + off), chunk);
-                readCount_ += std::uint32_t(chunk);
-                done += chunk;
-            }
-            co_await publishAck();
-            co_return n;
-        }
-        if (finReceived())
-            co_return 0;
-        // The rescan reads the tail (+0) and fin (+16) words; one span
-        // over the control block covers both.
-        co_await proc.pollSleep(VAddr(region_ + ctlOff()),
-                                ctlSpanBytes);
+    std::size_t avail = available();
+    if (avail == 0)
+        avail = co_await waitReadable();
+    if (avail == 0)
+        co_return 0; // the peer closed and the ring drained
+    co_await proc.detectPenalty(region_);
+    std::size_t n = std::min(avail, maxlen);
+    std::size_t done = 0;
+    while (done < n) {
+        std::size_t off = readCount_ % ringBytes_;
+        std::size_t chunk = std::min(n - done, ringBytes_ - off);
+        co_await proc.copy(dst + VAddr(done), VAddr(region_ + off), chunk);
+        readCount_ += std::uint32_t(chunk);
+        done += chunk;
     }
+    co_await publishAck();
+    co_return n;
 }
 
 sim::Task<>
@@ -371,13 +373,11 @@ ByteStream::recvHost(void *out, std::size_t len)
     auto *p = static_cast<std::uint8_t *>(out);
     std::size_t done = 0;
     while (done < len) {
-        while (available() == 0) {
-            if (finReceived())
-                panic("stream closed mid-record");
-            co_await proc.pollSleep(VAddr(region_ + ctlOff()),
-                                    ctlSpanBytes);
-        }
         std::size_t avail = available();
+        if (avail == 0)
+            avail = co_await waitReadable();
+        if (avail == 0)
+            panic("stream closed mid-record");
         std::size_t off = readCount_ % ringBytes_;
         std::size_t chunk = std::min({len - done, avail, ringBytes_ - off});
         // Reading out of the ring into the decoder's fields is the

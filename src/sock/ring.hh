@@ -120,6 +120,14 @@ class ByteStream
     bool finReceived() const;
 
     /**
+     * Poll the control block until a byte or FIN is there; @return
+     * available(), 0 meaning the peer closed and the ring drained.
+     * Receivers call it only when available() is 0, so a receive that
+     * finds data takes no frame here.
+     */
+    sim::Task<std::size_t> waitReadable();
+
+    /**
      * Receive up to @p maxlen bytes into simulated memory; blocks until
      * at least one byte (or FIN) is available.
      * @return bytes received; 0 means the peer closed and the ring

@@ -17,6 +17,10 @@ round4(std::size_t v)
     return (v + 3) & ~std::size_t(3);
 }
 
+/** Set in the return flag of a call the server refused: the flag then
+ *  reads seq | refusedBit instead of seq. */
+constexpr std::uint32_t refusedBit = 0x80000000u;
+
 } // namespace
 
 // ---- Signature / Interface ---------------------------------------------
@@ -160,7 +164,7 @@ SrpcClient::bind(NodeId server, std::uint16_t port)
     co_return bs == vmmc::Status::Ok;
 }
 
-sim::Task<>
+sim::Task<bool>
 SrpcClient::call(std::uint32_t proc, std::vector<Param> params)
 {
     if (importHandle_ < 0)
@@ -203,8 +207,12 @@ SrpcClient::call(std::uint32_t proc, std::vector<Param> params)
 
     // Wait for the server's return flag; OUT/INOUT values have been
     // propagating via automatic update in the meantime (in-order
-    // delivery puts them all before the flag).
-    co_await p.waitWord32Eq(VAddr(buf_ + iface_.retFlagOff()), seq);
+    // delivery puts them all before the flag). Only the server writes
+    // the flag, once per call: seq, or seq | refusedBit.
+    retFlag_ =
+        co_await p.waitWord32Ne(VAddr(buf_ + iface_.retFlagOff()), retFlag_);
+    if (retFlag_ != seq)
+        co_return false;
 
     // Unmarshal results (by reference: just read them out).
     for (std::size_t i = 0; i < params.size(); ++i) {
@@ -218,6 +226,7 @@ SrpcClient::call(std::uint32_t proc, std::vector<Param> params)
             p.node().cpu().copyTime(d.size, CacheMode::WriteBack));
         p.peek(buf_ + VAddr(src), params[i].data, d.size);
     }
+    co_return true;
 }
 
 // ---- server -------------------------------------------------------------
@@ -323,9 +332,16 @@ SrpcServer::serve(std::shared_ptr<Binding> binding)
         co_await p.waitWord32Eq(arg_flag, seq);
         std::uint32_t proc_id =
             p.peek32(binding->buf + VAddr(iface_.procIdOff()));
-        if (proc_id >= procs_.size() || !procs_[proc_id])
-            panic("SRPC call to an unregistered procedure");
         co_await p.compute(p.config().cpuOpCost); // dispatch
+        if (proc_id >= procs_.size() || !procs_[proc_id]) {
+            // The client's interface names a procedure this server does
+            // not serve: refuse the call and serve the next.
+            warn(logging::format("SRPC server: refused a call to "
+                                 "procedure %u, which it does not serve",
+                                 unsigned(proc_id)));
+            co_await p.store32(ret_flag, seq | refusedBit);
+            continue;
+        }
         ServerCall call(ep_, iface_, proc_id, binding->buf);
         co_await procs_[proc_id](call);
         ++calls_;

@@ -20,7 +20,9 @@
  * procedure writes to its OUT/INOUT parameters propagates back to the
  * client silently through automatic update, overlapped with the
  * computation; finishing a call is just one flag write (which the NIC
- * combines with a just-written adjacent OUT value when it can).
+ * combines with a just-written adjacent OUT value when it can). A call
+ * naming a procedure the server does not serve is answered in the same
+ * flag, marked refused, and the binding serves on.
  *
  * The stub generator's role is played by Interface/Signature: the
  * interface definition (parameter directions and sizes) from which both
@@ -137,8 +139,11 @@ class SrpcClient
      * Call procedure @p proc. IN/INOUT parameters are marshalled (with
      * the procedure id and flag) into one consecutive write run;
      * OUT/INOUT values are read back after the return flag.
+     * @return whether the procedure ran: false when the server does
+     * not serve @p proc (its interface lacks it), and the OUT/INOUT
+     * values are then left as they were.
      */
-    sim::Task<> call(std::uint32_t proc, std::vector<Param> params);
+    sim::Task<bool> call(std::uint32_t proc, std::vector<Param> params);
 
     std::uint64_t callsMade() const { return seq_; }
 
@@ -148,6 +153,7 @@ class SrpcClient
     VAddr buf_ = 0; //!< local buffer (server's AU writes land here)
     int importHandle_ = -1;
     std::uint32_t seq_ = 0;
+    std::uint32_t retFlag_ = 0; //!< the return flag as the last call left it
     stats::Group stats_;
     trace::TrackId track_;
     //! Counted per call; looked up by name once, at the first call.

@@ -8,6 +8,26 @@
 namespace shrimp::vmmc
 {
 
+namespace
+{
+
+/** The kind that answers a request of kind @p k. */
+DaemonMsg::Kind
+answerKind(DaemonMsg::Kind k)
+{
+    using Kind = DaemonMsg::Kind;
+    switch (k) {
+      case Kind::ImportReq:
+        return Kind::ImportReply;
+      case Kind::UnimportReq:
+        return Kind::UnimportAck;
+      default:
+        return Kind::RevokeAck;
+    }
+}
+
+} // namespace
+
 Daemon::Daemon(node::Node &node, node::EtherNet &ether)
     : node_(node), ether_(ether), registry_(node.config().pageBytes),
       stats_("node" + std::to_string(node.id()) + ".daemon"),
@@ -39,17 +59,34 @@ Daemon::serviceLoop()
         const std::optional<DaemonMsg> m =
             node::EtherNet::decode<DaemonMsg>(frame);
         using Kind = DaemonMsg::Kind;
-        if (m && m->kind == Kind::ImportReq)
-            node_.sim().spawn(handleImportReq(std::move(frame), *m));
-        else if (m && m->kind == Kind::UnimportReq)
-            node_.sim().spawn(handleUnimportReq(std::move(frame), *m));
-        else if (m && m->kind == Kind::RevokeReq)
-            node_.sim().spawn(handleRevokeReq(std::move(frame), *m));
-        else
+        if (!m || (m->kind != Kind::ImportReq &&
+                   m->kind != Kind::UnimportReq &&
+                   m->kind != Kind::RevokeReq)) {
             warn(logging::format("node %u daemon: dropped a malformed "
                                  "request (%zu bytes) from node %d",
                                  unsigned(id()), frame.data.size(),
                                  int(frame.src)));
+            continue;
+        }
+        if (m->srcNode != frame.src) {
+            // The frame says which node sent it; the handlers act for
+            // that node, and a request that names another is refused.
+            warn(logging::format("node %u daemon: refused a request from "
+                                 "node %d that names node %d",
+                                 unsigned(id()), int(frame.src),
+                                 int(m->srcNode)));
+            DaemonMsg resp;
+            resp.kind = answerKind(m->kind);
+            resp.status = Status::PermissionDenied;
+            reply(frame, *m, resp);
+            continue;
+        }
+        if (m->kind == Kind::ImportReq)
+            node_.sim().spawn(handleImportReq(std::move(frame), *m));
+        else if (m->kind == Kind::UnimportReq)
+            node_.sim().spawn(handleUnimportReq(std::move(frame), *m));
+        else
+            node_.sim().spawn(handleRevokeReq(std::move(frame), *m));
     }
 }
 
@@ -257,11 +294,10 @@ Daemon::handleImportReq(node::EtherFrame req, DaemonMsg m)
     ExportRecord *rec = registry_.find(m.key);
     if (!rec || !rec->accepting) {
         resp.status = Status::NoSuchExport;
-    } else if (!rec->perm.allows(m.srcNode, int(m.srcPid))) {
+    } else if (!rec->perm.allows(req.src, int(m.srcPid))) {
         resp.status = Status::PermissionDenied;
     } else {
-        rec->importers.push_back(
-            ImporterRecord{m.srcNode, int(m.srcPid), 0});
+        rec->importers.push_back(ImporterRecord{req.src, int(m.srcPid), 0});
         resp.status = Status::Ok;
         resp.base = rec->paddr;
         resp.len = std::uint32_t(rec->len);
@@ -280,8 +316,8 @@ Daemon::handleUnimportReq(node::EtherFrame req, DaemonMsg m)
         // Drop one matching importer record.
         auto &imps = rec->importers;
         auto it = std::find_if(imps.begin(), imps.end(),
-                               [&m](const ImporterRecord &ir) {
-                                   return ir.node == m.srcNode &&
+                               [&req, &m](const ImporterRecord &ir) {
+                                   return ir.node == req.src &&
                                           ir.pid == int(m.srcPid);
                                });
         if (it != imps.end())
@@ -296,7 +332,7 @@ sim::Task<>
 Daemon::handleRevokeReq(node::EtherFrame req, DaemonMsg m)
 {
     co_await node_.cpu().use(node_.config().libCallCost);
-    auto it = imports_.find({m.srcNode, m.key});
+    auto it = imports_.find({req.src, m.key});
     if (it != imports_.end()) {
         node_.nic().packetizer().flushPending();
         for (const ImportEntry &e : it->second) {

@@ -29,7 +29,9 @@
 namespace shrimp::vmmc
 {
 
-/** The daemons' wire message (POD; EtherNet::encode/decode carry it). */
+/** The daemons' wire message (POD; EtherNet::encode/decode carry it).
+ *  A daemon acts for the node its Ethernet frame came from: a request
+ *  whose srcNode names another node is refused (PermissionDenied). */
 struct DaemonMsg
 {
     enum class Kind : std::uint32_t

@@ -69,7 +69,7 @@ TEST(Memory, WriteWakesWatcher)
     Tick woke_at = 0;
     s.spawn([](sim::Simulator &s, Memory &m, Tick &woke_at) -> sim::Task<> {
         while (m.read32(0) == 0)
-            co_await m.waitWrite();
+            co_await m.waitWrite(0, 4);
         woke_at = s.now();
     }(s, m, woke_at));
     s.queue().scheduleIn(500, [&] { m.write32(0, 7); });
@@ -108,20 +108,6 @@ TEST(Memory, TargetedWaitWakesOnPartialOverlap)
     s.queue().scheduleIn(300, [&] { m.write(252, buf, sizeof(buf)); });
     s.runAll();
     EXPECT_EQ(woke_at, 300u);
-}
-
-TEST(Memory, WholeMemoryWaitStillWakesOnAnyWrite)
-{
-    sim::Simulator s;
-    Memory m(s.queue(), 16 * kPage, kPage);
-    Tick woke_at = 0;
-    s.spawn([](sim::Simulator &s, Memory &m, Tick &woke_at) -> sim::Task<> {
-        co_await m.waitWrite();
-        woke_at = s.now();
-    }(s, m, woke_at));
-    s.queue().scheduleIn(40, [&] { m.write32(15 * kPage, 1); });
-    s.runAll();
-    EXPECT_EQ(woke_at, 40u);
 }
 
 TEST(Memory, WriteSequenceMarksBothPagesOfASpanningWrite)

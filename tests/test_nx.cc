@@ -320,6 +320,44 @@ TEST_F(NxTest, PokedDescriptorIsSeenAndHiddenByTheNextScan)
     runAll(std::move(tasks));
 }
 
+/** Uses of @p proc's node CPU so far; each poll check is one. */
+std::uint64_t
+cpuUses(node::Process &proc)
+{
+    return proc.node().cpu().stats().get("uses");
+}
+
+TEST_F(NxTest, OnlyTheReceiveBlockWakesABlockedRank)
+{
+    // A rank blocked in crecv sleeps on its receive block. A write
+    // elsewhere in its memory (a poke into its user buffer) charges its
+    // CPU no poll check; a write into any of its regions wakes the scan,
+    // which finds nothing and sleeps again: one poll check each.
+    std::vector<sim::Task<>> tasks;
+    tasks.push_back([](NxTest &t) -> sim::Task<> {
+        VAddr buf = t.proc(1).alloc(64);
+        co_await t.nx_.proc(1).crecv(40, buf, 64);
+    }(*this));
+    tasks.push_back([](NxTest &t) -> sim::Task<> {
+        node::Process &p1 = t.proc(1);
+        co_await t.proc(0).compute(units::ms); // rank 1 is asleep
+        const std::uint64_t before = cpuUses(p1);
+        const VAddr user = p1.alloc(4096);
+        p1.poke32(user, 1);
+        co_await t.proc(0).compute(units::ms);
+        EXPECT_EQ(cpuUses(p1), before);
+        for (int peer : {0, 2, 3}) {
+            // The last payload word of packet buffer 0: no stamp moves.
+            p1.poke32(t.nx_.proc(1).conn(peer).descAddr(0) - 4, 1);
+            co_await t.proc(0).compute(units::ms);
+        }
+        EXPECT_EQ(cpuUses(p1), before + 3);
+        VAddr buf = t.proc(0).alloc(64);
+        co_await t.nx_.proc(0).csend(40, buf, 4, 1);
+    }(*this));
+    runAll(std::move(tasks));
+}
+
 TEST_F(NxTest, ReplyArrivingAfterACachedMissIsFound)
 {
     // A reply-ring miss is cached until the control page is written;
@@ -563,6 +601,42 @@ TEST(NxPlacement, TwoProcessesPerNode)
         }(nx, r));
     }
     sys.sim().runAll();
+}
+
+TEST(NxPlacement, AMessageToOneRankDoesNotWakeItsNodeMate)
+{
+    // Ranks 1 and 5 share node 1. Rank 5 blocks in crecv while a
+    // message lands in rank 1's receive block, and rank 1 is not
+    // polling: node 1's CPU is charged no poll check for rank 5.
+    vmmc::System sys;
+    NxSystem nx(sys, 8); // 8 ranks on 4 nodes
+    test::runTask(sys.sim(), nx.init());
+    node::Process &rank5 = nx.proc(5).endpoint().proc();
+    ASSERT_EQ(&rank5.node(), &nx.proc(1).endpoint().proc().node());
+    sys.sim().spawn([](NxSystem &nx) -> sim::Task<> {
+        NxProc &p = nx.proc(5);
+        VAddr buf = p.endpoint().proc().alloc(64);
+        co_await p.crecv(50, buf, 64);
+    }(nx));
+    sys.sim().spawn([](NxSystem &nx) -> sim::Task<> {
+        NxProc &p = nx.proc(1);
+        co_await sim::Delay{p.endpoint().proc().sim().queue(),
+                            3 * units::ms};
+        VAddr buf = p.endpoint().proc().alloc(64);
+        co_await p.crecv(51, buf, 64);
+    }(nx));
+    test::runTask(sys.sim(), [](NxSystem &nx,
+                                node::Process &rank5) -> sim::Task<> {
+        NxProc &p = nx.proc(0);
+        node::Process &proc = p.endpoint().proc();
+        co_await proc.compute(units::ms); // rank 5 is asleep
+        const std::uint64_t before = cpuUses(rank5);
+        VAddr buf = proc.alloc(64);
+        co_await p.csend(51, buf, 4, 1);
+        co_await proc.compute(units::ms); // in rank 1's packet buffers
+        EXPECT_EQ(cpuUses(rank5), before);
+        co_await p.csend(50, buf, 4, 5);
+    }(nx, rank5));
 }
 
 TEST(NxOptionsTest, SmallBufferCountStillCorrect)

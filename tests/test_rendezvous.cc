@@ -7,9 +7,11 @@
  * one endpoint. Hostile peers: a raw sender feeds malformed frames to
  * the socket listener, the VRPC and SRPC servers and a daemon, and
  * each drops them with one warning and binds the next well-formed
- * client; a client whose answer is malformed fails with the value its
- * call returns. Every run drains with no task left blocked (runAll
- * panics on a deadlock).
+ * client; a daemon request that names another node than the one its
+ * frame came from is refused; an SRPC call to a procedure the server
+ * does not serve is refused and the binding serves on; a client whose
+ * answer is malformed fails with the value its call returns. Every run
+ * drains with no task left blocked (runAll panics on a deadlock).
  */
 
 #include <gtest/gtest.h>
@@ -417,6 +419,146 @@ TEST(HostilePeer, DaemonDropsMalformedRequests)
     const std::string err = warns.text();
     EXPECT_EQ(occurrences(err, "warn: "), 6) << err;
     EXPECT_EQ(occurrences(err, "dropped a malformed"), 6) << err;
+}
+
+/** A daemon request of @p kind for key 7 that claims to come from
+ *  @p claimed (node @p claimed, process @p pid). */
+vmmc::DaemonMsg
+claiming(vmmc::DaemonMsg::Kind kind, NodeId claimed, int pid)
+{
+    vmmc::DaemonMsg m;
+    m.kind = kind;
+    m.key = 7;
+    m.srcNode = claimed;
+    m.srcPid = pid;
+    return m;
+}
+
+TEST(HostilePeer, DaemonTakesTheImporterFromTheFrame)
+{
+    // Node 2 asks node 1's daemon for an export only node 0 may import,
+    // naming node 0 as the requester: the frame says node 2.
+    vmmc::System sys;
+    vmmc::Endpoint &exporter = sys.createEndpoint(1);
+    WarnCapture warns;
+    std::optional<vmmc::DaemonMsg> got;
+    test::runTask(sys.sim(), [](vmmc::Endpoint &exp,
+                                std::optional<vmmc::DaemonMsg> &got)
+                                 -> sim::Task<> {
+        const VAddr recv = exp.proc().alloc(4096);
+        const vmmc::Status st = co_await exp.exportBuffer(
+            7, recv, 4096, vmmc::Perm::onlyNode(0));
+        EXPECT_EQ(st, vmmc::Status::Ok);
+        got = co_await exp.proc().node().ether().request<vmmc::DaemonMsg>(
+            2, 1, EtherNet::daemonPort,
+            claiming(vmmc::DaemonMsg::Kind::ImportReq, 0, 0));
+    }(exporter, got));
+    ASSERT_TRUE(got);
+    EXPECT_EQ(got->kind, vmmc::DaemonMsg::Kind::ImportReply);
+    EXPECT_EQ(got->status, vmmc::Status::PermissionDenied);
+    const vmmc::ExportRecord *rec = sys.daemon(1).registry().find(7);
+    ASSERT_NE(rec, nullptr);
+    EXPECT_TRUE(rec->importers.empty());
+    const std::string err = warns.text();
+    EXPECT_EQ(occurrences(err, "warn: "), 1) << err;
+    EXPECT_EQ(occurrences(err, "refused a request from node 2 that "
+                               "names node 0"),
+              1)
+        << err;
+}
+
+TEST(HostilePeer, ForgedUnimportAndRevokeLeaveARealImport)
+{
+    // Node 0 imports node 1's export. Node 2 then asks node 1's daemon to
+    // drop node 0's importer record and node 0's daemon to revoke the
+    // import, each time naming the node the request would come from.
+    vmmc::System sys;
+    vmmc::Endpoint &exporter = sys.createEndpoint(1);
+    vmmc::Endpoint &importer = sys.createEndpoint(0);
+    WarnCapture warns;
+    test::runTask(sys.sim(), [](vmmc::Endpoint &exp,
+                                vmmc::Endpoint &imp) -> sim::Task<> {
+        using Kind = vmmc::DaemonMsg::Kind;
+        const VAddr recv = exp.proc().alloc(4096, CacheMode::WriteThrough);
+        vmmc::Status st = co_await exp.exportBuffer(
+            7, recv, 4096, vmmc::Perm::onlyNode(0));
+        EXPECT_EQ(st, vmmc::Status::Ok);
+        const vmmc::ImportResult r = co_await imp.import(1, 7);
+        EXPECT_EQ(r.status, vmmc::Status::Ok);
+
+        EtherNet &ether = imp.proc().node().ether();
+        const std::optional<vmmc::DaemonMsg> unimported =
+            co_await ether.request<vmmc::DaemonMsg>(
+                2, 1, EtherNet::daemonPort,
+                claiming(Kind::UnimportReq, 0, imp.pid()));
+        EXPECT_TRUE(unimported &&
+                    unimported->status == vmmc::Status::PermissionDenied);
+        const std::optional<vmmc::DaemonMsg> revoked =
+            co_await ether.request<vmmc::DaemonMsg>(
+                2, 0, EtherNet::daemonPort,
+                claiming(Kind::RevokeReq, 1, exp.pid()));
+        EXPECT_TRUE(revoked &&
+                    revoked->status == vmmc::Status::PermissionDenied);
+
+        // The import still carries data.
+        const VAddr user = imp.proc().alloc(4096);
+        imp.proc().poke32(user, 0xabcd);
+        st = co_await imp.send(r.handle, 0, user, 4);
+        EXPECT_EQ(st, vmmc::Status::Ok);
+        co_await exp.proc().waitWord32Eq(recv, 0xabcd);
+    }(exporter, importer));
+    const vmmc::ExportRecord *rec = sys.daemon(1).registry().find(7);
+    ASSERT_NE(rec, nullptr);
+    ASSERT_EQ(rec->importers.size(), 1u);
+    EXPECT_EQ(rec->importers[0].node, 0);
+    const std::string err = warns.text();
+    EXPECT_EQ(occurrences(err, "warn: "), 2) << err;
+    EXPECT_EQ(occurrences(err, "refused a request from node 2"), 2) << err;
+}
+
+TEST(HostilePeer, SrpcServerRefusesAnUnknownProcedure)
+{
+    // The client's interface has one procedure more than the server's,
+    // laid out alike. A call to it is refused with a warning, and the
+    // binding serves the next call.
+    vmmc::System sys;
+    vmmc::Endpoint &server = sys.createEndpoint(1);
+    vmmc::Endpoint &client = sys.createEndpoint(0);
+    srpc::Interface served;
+    const std::uint32_t inc =
+        served.defineProc("inc", {{srpc::Dir::InOut, 4}});
+    srpc::Interface wider = served;
+    const std::uint32_t extra =
+        wider.defineProc("extra", {{srpc::Dir::InOut, 4}});
+    srpc::SrpcServer srv(server, served, kSrpcPort);
+    srv.registerProc(inc, [](srpc::ServerCall &call) -> sim::Task<> {
+        std::uint32_t v = 0;
+        co_await call.getArg(0, &v);
+        ++v;
+        co_await call.putArg(0, &v);
+    });
+    srv.start();
+    WarnCapture warns;
+    test::runTask(sys.sim(), [](vmmc::Endpoint &ep,
+                                const srpc::Interface &iface,
+                                std::uint32_t inc,
+                                std::uint32_t extra) -> sim::Task<> {
+        srpc::SrpcClient c(ep, iface);
+        const bool up = co_await c.bind(1, kSrpcPort);
+        EXPECT_TRUE(up);
+        std::uint32_t v = 41;
+        const std::vector<srpc::Param> ps{srpc::inout(&v, 4)};
+        const bool refused = co_await c.call(extra, ps);
+        EXPECT_FALSE(refused);
+        EXPECT_EQ(v, 41u);
+        const bool ran = co_await c.call(inc, ps);
+        EXPECT_TRUE(ran);
+        EXPECT_EQ(v, 42u);
+    }(client, wider, inc, extra));
+    const std::string err = warns.text();
+    EXPECT_EQ(occurrences(err, "warn: "), 1) << err;
+    EXPECT_EQ(occurrences(err, "refused a call to procedure 1"), 1) << err;
+    EXPECT_EQ(srv.callsServed(), 1u);
 }
 
 // ---- hostile peers: clients -----------------------------------------------

@@ -178,6 +178,25 @@ TEST_F(RpcTest, NullCallSucceeds)
     EXPECT_EQ(server_.callsServed(), 1u);
 }
 
+TEST_F(RpcTest, WriteOutsideTheStreamDoesNotWakeTheServer)
+{
+    // Between calls the server sleeps on its stream's control block: a
+    // write elsewhere in its memory charges its CPU no poll check.
+    runClient([this](VrpcClient &c) -> sim::Task<> {
+        AcceptStat st = co_await c.call(0, nullptr, nullptr);
+        EXPECT_EQ(st, AcceptStat::Success);
+        node::Process &server = serverEp_.proc();
+        node::Process &client = clientEp_.proc();
+        co_await client.compute(units::ms); // the call's acks have landed
+        const std::uint64_t uses = server.node().cpu().stats().get("uses");
+        server.poke32(server.alloc(4096), 1);
+        co_await client.compute(units::ms);
+        EXPECT_EQ(server.node().cpu().stats().get("uses"), uses);
+        st = co_await c.call(0, nullptr, nullptr);
+        EXPECT_EQ(st, AcceptStat::Success);
+    });
+}
+
 TEST_F(RpcTest, NullCallLatencyNearPaper)
 {
     // Paper: ~29 us round trip for a null VRPC.
